@@ -41,8 +41,10 @@ struct GridRun {
     cache_hits: usize,
     warm_starts: usize,
     objective_evals: usize,
-    /// Per-phase lockstep timing (ms): cursor advance, point staging,
+    /// Lockstep groups run (one per worker the grid could use), then
+    /// per-phase lockstep timing (ms): cursor advance, point staging,
     /// batched CSS kernel, optimiser tell. All zero for baseline runs.
+    lockstep_groups: usize,
     lockstep_rounds: usize,
     lockstep_batched_evals: usize,
     lockstep_advance_ms: f64,
@@ -97,6 +99,7 @@ struct AutoModeRun {
     failures: usize,
     objective_evals: usize,
     families: Vec<FamilyBreakdown>,
+    lockstep_groups: usize,
     lockstep_batched_evals: usize,
     lockstep_batch_css_ms: f64,
     lockstep_batch_ets_ms: f64,
@@ -106,6 +109,9 @@ struct AutoModeRun {
 #[derive(Debug, Clone, Serialize)]
 struct GridSnapshot {
     grid: String,
+    /// `std::thread::available_parallelism` on the measuring host: the
+    /// 1/2/4/8-thread series can only scale up to this many workers.
+    available_parallelism: usize,
     candidates: usize,
     train_len: usize,
     test_len: usize,
@@ -164,8 +170,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let y = series(504);
     let (train, test) = y.split_at(480);
     let grid = ModelGrid::arima();
+    let available_parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
-        "bench_grid: {} ARIMA candidates, train {} / test {}, {} rep(s)",
+        "bench_grid: {} ARIMA candidates, train {} / test {}, {} rep(s), \
+         available parallelism {available_parallelism}",
         grid.len(),
         train.len(),
         test.len(),
@@ -199,8 +207,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             let ls = &report.stats.lockstep;
             if ls.rounds > 0 {
                 println!(
-                    "               lockstep: {} rounds / {} evals, advance {:.0} ms, \
+                    "               lockstep: {} groups, {} rounds / {} evals, advance {:.0} ms, \
                      stage {:.0} ms, batch-css {:.0} ms, tell {:.0} ms",
+                    ls.groups,
                     ls.rounds,
                     ls.batched_evals,
                     ls.advance.as_secs_f64() * 1e3,
@@ -226,6 +235,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 cache_hits: report.stats.cache_hits,
                 warm_starts: report.stats.warm_starts,
                 objective_evals: report.stats.objective_evals,
+                lockstep_groups: ls.groups,
                 lockstep_rounds: ls.rounds,
                 lockstep_batched_evals: ls.batched_evals,
                 lockstep_advance_ms: ls.advance.as_secs_f64() * 1e3,
@@ -353,8 +363,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             );
             if ls.batched_evals > 0 {
                 println!(
-                    "               lockstep: {} batched evals, batch-css {:.0} ms, \
+                    "               lockstep: {} groups, {} batched evals, batch-css {:.0} ms, \
                      batch-ets {:.0} ms, batch-tbats {:.0} ms",
+                    ls.groups,
                     ls.batched_evals,
                     ls.batch_css.as_secs_f64() * 1e3,
                     ls.batch_ets.as_secs_f64() * 1e3,
@@ -375,6 +386,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 failures: report.failures,
                 objective_evals: report.stats.objective_evals,
                 families,
+                lockstep_groups: ls.groups,
                 lockstep_batched_evals: ls.batched_evals,
                 lockstep_batch_css_ms: ls.batch_css.as_secs_f64() * 1e3,
                 lockstep_batch_ets_ms: ls.batch_ets.as_secs_f64() * 1e3,
@@ -390,6 +402,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let snapshot = GridSnapshot {
         grid: "arima_180".to_string(),
+        available_parallelism,
         candidates: grid.len(),
         train_len: train.len(),
         test_len: test.len(),

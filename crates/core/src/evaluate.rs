@@ -68,8 +68,10 @@ use std::time::{Duration, Instant};
 
 /// Maximum warm-start chain length. Fixed (never derived from the thread
 /// count) so the set of fits — and therefore the champion — is identical at
-/// any parallelism; small enough that a 16-worker pool stays busy on a
-/// 180-candidate grid.
+/// any parallelism. A chain is the unit lockstep groups claim, so the cap
+/// bounds the longest sequential run one group must finish alone: a
+/// 180-candidate ARIMA grid splits into 16 chains, enough to spread over
+/// every worker's group.
 const MAX_CHAIN_LEN: usize = 12;
 
 /// Options for a grid evaluation.
@@ -168,10 +170,14 @@ pub struct FamilyStats {
 }
 
 /// Where lockstep (batched-kernel) evaluation time goes, summed over
-/// workers. All-zero when no batched units ran (racing mode, cache off,
-/// non-ARIMA grids).
+/// workers. All-zero when no lockstep group ran (racing mode, cache off,
+/// fewer than two batchable chains).
 #[derive(Debug, Clone, Default)]
 pub struct LockstepStats {
+    /// Lockstep groups run: one per task when the batch has at least as
+    /// many tasks as workers, more when a few tasks split their batchable
+    /// chains across the pool.
+    pub groups: usize,
     /// Batched kernel rounds executed.
     pub rounds: usize,
     /// Objective evaluations served by batched kernel passes.
@@ -195,6 +201,7 @@ pub struct LockstepStats {
 
 impl LockstepStats {
     fn merge(&mut self, other: &LockstepStats) {
+        self.groups += other.groups;
         self.rounds += other.rounds;
         self.batched_evals += other.batched_evals;
         self.advance += other.advance;
@@ -422,25 +429,31 @@ fn build_chains(candidates: &[CandidateModel]) -> Vec<Chain> {
 }
 
 /// One entry in the fleet work queue: a single chain run sequentially, or
-/// a group of batchable chains — plain-ARIMA chains with cached
-/// differenced series, ETS chains, TBATS chains — executed in lockstep
-/// over the batched family kernels ([`kernels::css_batch`],
-/// [`kernels::ets_batch`], [`kernels::tbats_filter::run_batch`]).
+/// one of the task's lockstep groups, which runs batchable chains —
+/// plain-ARIMA chains with cached differenced series, ETS chains, TBATS
+/// chains — in lockstep over the batched family kernels
+/// ([`kernels::css_batch`], [`kernels::ets_batch`],
+/// [`kernels::tbats_filter::run_batch`]).
 ///
-/// Batching is a wall-time optimisation only: every batched kernel is a
-/// statement-for-statement transcription of its solo counterpart, and
-/// every chain keeps its own warm-start thread, so a batched unit produces
-/// bit-identical scores to running its chains through [`run_chain`] one by
-/// one.
+/// A task gets one lockstep group per worker it can use: when the batch
+/// has fewer tasks than workers, a task's batchable chains are split
+/// across several groups, which claim chains from one per-task ticket as
+/// they make progress. With at least as many tasks as workers every task
+/// gets a single group holding all its batchable chains.
+///
+/// Batching and grouping are wall-time optimisations only: every batched
+/// kernel is a statement-for-statement transcription of its solo
+/// counterpart, and every chain keeps its own warm-start thread, so
+/// whichever group runs a chain, its scores are bit-identical to running
+/// it through [`run_chain`] alone.
 enum WorkUnit {
     /// Run `chains[i]` sequentially.
     Single(usize),
-    /// Run this set of chain indices in lockstep; each chain scores
-    /// against its own series (the batched kernels take per-candidate
-    /// series, so one group spans every differencing signature and every
-    /// family — the wider the group, the longer the lockstep stays at
-    /// full batch width as chains drain unevenly).
-    Batched(Vec<usize>),
+    /// Run a lockstep group of at most this many live chains, claimed from
+    /// the task's chain ticket; each chain scores against its own series
+    /// (the batched kernels take per-candidate series, so one group spans
+    /// every differencing signature and every family).
+    Batched(usize),
 }
 
 /// Which batched kernel a chain's candidates go through. Chains within
@@ -476,19 +489,26 @@ fn chain_batch_kind(task: &EvalTask, chain: &Chain) -> Option<BatchKind> {
     }
 }
 
-/// Partition a task's chains into work units. A chain joins the batched
-/// group only in exact mode (racing loads the shared incumbent mid-fit;
-/// interleaving fits would reorder those loads) and only when its shared
-/// per-task transforms are available: a plain ARIMA-family chain needs its
-/// differenced series in the transform cache, and ETS/TBATS chains batch
-/// whenever the cache layer is enabled at all (the same ablation flag
-/// governs both); the group needs at least two chains to be worth a
-/// lockstep pass.
+/// Partition a task's chains into work units, returning them with the
+/// task's batchable chains (in chain order, the items its lockstep groups
+/// claim). A chain batches only in exact mode (racing loads the shared
+/// incumbent mid-fit; interleaving fits would reorder those loads) and
+/// only when its shared per-task transforms are available: a plain
+/// ARIMA-family chain needs its differenced series in the transform cache,
+/// and ETS/TBATS chains batch whenever the cache layer is enabled at all
+/// (the same ablation flag governs both). Batching needs at least two
+/// chains to be worth a lockstep pass.
+///
+/// The batchable chains go to `min(share, chains)` lockstep groups, where
+/// `share` is the task's share of the worker pool, each capped at an even
+/// split of the chains. With `share == 1` that is one group that claims
+/// every chain up front.
 fn build_units(
     task: &EvalTask,
     cache: &BTreeMap<DiffKey, Differenced>,
     chains: &[Chain],
-) -> Vec<WorkUnit> {
+    share: usize,
+) -> (Vec<WorkUnit>, Vec<usize>) {
     let mut units = Vec::new();
     let mut batchable: Vec<usize> = Vec::new();
     for (ci, chain) in chains.iter().enumerate() {
@@ -505,11 +525,13 @@ fn build_units(
         }
     }
     if batchable.len() > 1 {
-        units.push(WorkUnit::Batched(batchable));
+        let groups = share.clamp(1, batchable.len());
+        let width = batchable.len().div_ceil(groups);
+        units.extend((0..groups).map(|_| WorkUnit::Batched(width)));
     } else {
-        units.extend(batchable.into_iter().map(WorkUnit::Single));
+        units.extend(batchable.drain(..).map(WorkUnit::Single));
     }
-    units
+    (units, batchable)
 }
 
 /// Atomic minimum over non-negative f64s stored as bit patterns; delegates
@@ -612,6 +634,11 @@ struct TaskState {
     rotations: BTreeMap<SeasonSig, Arc<RotationTables>>,
     chains: Vec<Chain>,
     units: Vec<WorkUnit>,
+    /// The batchable chains' indices, claimed by the task's lockstep
+    /// groups through `next_chain`.
+    batchable: Vec<usize>,
+    /// The per-task chain ticket: the next `batchable` entry to claim.
+    next_chain: AtomicUsize,
     /// Incumbent best RMSE for racing, as f64 bits (+inf = no incumbent).
     /// Per task: champions of different series must not race each other.
     best_rmse: AtomicU64,
@@ -621,7 +648,9 @@ struct TaskState {
 ///
 /// All tasks' warm-start chains are flattened into a single work queue
 /// (task order preserved) drained by `threads` workers — one global
-/// concurrency cap, no pool-per-series spin-up. Every per-task guarantee
+/// concurrency cap, no pool-per-series spin-up. A batch with fewer tasks
+/// than workers gives each task several lockstep groups, so a single grid
+/// still runs on every worker. Every per-task guarantee
 /// of [`evaluate_candidates`] carries over: the transform cache, chain
 /// schedule and racing incumbent are all per-task, workers buffer results
 /// per task, and each report is merged and sorted exactly as in the
@@ -642,18 +671,23 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
         threads
     };
 
+    // Each task's share of the pool: the number of lockstep groups its
+    // batchable chains may split into.
+    let share = threads.div_ceil(tasks.len().max(1));
     let states: Vec<TaskState> = tasks
         .iter()
         .map(|task| {
             let cache = build_transform_cache(task);
             let rotations = build_rotation_cache(task);
             let chains = build_chains(task.candidates);
-            let units = build_units(task, &cache, &chains);
+            let (units, batchable) = build_units(task, &cache, &chains, share);
             TaskState {
                 cache,
                 rotations,
                 chains,
                 units,
+                batchable,
+                next_chain: AtomicUsize::new(0),
                 best_rmse: AtomicU64::new(f64::INFINITY.to_bits()),
             }
         })
@@ -676,8 +710,7 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
                 scope.spawn(|| {
                     let mut out: Vec<WorkerOutput> =
                         (0..tasks.len()).map(|_| WorkerOutput::default()).collect();
-                    loop {
-                        let item = next_item.fetch_add(1, Ordering::Relaxed);
+                    while let Some(item) = crate::protocol::claim_ticket(&next_item, work.len()) {
                         let Some(&(task_idx, unit_idx)) = work.get(item) else {
                             break;
                         };
@@ -698,51 +731,8 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
                                 };
                                 run_chain(chain, task, &state.cache, &state.best_rmse, slot);
                             }
-                            Some(WorkUnit::Batched(chain_ids)) => {
-                                let mut chains: Vec<(&Chain, Option<&Differenced>)> = Vec::new();
-                                for &ci in chain_ids {
-                                    let Some(chain) = state.chains.get(ci) else {
-                                        continue;
-                                    };
-                                    match chain_batch_kind(task, chain) {
-                                        Some(BatchKind::Css(key)) => {
-                                            match state.cache.get(&key) {
-                                                Some(diffed) => chains.push((chain, Some(diffed))),
-                                                // Unreachable by construction
-                                                // (units only batch cached
-                                                // keys); degrade to the
-                                                // sequential path rather than
-                                                // drop work.
-                                                None => run_chain(
-                                                    chain,
-                                                    task,
-                                                    &state.cache,
-                                                    &state.best_rmse,
-                                                    slot,
-                                                ),
-                                            }
-                                        }
-                                        Some(BatchKind::Ets | BatchKind::Tbats) => {
-                                            chains.push((chain, None));
-                                        }
-                                        // Unreachable by construction; degrade
-                                        // likewise.
-                                        None => run_chain(
-                                            chain,
-                                            task,
-                                            &state.cache,
-                                            &state.best_rmse,
-                                            slot,
-                                        ),
-                                    }
-                                }
-                                run_chain_group(
-                                    &chains,
-                                    task,
-                                    &state.rotations,
-                                    &state.best_rmse,
-                                    slot,
-                                );
+                            Some(WorkUnit::Batched(width)) => {
+                                run_chain_group(task, state, *width, slot);
                             }
                             None => continue,
                         }
@@ -1070,8 +1060,8 @@ struct GroupCursor<'c> {
     spent: Duration,
 }
 
-/// Execute a group of warm-start chains in lockstep: each round stages
-/// every active chain's pending optimiser point and scores all of them in
+/// Execute one lockstep group of warm-start chains: each round stages
+/// every live chain's pending optimiser point and scores all of them in
 /// (up to) one batched kernel pass per family — [`kernels::css_batch`] for
 /// plain ARIMA candidates, [`kernels::ets_batch`] for ETS,
 /// [`kernels::tbats_filter::run_batch`] for TBATS. Each session carries
@@ -1079,27 +1069,20 @@ struct GroupCursor<'c> {
 /// candidate's exact per-element arithmetic, so every score is
 /// bit-identical to the sequential [`run_chain`] path — batching changes
 /// wall time, never results.
-fn run_chain_group(
-    chains: &[(&Chain, Option<&Differenced>)],
-    task: &EvalTask,
-    rotations: &BTreeMap<SeasonSig, Arc<RotationTables>>,
-    best_rmse: &AtomicU64,
-    out: &mut WorkerOutput,
-) {
-    let mut cursors: Vec<GroupCursor> = chains
-        .iter()
-        .map(|&(chain, diffed)| GroupCursor {
-            chain,
-            diffed,
-            pos: 0,
-            prev: task
-                .seed
-                .as_ref()
-                .map(|(config, params, _)| (config.clone(), params.clone())),
-            active: None,
-            spent: Duration::ZERO,
-        })
-        .collect();
+///
+/// The group claims its chains from the task's chain ticket at the top of
+/// each round, holding at most `width` live chains
+/// ([`crate::protocol::lockstep_claims`]): a group as wide as the task's
+/// batchable set claims them all up front; a narrower one replaces each
+/// drained chain and grows by one chain per round, so the task's groups
+/// share its chains by the progress they make.
+fn run_chain_group(task: &EvalTask, state: &TaskState, width: usize, out: &mut WorkerOutput) {
+    out.lockstep.groups += 1;
+    let rotations = &state.rotations;
+    let best_rmse = &state.best_rmse;
+    let mut cursors: Vec<GroupCursor> = Vec::new();
+    let mut drained = 0;
+    let mut exhausted = false;
     let mut scratch = kernels::CssBatchScratch::default();
     let mut css_out: Vec<f64> = Vec::new();
     let mut staged: Vec<usize> = Vec::new();
@@ -1109,13 +1092,29 @@ fn run_chain_group(
     let mut tbats_ids: Vec<usize> = Vec::new();
     let mut tbats_sse: Vec<f64> = Vec::new();
     loop {
-        // Phase A: bring every cursor to a pending optimiser point —
-        // settle finished fits, open the next candidate, repeat (fits
-        // decided without an optimiser run settle immediately).
+        // Phase A: claim chains up to the width cap, then bring every
+        // cursor to a pending optimiser point — settle finished fits, open
+        // the next candidate, repeat (fits decided without an optimiser
+        // run settle immediately) — and drop the chains that drained.
         let advance_started = Instant::now();
+        if !exhausted {
+            let total = state.batchable.len();
+            for _ in 0..crate::protocol::lockstep_claims(cursors.len(), drained, width, total) {
+                match claim_group_chain(task, state, out) {
+                    Some(cursor) => cursors.push(cursor),
+                    None => {
+                        exhausted = true;
+                        break;
+                    }
+                }
+            }
+        }
         for cursor in cursors.iter_mut() {
             pump_group_cursor(cursor, task, rotations, best_rmse, out);
         }
+        let live = cursors.len();
+        cursors.retain(|cursor| cursor.active.is_some());
+        drained = live - cursors.len();
         out.lockstep.advance += advance_started.elapsed();
         let round_started = Instant::now();
         staged.clear();
@@ -1127,7 +1126,13 @@ fn run_chain_group(
             }
         }
         if staged.is_empty() {
-            return;
+            // Every chain drained: claim again next round unless the
+            // ticket is spent. (A live cursor that will not stage is a
+            // broken session; stop rather than spin on it.)
+            if exhausted || !cursors.is_empty() {
+                return;
+            }
+            continue;
         }
         let staged_at = Instant::now();
         out.lockstep.stage += staged_at - round_started;
@@ -1244,6 +1249,51 @@ fn run_chain_group(
                 cursor.spent += share;
             }
         }
+    }
+}
+
+/// Claim the task's next batchable chain for a lockstep group and open a
+/// cursor on it, threading the task's champion seed in as its warm-start
+/// predecessor; `None` once the task's chain ticket is spent.
+fn claim_group_chain<'s>(
+    task: &EvalTask,
+    state: &'s TaskState,
+    out: &mut WorkerOutput,
+) -> Option<GroupCursor<'s>> {
+    loop {
+        let ticket = crate::protocol::claim_ticket(&state.next_chain, state.batchable.len())?;
+        // `batchable` holds chain indices, so a miss here means
+        // `build_units` is broken — skip the ticket rather than panic.
+        let Some(chain) = state
+            .batchable
+            .get(ticket)
+            .and_then(|&ci| state.chains.get(ci))
+        else {
+            continue;
+        };
+        let diffed = match chain_batch_kind(task, chain) {
+            Some(BatchKind::Css(key)) => state.cache.get(&key).map(Some),
+            Some(BatchKind::Ets | BatchKind::Tbats) => Some(None),
+            None => None,
+        };
+        let Some(diffed) = diffed else {
+            // Unreachable by construction (`build_units` only batches
+            // chains with their transforms cached); degrade to the
+            // sequential path rather than drop work.
+            run_chain(chain, task, &state.cache, &state.best_rmse, out);
+            continue;
+        };
+        return Some(GroupCursor {
+            chain,
+            diffed,
+            pos: 0,
+            prev: task
+                .seed
+                .as_ref()
+                .map(|(config, params, _)| (config.clone(), params.clone())),
+            active: None,
+            spent: Duration::ZERO,
+        });
     }
 }
 
@@ -2067,8 +2117,39 @@ mod tests {
 
     #[test]
     fn mixed_family_batched_scores_identical_across_threads() {
-        // One task mixing all three families: the full score sheet — not
-        // just the champion — must be bit-identical at every thread count.
+        // One task mixing all three families, with more batchable chains
+        // than 2 × 8 so every thread count splits the task into one
+        // lockstep group per worker: the full score sheet — not just the
+        // champion — must be bit-identical whatever the grouping.
+        let y = seasonal_series(240);
+        let (train, test) = y.split_at(216);
+        let mut candidates = ModelGrid::arima().candidates;
+        candidates.extend(ModelGrid::ets(12, true, 0.95).candidates);
+        candidates.extend(ModelGrid::tbats(&[12.0], Some(0.3), 0.95).candidates);
+        assert!(build_chains(&candidates).len() > 2 * 8);
+        let mut baseline: Option<EvaluationReport> = None;
+        for threads in [1, 2, 4, 8] {
+            let mut opts = EvaluationOptions {
+                threads,
+                ..Default::default()
+            };
+            // A small optimiser budget keeps the 240-candidate grid quick;
+            // parity does not depend on it.
+            opts.fit.max_evals = 40;
+            let report = evaluate_candidates(train, test, &[], &[], &candidates, &opts).unwrap();
+            assert_eq!(report.stats.lockstep.groups, threads, "threads={threads}");
+            match &baseline {
+                None => baseline = Some(report),
+                Some(expected) => {
+                    assert_eq!(expected.stats.objective_evals, report.stats.objective_evals);
+                    assert_reports_bitwise_equal(expected, &report);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn single_task_runs_one_lockstep_group_per_worker() {
         let y = seasonal_series(240);
         let (train, test) = y.split_at(216);
         let mut candidates = small_candidates();
@@ -2076,18 +2157,41 @@ mod tests {
         let mut tbats = ModelGrid::tbats(&[12.0], None, 0.95).candidates;
         tbats.truncate(4);
         candidates.extend(tbats);
-        let mut baseline: Option<EvaluationReport> = None;
-        for threads in [1, 2, 4, 8] {
-            let opts = EvaluationOptions {
-                threads,
-                ..Default::default()
-            };
-            let report = evaluate_candidates(train, test, &[], &[], &candidates, &opts).unwrap();
-            match &baseline {
-                None => baseline = Some(report),
-                Some(expected) => assert_reports_bitwise_equal(expected, &report),
-            }
-        }
+        let opts = EvaluationOptions {
+            threads: 2,
+            ..Default::default()
+        };
+        let report = evaluate_candidates(train, test, &[], &[], &candidates, &opts).unwrap();
+        assert_eq!(report.stats.lockstep.groups, 2);
+        assert_eq!(report.scores.len() + report.failures, candidates.len());
+    }
+
+    #[test]
+    fn fleet_with_more_tasks_than_workers_runs_one_group_per_task() {
+        // Three tasks on two workers: each task's share of the pool is one
+        // worker, so each runs exactly one lockstep group holding all its
+        // batchable chains — the estate path's schedule.
+        let y = seasonal_series(240);
+        let (train, test) = y.split_at(216);
+        let mut candidates = small_candidates();
+        candidates.extend(ModelGrid::ets(12, true, 0.95).candidates);
+        let tasks: Vec<EvalTask> = (0..3)
+            .map(|_| EvalTask {
+                train,
+                test,
+                exog_train: &[],
+                exog_test: &[],
+                candidates: &candidates,
+                opts: Default::default(),
+                seed: None,
+            })
+            .collect();
+        let reports = evaluate_fleet(&tasks, 2);
+        let groups: Vec<usize> = reports
+            .iter()
+            .map(|r| r.as_ref().unwrap().stats.lockstep.groups)
+            .collect();
+        assert_eq!(groups, vec![1, 1, 1]);
     }
 
     #[test]

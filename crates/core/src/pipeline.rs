@@ -577,6 +577,38 @@ mod tests {
     }
 
     #[test]
+    fn auto_method_is_bitwise_identical_on_one_and_two_threads() {
+        // Two threads split the union grid's lockstep chains over two
+        // groups; the outcome must not change by a bit.
+        let (series, _) = synthetic_hourly(1100);
+        let outcomes: Vec<ForecastOutcome> = [1, 2]
+            .into_iter()
+            .map(|threads| {
+                let mut config = fast_config(MethodChoice::Auto);
+                config.eval.threads = threads;
+                Pipeline::new(config).run(&series, &[]).unwrap()
+            })
+            .collect();
+        let (one, two) = (&outcomes[0], &outcomes[1]);
+        assert_eq!(one.stats.lockstep.groups, 1);
+        assert_eq!(two.stats.lockstep.groups, 2);
+        assert_eq!(one.champion, two.champion);
+        assert_eq!(one.family, two.family);
+        assert_eq!(one.accuracy.rmse.to_bits(), two.accuracy.rmse.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&one.warm_seed), bits(&two.warm_seed));
+        assert_eq!(bits(&one.test_forecast.mean), bits(&two.test_forecast.mean));
+        assert_eq!(
+            bits(&one.test_forecast.lower),
+            bits(&two.test_forecast.lower)
+        );
+        assert_eq!(
+            bits(&one.test_forecast.upper),
+            bits(&two.test_forecast.upper)
+        );
+    }
+
+    #[test]
     fn prepared_union_grid_is_deduped() {
         // The aggregate stage must canonicalise the union grid and drop
         // structural duplicates before the candidates reach the work

@@ -6,7 +6,7 @@
 //! `tests/model_check.rs` can drive the *same code* (not a transcription
 //! of it) through every interleaving of those operations via the vendored
 //! `interleave` scheduler, while production runs it on plain `std` atomics
-//! or real files. Four protocols live here:
+//! or real files. Five protocols live here:
 //!
 //! 1. the **atomic incumbent** ([`publish_min_rmse`]) — workers racing
 //!    candidate fits publish their best RMSE into a shared `AtomicU64` so
@@ -24,11 +24,16 @@
 //!    against shutdown is served, never dropped;
 //! 4. the **alert re-fire hysteresis** ([`alert_refire`], [`try_fire`]) —
 //!    the de-duplication decision of the alert engine, plus its CAS-claim
-//!    form under which concurrent observers fire exactly once.
+//!    form under which concurrent observers fire exactly once;
+//! 5. the **ticket dispenser** ([`claim_ticket`] over [`TicketCounter`])
+//!    and the **lockstep refill** rule ([`lockstep_claims`]) — the
+//!    evaluator's global unit queue and the per-task chain ticket its
+//!    lockstep groups share, under which every chain is claimed exactly
+//!    once whichever group gets there first.
 
 use crate::advisor::BreachSeverity;
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 
 /// The one capability the incumbent protocol needs from its storage cell:
 /// a 64-bit load and compare-exchange. `evaluate.rs` provides a plain
@@ -241,6 +246,48 @@ pub fn try_fire<C: IncumbentCell>(cell: &C, step: usize, severity: BreachSeverit
     }
 }
 
+// --- Protocol 5: ticket dispensers and lockstep refill ---
+
+/// The one capability a ticket dispenser needs from its counter: an atomic
+/// fetch-and-increment. Production uses a plain [`AtomicUsize`]; the model
+/// checker an instrumented one.
+pub trait TicketCounter {
+    /// Take the next ticket: the counter's value before the increment.
+    fn take_ticket(&self) -> usize;
+}
+
+impl TicketCounter for AtomicUsize {
+    fn take_ticket(&self) -> usize {
+        // Relaxed suffices: the ticket number is the whole message, and the
+        // items it indexes are immutable for the dispenser's lifetime.
+        self.fetch_add(1, Ordering::Relaxed)
+    }
+}
+
+/// Claim the next of `len` items from a shared dispenser: every item is
+/// handed out exactly once across all claimants, and `None` once the
+/// dispenser is drained. The evaluator drains its global unit queue and
+/// each task's lockstep chain ticket through this one function.
+pub fn claim_ticket<C: TicketCounter>(counter: &C, len: usize) -> Option<usize> {
+    let ticket = counter.take_ticket();
+    (ticket < len).then_some(ticket)
+}
+
+/// How many chains a lockstep group claims at the top of a round, holding
+/// `live` open chains after `drained` finished in the last round, under a
+/// width cap of `width` out of `total` batchable chains. A group whose cap
+/// covers every chain claims them all up front; a narrower group replaces
+/// each drained chain and grows by one chain per round until it reaches
+/// the cap, so groups sharing one ticket balance by the progress they make.
+pub fn lockstep_claims(live: usize, drained: usize, width: usize, total: usize) -> usize {
+    let room = width.saturating_sub(live);
+    if width >= total {
+        room
+    } else {
+        room.min(drained + 1)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -375,6 +422,28 @@ mod tests {
         // Saturating, not corrupting, beyond the encodable range.
         let huge = encode_breach(usize::MAX, Possible);
         assert_eq!(decode_breach(huge), Some(((1 << 62) - 1, Possible)));
+    }
+
+    #[test]
+    fn ticket_dispenser_hands_out_each_item_once_then_drains() {
+        let counter = AtomicUsize::new(0);
+        let claimed: Vec<Option<usize>> = (0..5).map(|_| claim_ticket(&counter, 3)).collect();
+        assert_eq!(claimed, vec![Some(0), Some(1), Some(2), None, None]);
+    }
+
+    #[test]
+    fn lockstep_claims_ramp_narrow_groups_and_fill_wide_ones() {
+        // A group as wide as the whole set claims everything up front.
+        assert_eq!(lockstep_claims(0, 0, 5, 5), 5);
+        assert_eq!(lockstep_claims(3, 2, 5, 5), 2);
+        // A narrower group grows by one chain per round...
+        assert_eq!(lockstep_claims(0, 0, 3, 6), 1);
+        assert_eq!(lockstep_claims(2, 0, 3, 6), 1);
+        // ...replaces what drained on top of that...
+        assert_eq!(lockstep_claims(1, 1, 3, 6), 2);
+        // ...and never passes its width cap.
+        assert_eq!(lockstep_claims(3, 0, 3, 6), 0);
+        assert_eq!(lockstep_claims(2, 4, 3, 6), 1);
     }
 
     #[test]

@@ -18,6 +18,10 @@
 //!   index — under every interleaving of the result merge;
 //! * the `fetch_add` work queue dispenses each candidate exactly once and
 //!   workers on different tasks never touch each other's incumbents;
+//! * two lockstep groups refilling from one per-task chain ticket
+//!   ([`claim_ticket`] under the [`lockstep_claims`] rule) claim every
+//!   chain exactly once beside a worker draining the global unit queue —
+//!   and a load-then-store dispenser is caught;
 //! * the estate scheduler's wave checkpoint (`commit_wave`) never
 //!   publishes a slot whose record is not durable, at every kill point —
 //!   and the inverted publish-first variant is *caught* by exploration;
@@ -30,8 +34,9 @@
 
 use dwcp_core::advisor::BreachSeverity;
 use dwcp_core::protocol::{
-    accept_one, alert_refire, commit_wave, decode_breach, publish_min_rmse, request_shutdown,
-    resume_split, score_order, try_fire, DrainFlag, IncumbentCell, WaveLedger, BREACH_EMPTY,
+    accept_one, alert_refire, claim_ticket, commit_wave, decode_breach, lockstep_claims,
+    publish_min_rmse, request_shutdown, resume_split, score_order, try_fire, DrainFlag,
+    IncumbentCell, TicketCounter, WaveLedger, BREACH_EMPTY,
 };
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -151,38 +156,184 @@ fn exact_tie_yields_one_champion_the_lower_index() {
 
 #[test]
 fn work_queue_dispenses_each_candidate_exactly_once() {
-    // The evaluator's chain queue is a fetch_add ticket dispenser. Under
-    // every interleaving of two workers pulling from a 3-item queue, each
-    // item is claimed exactly once and nothing is skipped.
+    // The evaluator's unit queue is a fetch_add ticket dispenser
+    // (`claim_ticket`). Under every interleaving of two workers pulling
+    // from a 3-item queue, each item is claimed exactly once and nothing
+    // is skipped.
     const ITEMS: usize = 3;
     let report = interleave::explore(BUDGET, |sch| {
-        let next = Arc::new(interleave::AtomicUsize::new(0));
-        let claims: Arc<Vec<interleave::AtomicUsize>> = Arc::new(
-            (0..ITEMS)
-                .map(|_| interleave::AtomicUsize::new(0))
-                .collect(),
-        );
+        let next = Arc::new(CheckedTicket(interleave::AtomicUsize::new(0)));
+        let claims = claim_record(ITEMS);
         for _ in 0..2 {
             let next = Arc::clone(&next);
             let claims = Arc::clone(&claims);
-            sch.thread(move || loop {
-                let ticket = next.fetch_add(1);
-                if ticket >= ITEMS {
-                    break;
-                }
-                if let Some(slot) = claims.get(ticket) {
-                    slot.fetch_add(1);
+            sch.thread(move || {
+                while let Some(ticket) = claim_ticket(&*next, ITEMS) {
+                    record_claim(&claims, ticket);
                 }
             });
         }
-        let claims = Arc::clone(&claims);
         sch.check(move || {
             for (i, slot) in claims.iter().enumerate() {
-                assert_eq!(slot.load(), 1, "candidate {i} not claimed exactly once");
+                let n = slot.load(std::sync::atomic::Ordering::Relaxed);
+                assert_eq!(n, 1, "candidate {i} not claimed exactly once");
             }
         });
     });
     assert!(report.complete, "state space exceeded the budget");
+}
+
+// --- Lockstep refill (evaluate_fleet's per-task chain ticket) ---
+
+/// The instrumented ticket counter: `interleave::AtomicUsize` behind the
+/// same trait the evaluator's `std` counters implement.
+struct CheckedTicket(interleave::AtomicUsize);
+
+impl TicketCounter for CheckedTicket {
+    fn take_ticket(&self) -> usize {
+        self.0.fetch_add(1)
+    }
+}
+
+/// Per-item claim counts. Plain `std` atomics, so recording a claim is not
+/// a scheduling point: only the dispenser traffic is explored.
+fn claim_record(len: usize) -> Arc<Vec<std::sync::atomic::AtomicUsize>> {
+    Arc::new(
+        (0..len)
+            .map(|_| std::sync::atomic::AtomicUsize::new(0))
+            .collect(),
+    )
+}
+
+fn record_claim(record: &[std::sync::atomic::AtomicUsize], item: usize) {
+    if let Some(slot) = record.get(item) {
+        slot.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+}
+
+/// One lockstep group, as `run_chain_group` schedules it: at the top of
+/// each round claim `lockstep_claims` chains from the task's ticket, run
+/// one round of every live chain, and drop the chains that drained.
+/// `rounds[i]` is how many rounds chain `i` runs for.
+fn lockstep_group(
+    ticket: &CheckedTicket,
+    rounds: &[usize],
+    width: usize,
+    record: &[std::sync::atomic::AtomicUsize],
+) {
+    let mut live: Vec<usize> = Vec::new();
+    let (mut drained, mut exhausted) = (0, false);
+    loop {
+        if !exhausted {
+            for _ in 0..lockstep_claims(live.len(), drained, width, rounds.len()) {
+                match claim_ticket(ticket, rounds.len()) {
+                    Some(chain) => {
+                        record_claim(record, chain);
+                        live.push(rounds.get(chain).copied().unwrap_or(1));
+                    }
+                    None => {
+                        exhausted = true;
+                        break;
+                    }
+                }
+            }
+        }
+        if live.is_empty() {
+            if exhausted {
+                return;
+            }
+            continue;
+        }
+        for left in live.iter_mut() {
+            *left -= 1;
+        }
+        let before = live.len();
+        live.retain(|&left| left > 0);
+        drained = before - live.len();
+    }
+}
+
+#[test]
+fn lockstep_refill_claims_every_chain_exactly_once() {
+    // Two lockstep groups of one task split its four chains (uneven
+    // lengths, width cap 2) through the per-task ticket while a third
+    // worker drains the global unit queue. Under every interleaving of
+    // the two dispensers, each chain and each unit is claimed exactly
+    // once and none is skipped.
+    const CHAIN_ROUNDS: [usize; 4] = [2, 1, 3, 1];
+    const UNITS: usize = 1;
+    let report = interleave::explore(BUDGET, |sch| {
+        let ticket = Arc::new(CheckedTicket(interleave::AtomicUsize::new(0)));
+        let queue = Arc::new(CheckedTicket(interleave::AtomicUsize::new(0)));
+        let chains = claim_record(CHAIN_ROUNDS.len());
+        let units = claim_record(UNITS);
+        let width = CHAIN_ROUNDS.len().div_ceil(2);
+        for _ in 0..2 {
+            let ticket = Arc::clone(&ticket);
+            let chains = Arc::clone(&chains);
+            sch.thread(move || lockstep_group(&ticket, &CHAIN_ROUNDS, width, &chains));
+        }
+        let worker_units = Arc::clone(&units);
+        sch.thread(move || {
+            while let Some(unit) = claim_ticket(&*queue, UNITS) {
+                record_claim(&worker_units, unit);
+            }
+        });
+        sch.check(move || {
+            for (i, slot) in chains.iter().enumerate() {
+                let n = slot.load(std::sync::atomic::Ordering::Relaxed);
+                assert_eq!(n, 1, "chain {i} claimed {n} times");
+            }
+            for (i, slot) in units.iter().enumerate() {
+                let n = slot.load(std::sync::atomic::Ordering::Relaxed);
+                assert_eq!(n, 1, "unit {i} claimed {n} times");
+            }
+        });
+    });
+    assert!(report.complete, "state space exceeded the budget");
+    assert!(report.schedules_explored >= 2);
+}
+
+#[test]
+fn load_then_store_ticket_is_caught_by_exploration() {
+    // The seeded regression: a dispenser that reads the ticket and writes
+    // it back incremented in two steps instead of one `fetch_add`. Two
+    // groups can then read the same ticket, and exploration must find the
+    // schedule where a chain is run twice.
+    struct TornTicket(interleave::AtomicUsize);
+    impl TicketCounter for TornTicket {
+        fn take_ticket(&self) -> usize {
+            let ticket = self.0.load();
+            self.0.store(ticket + 1);
+            ticket
+        }
+    }
+    const CHAINS: usize = 2;
+    let caught = std::panic::catch_unwind(|| {
+        interleave::explore(BUDGET, |sch| {
+            let ticket = Arc::new(TornTicket(interleave::AtomicUsize::new(0)));
+            let chains = claim_record(CHAINS);
+            for _ in 0..2 {
+                let ticket = Arc::clone(&ticket);
+                let chains = Arc::clone(&chains);
+                sch.thread(move || {
+                    while let Some(chain) = claim_ticket(&*ticket, CHAINS) {
+                        record_claim(&chains, chain);
+                    }
+                });
+            }
+            sch.check(move || {
+                for (i, slot) in chains.iter().enumerate() {
+                    let n = slot.load(std::sync::atomic::Ordering::Relaxed);
+                    assert_eq!(n, 1, "chain {i} claimed {n} times");
+                }
+            });
+        })
+    });
+    assert!(
+        caught.is_err(),
+        "exploration failed to catch the load-then-store dispenser"
+    );
 }
 
 // --- Wave-commit ledger (EstateScheduler checkpoint) ---

@@ -74,14 +74,17 @@ pub const BLESSED_REDUCTION_PREFIX: &str = "crates/math/src/";
 pub const BLESSED_RELAXED_ATOMICS: &[(&str, &str)] = &[
     (
         "crates/core/src/protocol.rs",
-        "extracted protocol cells (incumbent CAS-minimum, hysteresis claim); \
-         correctness is ordering-agnostic by construction and every \
-         interleaving is enumerated in crates/core/tests/model_check.rs",
+        "extracted protocol cells (incumbent CAS-minimum, hysteresis claim, \
+         fetch_add ticket dispenser); correctness is ordering-agnostic by \
+         construction and every interleaving is enumerated in \
+         crates/core/tests/model_check.rs",
     ),
     (
         "crates/core/src/evaluate.rs",
-        "work-queue tickets (fetch_add) and incumbent bound reads; the \
-         dispatch and publish protocols are model-checked in \
+        "incumbent bound reads; the global unit queue and the per-task \
+         lockstep chain ticket take their tickets through \
+         protocol::claim_ticket, and the dispatch, lockstep refill and \
+         publish protocols are model-checked in \
          crates/core/tests/model_check.rs",
     ),
 ];
@@ -93,13 +96,14 @@ pub const BLESSED_RELAXED_ATOMICS: &[(&str, &str)] = &[
 pub const ATOMIC_PROTOCOLS: &[(&str, &str, &str)] = &[
     (
         "crates/core/src/protocol.rs",
-        "incumbent CAS-minimum, checkpoint ledger, shutdown drain gate, alert hysteresis",
+        "incumbent CAS-minimum, checkpoint ledger, shutdown drain gate, alert hysteresis, \
+         ticket dispenser",
         "publish_min_rmse",
     ),
     (
         "crates/core/src/evaluate.rs",
-        "incumbent racing + work-queue dispatch",
-        "work_queue",
+        "incumbent racing + work-queue dispatch + per-task lockstep chain refill",
+        "lockstep_refill",
     ),
     (
         "src/serve.rs",

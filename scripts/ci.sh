@@ -6,7 +6,8 @@
 # Stages:
 #   1. release build of the whole workspace
 #   2. rustfmt check + clippy with warnings denied
-#   3. full workspace test suite
+#   3. full workspace test suite, then the benchmark package's own unit
+#      and smoke tests (it sits outside the workspace)
 #   4. grid_search criterion bench in --quick mode (smoke: the acceleration
 #      layer must still build, run, and beat nothing over — champion
 #      equality is asserted inside the evaluate tests; wall-clock numbers
@@ -97,6 +98,11 @@ cargo test --workspace -q --features strict-invariants
 
 echo "== vendored model-checker self-tests =="
 cargo test -q -p interleave --release
+
+echo "== benchmark package: unit tests + every-workload smoke =="
+# benchmark/ is a package of its own outside the workspace, so the
+# workspace test runs above never reach it.
+cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 
 echo "== bench smoke: grid_search --quick =="
 cargo bench -p dwcp-bench --bench grid_search -- --quick
