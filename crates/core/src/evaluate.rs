@@ -68,11 +68,19 @@ use std::time::{Duration, Instant};
 
 /// Maximum warm-start chain length. Fixed (never derived from the thread
 /// count) so the set of fits — and therefore the champion — is identical at
-/// any parallelism. A chain is the unit lockstep groups claim, so the cap
-/// bounds the longest sequential run one group must finish alone: a
-/// 180-candidate ARIMA grid splits into 16 chains, enough to spread over
-/// every worker's group.
+/// any parallelism. A chain is the unit lockstep groups claim from the
+/// batch's pair ticket, so the cap bounds the sequential run a group may
+/// still be finishing once the ticket drains: a 180-candidate ARIMA grid
+/// splits into 16 chains, enough to spread over every worker's group.
 const MAX_CHAIN_LEN: usize = 12;
+
+/// Widest lockstep group: the most live chains one group advances per
+/// batched kernel round. Fixed like [`MAX_CHAIN_LEN`] (never derived from
+/// the thread count); it shapes wall time only, never results. A width
+/// sweep over an estate relearn night bottomed out at 12–16 lanes, and
+/// the ETS kernel's per-lane cost stops falling at about 3, so wider
+/// rounds only save per-round overhead.
+const LOCKSTEP_WIDTH: usize = 12;
 
 /// Options for a grid evaluation.
 #[derive(Debug, Clone)]
@@ -171,12 +179,16 @@ pub struct FamilyStats {
 
 /// Where lockstep (batched-kernel) evaluation time goes, summed over
 /// workers. All-zero when no lockstep group ran (racing mode, cache off,
-/// fewer than two batchable chains).
+/// fewer than two batchable chains in the whole batch).
+///
+/// A lockstep group draws chains from every task of an [`evaluate_fleet`]
+/// batch, so its counters land in the report of the first task it claimed
+/// from. Like `wall_time`, they cannot be split per task in a multi-task
+/// batch; sum them over the batch's reports.
 #[derive(Debug, Clone, Default)]
 pub struct LockstepStats {
-    /// Lockstep groups run: one per task when the batch has at least as
-    /// many tasks as workers, more when a few tasks split their batchable
-    /// chains across the pool.
+    /// Lockstep groups run: `min(workers, batchable chains)` per
+    /// [`evaluate_fleet`] call, however many tasks the batch holds.
     pub groups: usize,
     /// Batched kernel rounds executed.
     pub rounds: usize,
@@ -200,6 +212,16 @@ pub struct LockstepStats {
 }
 
 impl LockstepStats {
+    /// Mean live chains per batched kernel round (`batched_evals /
+    /// rounds`); 0 when no round ran.
+    pub fn lanes_per_round(&self) -> f64 {
+        if self.rounds == 0 {
+            0.0
+        } else {
+            self.batched_evals as f64 / self.rounds as f64
+        }
+    }
+
     fn merge(&mut self, other: &LockstepStats) {
         self.groups += other.groups;
         self.rounds += other.rounds;
@@ -428,32 +450,37 @@ fn build_chains(candidates: &[CandidateModel]) -> Vec<Chain> {
     chains
 }
 
-/// One entry in the fleet work queue: a single chain run sequentially, or
-/// one of the task's lockstep groups, which runs batchable chains —
+/// One entry in a batch's work queue: a single chain run sequentially, or
+/// one of the batch's lockstep groups, which run batchable chains —
 /// plain-ARIMA chains with cached differenced series, ETS chains, TBATS
 /// chains — in lockstep over the batched family kernels
 /// ([`kernels::css_batch`], [`kernels::ets_batch`],
 /// [`kernels::tbats_filter::run_batch`]).
 ///
-/// A task gets one lockstep group per worker it can use: when the batch
-/// has fewer tasks than workers, a task's batchable chains are split
-/// across several groups, which claim chains from one per-task ticket as
-/// they make progress. With at least as many tasks as workers every task
-/// gets a single group holding all its batchable chains.
+/// Every task's batchable chains are flattened into one list of
+/// `(task, chain)` pairs in task order, and `min(workers, pairs)` groups
+/// claim from it through one pair ticket, each holding at most
+/// `min(LOCKSTEP_WIDTH, ⌈pairs / groups⌉)` live chains
+/// ([`crate::protocol::lockstep_shape`]). A group's chains
+/// may come from any task; each keeps its own task's transforms, rotation
+/// tables, incumbent, seed and result buffer. For a single task this is
+/// the schedule a lone grid always had (a 12-chain `--method auto` grid at
+/// two threads runs two groups of six); an estate wave of a thousand HES
+/// tasks runs one group per worker, 12 lanes wide.
 ///
 /// Batching and grouping are wall-time optimisations only: every batched
 /// kernel is a statement-for-statement transcription of its solo
-/// counterpart, and every chain keeps its own warm-start thread, so
-/// whichever group runs a chain, its scores are bit-identical to running
-/// it through [`run_chain`] alone.
+/// counterpart, bitwise per lane whatever else shares the batch, and every
+/// chain keeps its own warm-start thread, so whichever group runs a chain,
+/// its scores are bit-identical to running it through [`run_chain`] alone.
 enum WorkUnit {
-    /// Run `chains[i]` sequentially.
-    Single(usize),
+    /// Run chain `chain` of task `task` sequentially.
+    Single { task: usize, chain: usize },
     /// Run a lockstep group of at most this many live chains, claimed from
-    /// the task's chain ticket; each chain scores against its own series
-    /// (the batched kernels take per-candidate series, so one group spans
-    /// every differencing signature and every family).
-    Batched(usize),
+    /// the batch's pair ticket; each chain scores against its own task's
+    /// series (the batched kernels take per-candidate series, so one group
+    /// spans tasks, differencing signatures and families).
+    Group(usize),
 }
 
 /// Which batched kernel a chain's candidates go through. Chains within
@@ -489,49 +516,54 @@ fn chain_batch_kind(task: &EvalTask, chain: &Chain) -> Option<BatchKind> {
     }
 }
 
-/// Partition a task's chains into work units, returning them with the
-/// task's batchable chains (in chain order, the items its lockstep groups
-/// claim). A chain batches only in exact mode (racing loads the shared
-/// incumbent mid-fit; interleaving fits would reorder those loads) and
-/// only when its shared per-task transforms are available: a plain
-/// ARIMA-family chain needs its differenced series in the transform cache,
-/// and ETS/TBATS chains batch whenever the cache layer is enabled at all
-/// (the same ablation flag governs both). Batching needs at least two
-/// chains to be worth a lockstep pass.
-///
-/// The batchable chains go to `min(share, chains)` lockstep groups, where
-/// `share` is the task's share of the worker pool, each capped at an even
-/// split of the chains. With `share == 1` that is one group that claims
-/// every chain up front.
+/// Whether a chain may run in a lockstep group. Only in exact mode (racing
+/// loads the shared incumbent mid-fit; interleaving fits would reorder
+/// those loads), and only when its shared per-task transforms are
+/// available: a plain ARIMA-family chain needs its differenced series in
+/// the transform cache, and ETS/TBATS chains batch whenever the cache
+/// layer is enabled at all (the same ablation flag governs both).
+fn chain_batches(task: &EvalTask, cache: &BTreeMap<DiffKey, Differenced>, chain: &Chain) -> bool {
+    !task.opts.racing
+        && match chain_batch_kind(task, chain) {
+            Some(BatchKind::Css(key)) => cache.contains_key(&key),
+            Some(BatchKind::Ets | BatchKind::Tbats) => task.opts.cache_transforms,
+            None => false,
+        }
+}
+
+/// Partition a batch's chains into work units, returning them with the
+/// batchable `(task, chain)` pairs in task order — the items its lockstep
+/// groups claim. The sequential chains come first, in task order, then
+/// the groups. Batching needs at least two chains in the whole batch to
+/// be worth a lockstep pass; a lone batchable chain runs sequentially,
+/// which keeps a single frozen re-score on the solo path.
 fn build_units(
-    task: &EvalTask,
-    cache: &BTreeMap<DiffKey, Differenced>,
-    chains: &[Chain],
-    share: usize,
-) -> (Vec<WorkUnit>, Vec<usize>) {
+    tasks: &[EvalTask],
+    states: &[TaskState],
+    workers: usize,
+) -> (Vec<WorkUnit>, Vec<(usize, usize)>) {
     let mut units = Vec::new();
-    let mut batchable: Vec<usize> = Vec::new();
-    for (ci, chain) in chains.iter().enumerate() {
-        let kind = chain_batch_kind(task, chain).filter(|kind| {
-            !task.opts.racing
-                && match kind {
-                    BatchKind::Css(key) => cache.contains_key(key),
-                    BatchKind::Ets | BatchKind::Tbats => task.opts.cache_transforms,
-                }
-        });
-        match kind {
-            Some(_) => batchable.push(ci),
-            None => units.push(WorkUnit::Single(ci)),
+    let mut pairs = Vec::new();
+    for (t, (task, state)) in tasks.iter().zip(states).enumerate() {
+        for (ci, chain) in state.chains.iter().enumerate() {
+            if chain_batches(task, &state.cache, chain) {
+                pairs.push((t, ci));
+            } else {
+                units.push(WorkUnit::Single { task: t, chain: ci });
+            }
         }
     }
-    if batchable.len() > 1 {
-        let groups = share.clamp(1, batchable.len());
-        let width = batchable.len().div_ceil(groups);
-        units.extend((0..groups).map(|_| WorkUnit::Batched(width)));
+    if pairs.len() > 1 {
+        let (groups, width) = crate::protocol::lockstep_shape(workers, pairs.len(), LOCKSTEP_WIDTH);
+        units.extend((0..groups).map(|_| WorkUnit::Group(width)));
     } else {
-        units.extend(batchable.drain(..).map(WorkUnit::Single));
+        units.extend(
+            pairs
+                .drain(..)
+                .map(|(task, chain)| WorkUnit::Single { task, chain }),
+        );
     }
-    (units, batchable)
+    (units, pairs)
 }
 
 /// Atomic minimum over non-negative f64s stored as bit patterns; delegates
@@ -633,76 +665,126 @@ struct TaskState {
     /// Shared TBATS rotation tables, one per seasonal signature.
     rotations: BTreeMap<SeasonSig, Arc<RotationTables>>,
     chains: Vec<Chain>,
-    units: Vec<WorkUnit>,
-    /// The batchable chains' indices, claimed by the task's lockstep
-    /// groups through `next_chain`.
-    batchable: Vec<usize>,
-    /// The per-task chain ticket: the next `batchable` entry to claim.
-    next_chain: AtomicUsize,
     /// Incumbent best RMSE for racing, as f64 bits (+inf = no incumbent).
     /// Per task: champions of different series must not race each other.
     best_rmse: AtomicU64,
 }
 
-/// Evaluate many grids on **one** shared worker pool.
-///
-/// All tasks' warm-start chains are flattened into a single work queue
-/// (task order preserved) drained by `threads` workers — one global
-/// concurrency cap, no pool-per-series spin-up. A batch with fewer tasks
-/// than workers gives each task several lockstep groups, so a single grid
-/// still runs on every worker. Every per-task guarantee
-/// of [`evaluate_candidates`] carries over: the transform cache, chain
-/// schedule and racing incumbent are all per-task, workers buffer results
-/// per task, and each report is merged and sorted exactly as in the
-/// single-grid path — so in exact mode each task's report is identical to
-/// evaluating it alone, at any thread count.
-///
-/// Returns one result per task, in task order. A task with no viable
-/// candidate yields `Err(NoViableModel)` without affecting its neighbours.
-/// Per-report `wall_time` is the wall time of this whole pass (tasks share
-/// the pool, so per-task wall clock is not separable).
-pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<EvaluationReport>> {
-    let started = Instant::now();
-    let threads = if threads == 0 {
+/// What the lockstep groups of one batch share: the tasks and their
+/// prepared state, every batchable `(task, chain)` pair in task order, and
+/// the pair ticket the groups claim those pairs through.
+struct LockstepBatch<'b> {
+    tasks: &'b [EvalTask<'b>],
+    states: &'b [TaskState],
+    pairs: &'b [(usize, usize)],
+    /// The batch's pair ticket: the next `pairs` entry to claim.
+    next_pair: AtomicUsize,
+}
+
+/// The worker count for a pool: `threads`, or one per available core when
+/// it is 0.
+fn pool_size(threads: usize) -> usize {
+    if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
     } else {
         threads
-    };
+    }
+}
 
-    // Each task's share of the pool: the number of lockstep groups its
-    // batchable chains may split into.
-    let share = threads.div_ceil(tasks.len().max(1));
+/// Map `f` over `items` on a pool of `threads` workers (0 = one per core)
+/// that claim items through the same ticket dispenser as
+/// [`evaluate_fleet`]. Results come back by item index. A worker that
+/// panics takes the results of every item it claimed with it: those come
+/// back `None`, and the panic goes no further. A pool of one worker (one
+/// item, or one thread) runs on the calling thread, under the same
+/// containment.
+pub(crate) fn map_on_pool<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&T) -> R + Sync,
+) -> Vec<Option<R>> {
+    let next_item = AtomicUsize::new(0);
+    let n_workers = pool_size(threads).min(items.len()).max(1);
+    if n_workers == 1 {
+        let run = std::panic::AssertUnwindSafe(|| items.iter().map(&f).collect::<Vec<R>>());
+        return match std::panic::catch_unwind(run) {
+            Ok(done) => done.into_iter().map(Some).collect(),
+            Err(_) => (0..items.len()).map(|_| None).collect(),
+        };
+    }
+    let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n_workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    while let Some(i) = crate::protocol::claim_ticket(&next_item, items.len()) {
+                        if let Some(item) = items.get(i) {
+                            done.push((i, f(item)));
+                        }
+                    }
+                    done
+                })
+            })
+            .collect();
+        for handle in handles {
+            let Ok(done) = handle.join() else {
+                continue;
+            };
+            for (i, result) in done {
+                if let Some(slot) = results.get_mut(i) {
+                    *slot = Some(result);
+                }
+            }
+        }
+    });
+    results
+}
+
+/// Evaluate many grids on **one** shared worker pool.
+///
+/// The batch runs as one wide batch: every task's sequential chains go into
+/// a single work queue (task order preserved), and every task's batchable
+/// chains are flattened into one list of `(task, chain)` pairs that
+/// `min(threads, pairs)` lockstep groups share through one ticket — so a
+/// single grid still runs on every worker, and an estate wave of many
+/// small grids fills each batched kernel round with chains from several
+/// tasks. Every per-task guarantee of [`evaluate_candidates`] carries over:
+/// the transform cache, chain schedule and racing incumbent are all
+/// per-task, workers buffer results per task, and each report is merged
+/// and sorted exactly as in the single-grid path — so in exact mode each
+/// task's report is identical to evaluating it alone, at any thread count.
+///
+/// Returns one result per task, in task order. A task with no viable
+/// candidate yields `Err(NoViableModel)` without affecting its neighbours.
+/// Per-report `wall_time` is the wall time of this whole pass, and a
+/// lockstep group's [`LockstepStats`] sit in the report of the first task
+/// it claimed from: tasks share the pool and the groups, so neither is
+/// separable per task.
+pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<EvaluationReport>> {
+    let started = Instant::now();
+    let threads = pool_size(threads);
     let states: Vec<TaskState> = tasks
         .iter()
-        .map(|task| {
-            let cache = build_transform_cache(task);
-            let rotations = build_rotation_cache(task);
-            let chains = build_chains(task.candidates);
-            let (units, batchable) = build_units(task, &cache, &chains, share);
-            TaskState {
-                cache,
-                rotations,
-                chains,
-                units,
-                batchable,
-                next_chain: AtomicUsize::new(0),
-                best_rmse: AtomicU64::new(f64::INFINITY.to_bits()),
-            }
+        .map(|task| TaskState {
+            cache: build_transform_cache(task),
+            rotations: build_rotation_cache(task),
+            chains: build_chains(task.candidates),
+            best_rmse: AtomicU64::new(f64::INFINITY.to_bits()),
         })
         .collect();
+    let (units, pairs) = build_units(tasks, &states, threads);
+    let batch = LockstepBatch {
+        tasks,
+        states: &states,
+        pairs: &pairs,
+        next_pair: AtomicUsize::new(0),
+    };
+    let next_unit = AtomicUsize::new(0);
 
-    // The global work queue: every (task, unit) pair, in task order so
-    // early tasks finish early and the tail of the batch stays parallel.
-    let work: Vec<(usize, usize)> = states
-        .iter()
-        .enumerate()
-        .flat_map(|(t, s)| (0..s.units.len()).map(move |u| (t, u)))
-        .collect();
-    let next_item = AtomicUsize::new(0);
-
-    let n_workers = threads.min(work.len()).max(1);
+    let n_workers = threads.min(units.len()).max(1);
     // Worker outputs are per task so the merge below is per task.
     let outputs: (Vec<Vec<WorkerOutput>>, bool) = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..n_workers)
@@ -710,29 +792,25 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
                 scope.spawn(|| {
                     let mut out: Vec<WorkerOutput> =
                         (0..tasks.len()).map(|_| WorkerOutput::default()).collect();
-                    while let Some(item) = crate::protocol::claim_ticket(&next_item, work.len()) {
-                        let Some(&(task_idx, unit_idx)) = work.get(item) else {
-                            break;
-                        };
-                        // The work queue is built from `states` (same length
-                        // as `tasks`), so these lookups only miss if that
-                        // construction is broken — skip rather than panic.
-                        let (Some(task), Some(state), Some(slot)) = (
-                            tasks.get(task_idx),
-                            states.get(task_idx),
-                            out.get_mut(task_idx),
-                        ) else {
-                            continue;
-                        };
-                        match state.units.get(unit_idx) {
-                            Some(WorkUnit::Single(chain_idx)) => {
-                                let Some(chain) = state.chains.get(*chain_idx) else {
+                    while let Some(item) = crate::protocol::claim_ticket(&next_unit, units.len()) {
+                        match units.get(item) {
+                            Some(&WorkUnit::Single { task, chain }) => {
+                                // The units are built from `states` (same
+                                // length as `tasks`), so these lookups only
+                                // miss if that construction is broken —
+                                // skip rather than panic.
+                                let (Some(t), Some(state), Some(slot)) =
+                                    (tasks.get(task), states.get(task), out.get_mut(task))
+                                else {
                                     continue;
                                 };
-                                run_chain(chain, task, &state.cache, &state.best_rmse, slot);
+                                let Some(chain) = state.chains.get(chain) else {
+                                    continue;
+                                };
+                                run_chain(chain, t, &state.cache, &state.best_rmse, slot);
                             }
-                            Some(WorkUnit::Batched(width)) => {
-                                run_chain_group(task, state, *width, slot);
+                            Some(&WorkUnit::Group(width)) => {
+                                run_chain_group(&batch, width, &mut out);
                             }
                             None => continue,
                         }
@@ -779,7 +857,8 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
             let Some(out) = worker.get_mut(task_idx) else {
                 continue;
             };
-            scores.append(&mut out.scores);
+            // Taking the buffer frees it as soon as it is merged.
+            scores.append(&mut std::mem::take(&mut out.scores));
             failures += out.failures;
             abandoned += out.abandoned;
             stats.cache_hits += out.cache_hits;
@@ -1040,10 +1119,14 @@ impl FitSession {
     }
 }
 
-/// One chain's position inside a batched lockstep group: where it is in
-/// its candidate list, the warm-start predecessor it threads forward, and
-/// the fit session currently being optimised (if any).
+/// One chain's position inside a batched lockstep group: which task it
+/// belongs to, where it is in its candidate list, the warm-start
+/// predecessor it threads forward, and the fit session currently being
+/// optimised (if any).
 struct GroupCursor<'c> {
+    /// The chain's task: its index into the batch's tasks, task states and
+    /// per-task worker outputs.
+    task: usize,
     chain: &'c Chain,
     /// The cached differenced series for a plain-ARIMA chain; `None` for
     /// ETS/TBATS chains, whose recursions run on the raw series.
@@ -1058,6 +1141,11 @@ struct GroupCursor<'c> {
     /// each batched kernel round plus its own open/settle work); flushed
     /// into the family's `fit_time` when the candidate completes.
     spent: Duration,
+    /// Whether the open fit staged a point for this round's kernel pass.
+    staged: bool,
+    /// The chain's [`ChainKey`]: ETS chains are keyed by seasonality
+    /// class, so ordering cursors by key groups ETS lanes by class.
+    key: ChainKey,
 }
 
 /// Execute one lockstep group of warm-start chains: each round stages
@@ -1070,22 +1158,25 @@ struct GroupCursor<'c> {
 /// bit-identical to the sequential [`run_chain`] path — batching changes
 /// wall time, never results.
 ///
-/// The group claims its chains from the task's chain ticket at the top of
-/// each round, holding at most `width` live chains
-/// ([`crate::protocol::lockstep_claims`]): a group as wide as the task's
-/// batchable set claims them all up front; a narrower one replaces each
-/// drained chain and grows by one chain per round, so the task's groups
-/// share its chains by the progress they make.
-fn run_chain_group(task: &EvalTask, state: &TaskState, width: usize, out: &mut WorkerOutput) {
-    out.lockstep.groups += 1;
-    let rotations = &state.rotations;
-    let best_rmse = &state.best_rmse;
+/// The group claims `(task, chain)` pairs from the batch's pair ticket at
+/// the top of each round, holding at most `width` live chains
+/// ([`crate::protocol::lockstep_claims`]): a group as wide as the batch's
+/// batchable set claims it all up front; a narrower one replaces each
+/// drained chain and grows by one chain per round, so the batch's groups
+/// share its chains by the progress they make. Each chain's bookkeeping
+/// goes to its own task's slot of `out`; the group's [`LockstepStats`] go
+/// to the slot of the first task it claimed from.
+fn run_chain_group(batch: &LockstepBatch, width: usize, out: &mut [WorkerOutput]) {
+    let mut stats = LockstepStats {
+        groups: 1,
+        ..Default::default()
+    };
+    let mut home: Option<usize> = None;
     let mut cursors: Vec<GroupCursor> = Vec::new();
     let mut drained = 0;
     let mut exhausted = false;
     let mut scratch = kernels::CssBatchScratch::default();
     let mut css_out: Vec<f64> = Vec::new();
-    let mut staged: Vec<usize> = Vec::new();
     let mut css_ids: Vec<usize> = Vec::new();
     let mut ets_ids: Vec<usize> = Vec::new();
     let mut ets_sse: Vec<f64> = Vec::new();
@@ -1098,55 +1189,77 @@ fn run_chain_group(task: &EvalTask, state: &TaskState, width: usize, out: &mut W
         // run settle immediately) — and drop the chains that drained.
         let advance_started = Instant::now();
         if !exhausted {
-            let total = state.batchable.len();
-            for _ in 0..crate::protocol::lockstep_claims(cursors.len(), drained, width, total) {
-                match claim_group_chain(task, state, out) {
-                    Some(cursor) => cursors.push(cursor),
+            let (total, live) = (batch.pairs.len(), cursors.len());
+            for _ in 0..crate::protocol::lockstep_claims(live, drained, width, total) {
+                match claim_group_chain(batch, out) {
+                    Some(cursor) => {
+                        home.get_or_insert(cursor.task);
+                        cursors.push(cursor);
+                    }
                     None => {
                         exhausted = true;
                         break;
                     }
                 }
             }
+            if cursors.len() > live {
+                // Chains from several tasks interleave seasonality
+                // classes; keeping the cursors sorted by class (stably, so
+                // claim order holds within a class) hands the ETS kernel
+                // its lanes grouped, which keeps its per-step dispatch
+                // predictable.
+                cursors.sort_by_key(|cursor| cursor.key);
+            }
         }
         for cursor in cursors.iter_mut() {
-            pump_group_cursor(cursor, task, rotations, best_rmse, out);
+            pump_group_cursor(cursor, batch, out);
         }
         let live = cursors.len();
         cursors.retain(|cursor| cursor.active.is_some());
         drained = live - cursors.len();
-        out.lockstep.advance += advance_started.elapsed();
+        stats.advance += advance_started.elapsed();
         let round_started = Instant::now();
-        staged.clear();
-        for (ci, cursor) in cursors.iter_mut().enumerate() {
-            if let Some((_, session)) = cursor.active.as_mut() {
-                if session.stage_pending() {
-                    staged.push(ci);
+        // Staged points per family (chains are family-homogeneous, so the
+        // chain key tells): each kernel pass sizes its lane vector once,
+        // and a round allocates nothing for a family it does not stage.
+        let (mut n_css, mut n_ets, mut n_tbats) = (0, 0, 0);
+        for cursor in cursors.iter_mut() {
+            cursor.staged = match cursor.active.as_mut() {
+                Some((_, session)) => session.stage_pending(),
+                None => false,
+            };
+            if cursor.staged {
+                match cursor.key {
+                    ChainKey::Sarimax(..) => n_css += 1,
+                    ChainKey::Ets(_) => n_ets += 1,
+                    ChainKey::Tbats(_) => n_tbats += 1,
                 }
             }
         }
-        if staged.is_empty() {
+        let staged = n_css + n_ets + n_tbats;
+        if staged == 0 {
             // Every chain drained: claim again next round unless the
             // ticket is spent. (A live cursor that will not stage is a
             // broken session; stop rather than spin on it.)
             if exhausted || !cursors.is_empty() {
-                return;
+                break;
             }
             continue;
         }
         let staged_at = Instant::now();
-        out.lockstep.stage += staged_at - round_started;
+        stats.stage += staged_at - round_started;
         // Phase B: one batched kernel pass per family over all staged
         // points, each candidate against its session's own series. The
         // three passes live in separate borrow scopes: the CSS pass reads
         // staged slices, the lane passes take mutable state windows.
         css_ids.clear();
         {
-            let mut cands: Vec<(&[f64], &[f64], &[f64])> = Vec::with_capacity(staged.len());
-            for &ci in staged.iter() {
-                if let Some((_, FitSession::Arima(session))) =
-                    cursors.get(ci).and_then(|c| c.active.as_ref())
-                {
+            let mut cands: Vec<(&[f64], &[f64], &[f64])> = Vec::with_capacity(n_css);
+            for (ci, cursor) in cursors.iter().enumerate() {
+                if !cursor.staged {
+                    continue;
+                }
+                if let Some((_, FitSession::Arima(session))) = cursor.active.as_ref() {
                     cands.push((session.staged_phi(), session.staged_theta(), session.w()));
                     css_ids.push(ci);
                 }
@@ -1157,13 +1270,13 @@ fn run_chain_group(task: &EvalTask, state: &TaskState, width: usize, out: &mut W
             }
         }
         let css_at = Instant::now();
-        out.lockstep.batch_css += css_at - staged_at;
+        stats.batch_css += css_at - staged_at;
         ets_ids.clear();
         ets_sse.clear();
         {
-            let mut lanes: Vec<kernels::holt_winters::EtsLane<'_>> = Vec::new();
+            let mut lanes: Vec<kernels::holt_winters::EtsLane<'_>> = Vec::with_capacity(n_ets);
             for (ci, cursor) in cursors.iter_mut().enumerate() {
-                if !staged.contains(&ci) {
+                if !cursor.staged {
                     continue;
                 }
                 if let Some((_, FitSession::Ets(session))) = cursor.active.as_mut() {
@@ -1183,13 +1296,13 @@ fn run_chain_group(task: &EvalTask, state: &TaskState, width: usize, out: &mut W
             }
         }
         let ets_at = Instant::now();
-        out.lockstep.batch_ets += ets_at - css_at;
+        stats.batch_ets += ets_at - css_at;
         tbats_ids.clear();
         tbats_sse.clear();
         {
-            let mut lanes: Vec<kernels::tbats_filter::TbatsLane<'_>> = Vec::new();
+            let mut lanes: Vec<kernels::tbats_filter::TbatsLane<'_>> = Vec::with_capacity(n_tbats);
             for (ci, cursor) in cursors.iter_mut().enumerate() {
-                if !staged.contains(&ci) {
+                if !cursor.staged {
                     continue;
                 }
                 if let Some((_, FitSession::Tbats(session))) = cursor.active.as_mut() {
@@ -1205,7 +1318,7 @@ fn run_chain_group(task: &EvalTask, state: &TaskState, width: usize, out: &mut W
             }
         }
         let batched_at = Instant::now();
-        out.lockstep.batch_tbats += batched_at - ets_at;
+        stats.batch_tbats += batched_at - ets_at;
         // Phase C: feed each objective value back to its optimiser.
         for (j, &ci) in css_ids.iter().enumerate() {
             let Some(&css) = css_out.get(j) else {
@@ -1237,37 +1350,57 @@ fn run_chain_group(task: &EvalTask, state: &TaskState, width: usize, out: &mut W
                 session.tell_sse(sse);
             }
         }
-        out.lockstep.tell += batched_at.elapsed();
-        out.lockstep.rounds += 1;
-        out.lockstep.batched_evals += staged.len();
+        stats.tell += batched_at.elapsed();
+        stats.rounds += 1;
+        stats.batched_evals += staged;
         // The round served every staged candidate at once; attribute its
         // wall time in equal shares (timing only — results don't depend
         // on this split).
-        let share = round_started.elapsed() / staged.len() as u32;
-        for &ci in staged.iter() {
-            if let Some(cursor) = cursors.get_mut(ci) {
-                cursor.spent += share;
-            }
+        let share = round_started.elapsed() / staged as u32;
+        for cursor in cursors.iter_mut().filter(|cursor| cursor.staged) {
+            cursor.spent += share;
         }
+    }
+    // A group that found the ticket already spent still ran; its (empty)
+    // stats go to the batch's first batchable task.
+    let home = home.or_else(|| batch.pairs.first().map(|&(task, _)| task));
+    if let Some(slot) = home.and_then(|task| out.get_mut(task)) {
+        slot.lockstep.merge(&stats);
     }
 }
 
-/// Claim the task's next batchable chain for a lockstep group and open a
-/// cursor on it, threading the task's champion seed in as its warm-start
-/// predecessor; `None` once the task's chain ticket is spent.
-fn claim_group_chain<'s>(
-    task: &EvalTask,
-    state: &'s TaskState,
-    out: &mut WorkerOutput,
-) -> Option<GroupCursor<'s>> {
+/// Claim the batch's next `(task, chain)` pair for a lockstep group and
+/// open a cursor on it, threading that task's champion seed in as its
+/// warm-start predecessor; `None` once the pair ticket is spent.
+fn claim_group_chain<'b>(
+    batch: &LockstepBatch<'b>,
+    out: &mut [WorkerOutput],
+) -> Option<GroupCursor<'b>> {
+    let (tasks, states) = (batch.tasks, batch.states);
     loop {
-        let ticket = crate::protocol::claim_ticket(&state.next_chain, state.batchable.len())?;
-        // `batchable` holds chain indices, so a miss here means
-        // `build_units` is broken — skip the ticket rather than panic.
-        let Some(chain) = state
-            .batchable
-            .get(ticket)
-            .and_then(|&ci| state.chains.get(ci))
+        let ticket = crate::protocol::claim_ticket(&batch.next_pair, batch.pairs.len())?;
+        // `pairs` holds (task, chain) indices built from `states`, so a
+        // miss here means `build_units` is broken — skip the ticket rather
+        // than panic.
+        let Some(&(t, ci)) = batch.pairs.get(ticket) else {
+            continue;
+        };
+        let (Some(task), Some(state), Some(slot)) = (tasks.get(t), states.get(t), out.get_mut(t))
+        else {
+            continue;
+        };
+        let Some(chain) = state.chains.get(ci) else {
+            continue;
+        };
+        // A task's chains spread over every group, so each worker holds a
+        // score buffer for most tasks of the batch: size it exactly rather
+        // than let it double.
+        slot.scores.reserve_exact(chain.indices.len());
+        let Some(key) = chain
+            .indices
+            .first()
+            .and_then(|&i| task.candidates.get(i))
+            .map(|candidate| chain_key(&candidate.config))
         else {
             continue;
         };
@@ -1280,10 +1413,11 @@ fn claim_group_chain<'s>(
             // Unreachable by construction (`build_units` only batches
             // chains with their transforms cached); degrade to the
             // sequential path rather than drop work.
-            run_chain(chain, task, &state.cache, &state.best_rmse, out);
+            run_chain(chain, task, &state.cache, &state.best_rmse, slot);
             continue;
         };
         return Some(GroupCursor {
+            task: t,
             chain,
             diffed,
             pos: 0,
@@ -1293,6 +1427,8 @@ fn claim_group_chain<'s>(
                 .map(|(config, params, _)| (config.clone(), params.clone())),
             active: None,
             spent: Duration::ZERO,
+            staged: false,
+            key,
         });
     }
 }
@@ -1300,19 +1436,30 @@ fn claim_group_chain<'s>(
 /// Advance one lockstep cursor until it exposes a pending optimiser point
 /// or exhausts its chain: settle a finished session, open the next
 /// candidate, and loop (frozen champion re-scores and zero-parameter specs
-/// are decided at open and settle in the same pass).
-fn pump_group_cursor(
-    cursor: &mut GroupCursor,
-    task: &EvalTask,
-    rotations: &BTreeMap<SeasonSig, Arc<RotationTables>>,
-    best_rmse: &AtomicU64,
-    out: &mut WorkerOutput,
-) {
+/// are decided at open and settle in the same pass). Everything it records
+/// goes to the cursor's own task.
+fn pump_group_cursor(cursor: &mut GroupCursor, batch: &LockstepBatch, out: &mut [WorkerOutput]) {
+    // The common round-to-round case — the open fit still has a point
+    // pending — must not move the session struct (a take/put-back memcpys
+    // it twice per cursor per round, which profiling showed dominated the
+    // advance phase).
+    if let Some((_, session)) = cursor.active.as_ref() {
+        if session.is_pending() {
+            return;
+        }
+    }
+    // The cursor's task index comes from the batch's pairs, built over the
+    // same task list as the states and the per-task outputs, so a miss
+    // means that construction is broken: drop the chain rather than panic.
+    let (Some(task), Some(state), Some(out)) = (
+        batch.tasks.get(cursor.task),
+        batch.states.get(cursor.task),
+        out.get_mut(cursor.task),
+    ) else {
+        cursor.active = None;
+        return;
+    };
     loop {
-        // The common round-to-round case — the open fit still has a point
-        // pending — must not move the session struct (a take/put-back
-        // memcpys it twice per cursor per round, which profiling showed
-        // dominated the advance phase).
         if let Some((_, session)) = cursor.active.as_ref() {
             if session.is_pending() {
                 return;
@@ -1320,7 +1467,9 @@ fn pump_group_cursor(
         }
         if let Some((candidate_index, session)) = cursor.active.take() {
             let step_started = Instant::now();
-            if let Some(prev) = settle_group_fit(candidate_index, session, task, best_rmse, out) {
+            if let Some(prev) =
+                settle_group_fit(candidate_index, session, task, &state.best_rmse, out)
+            {
                 cursor.prev = Some(prev);
             }
             cursor.spent += step_started.elapsed();
@@ -1339,7 +1488,14 @@ fn pump_group_cursor(
             continue;
         };
         let step_started = Instant::now();
-        match open_group_fit(candidate, &cursor.prev, task, cursor.diffed, rotations, out) {
+        match open_group_fit(
+            candidate,
+            &cursor.prev,
+            task,
+            cursor.diffed,
+            &state.rotations,
+            out,
+        ) {
             Ok(session) => {
                 cursor.spent += step_started.elapsed();
                 cursor.active = Some((i, session));
@@ -2166,11 +2322,20 @@ mod tests {
         assert_eq!(report.scores.len() + report.failures, candidates.len());
     }
 
+    /// Evaluate one task alone, at one thread.
+    fn solo(task: &EvalTask) -> EvaluationReport {
+        evaluate_fleet(std::slice::from_ref(task), 1)
+            .pop()
+            .unwrap()
+            .unwrap()
+    }
+
     #[test]
-    fn fleet_with_more_tasks_than_workers_runs_one_group_per_task() {
-        // Three tasks on two workers: each task's share of the pool is one
-        // worker, so each runs exactly one lockstep group holding all its
-        // batchable chains — the estate path's schedule.
+    fn fleet_with_more_tasks_than_workers_shares_one_group_per_worker() {
+        // Three tasks on two workers: the batch's batchable chains form
+        // one pair list, so two groups run in total (their stats land in
+        // the report of the first task each claimed from), and every
+        // report is still bit-identical to evaluating its task alone.
         let y = seasonal_series(240);
         let (train, test) = y.split_at(216);
         let mut candidates = small_candidates();
@@ -2187,11 +2352,102 @@ mod tests {
             })
             .collect();
         let reports = evaluate_fleet(&tasks, 2);
-        let groups: Vec<usize> = reports
+        let groups: usize = reports
             .iter()
             .map(|r| r.as_ref().unwrap().stats.lockstep.groups)
+            .sum();
+        assert_eq!(groups, 2);
+        for (task, report) in tasks.iter().zip(&reports) {
+            let report = report.as_ref().unwrap();
+            let alone = solo(task);
+            assert_eq!(alone.stats.objective_evals, report.stats.objective_evals);
+            assert_reports_bitwise_equal(&alone, report);
+        }
+    }
+
+    #[test]
+    fn multi_task_batch_matches_solo_evaluation_at_every_thread_count() {
+        // One batch mixing an HES grid, a TBATS lattice, a plain-ARIMA
+        // grid and a task with exactly one batchable chain: lockstep
+        // groups draw chains from all four, and each report must equal
+        // its task evaluated alone, bit for bit, at every thread count.
+        let y = seasonal_series(240);
+        let (train, test) = y.split_at(216);
+        let hes = ModelGrid::ets(12, true, 0.95).candidates;
+        let mut tbats = ModelGrid::tbats(&[12.0], Some(0.3), 0.95).candidates;
+        tbats.truncate(8);
+        let corr = dwcp_series::Correlogram::compute(train, 30).unwrap();
+        let arima = ModelGrid::arima().prune(&corr, 10).candidates;
+        let lone = vec![CandidateModel::new(ModelConfig::Ets(EtsConfig::holt()))];
+        let mut opts = EvaluationOptions::default();
+        opts.fit.max_evals = 60;
+        let tasks: Vec<EvalTask> = [&hes, &tbats, &arima, &lone]
+            .into_iter()
+            .map(|candidates| EvalTask {
+                train,
+                test,
+                exog_train: &[],
+                exog_test: &[],
+                candidates,
+                opts: opts.clone(),
+                seed: None,
+            })
             .collect();
-        assert_eq!(groups, vec![1, 1, 1]);
+        assert_eq!(build_chains(&lone).len(), 1);
+        // Every chain of these grids batches.
+        let pairs: usize = tasks.iter().map(|t| build_chains(t.candidates).len()).sum();
+        let alone: Vec<EvaluationReport> = tasks.iter().map(solo).collect();
+        // Alone, the single-chain task never locksteps.
+        assert_eq!(alone[3].stats.lockstep.groups, 0);
+        for threads in [1, 2, 4, 8] {
+            let reports = evaluate_fleet(&tasks, threads);
+            let groups: usize = reports
+                .iter()
+                .map(|r| r.as_ref().unwrap().stats.lockstep.groups)
+                .sum();
+            assert_eq!(groups, threads.min(pairs), "threads={threads}");
+            for (expected, report) in alone.iter().zip(&reports) {
+                let report = report.as_ref().unwrap();
+                assert_eq!(
+                    expected.stats.objective_evals, report.stats.objective_evals,
+                    "threads={threads}"
+                );
+                assert_reports_bitwise_equal(expected, report);
+            }
+        }
+    }
+
+    #[test]
+    fn pool_map_returns_results_by_index() {
+        let items: Vec<usize> = (0..37).collect();
+        for threads in [1, 2, 8] {
+            let squares = map_on_pool(&items, threads, |&i| i * i);
+            let expected: Vec<Option<usize>> = items.iter().map(|&i| Some(i * i)).collect();
+            assert_eq!(squares, expected, "threads={threads}");
+        }
+        assert!(map_on_pool(&[] as &[usize], 2, |&i| i).is_empty());
+    }
+
+    #[test]
+    fn pool_map_contains_a_panicking_worker() {
+        // One worker: the panic takes every item it claimed (all of them)
+        // with it, and nothing propagates to the caller.
+        let items: Vec<usize> = (0..4).collect();
+        let lost = map_on_pool(&items, 1, |&i| {
+            assert_ne!(i, 2, "seeded planning failure");
+            i
+        });
+        assert_eq!(lost, vec![None; 4]);
+        // Two workers: the panicking item is lost; every result that did
+        // come back is right.
+        let some = map_on_pool(&items, 2, |&i| {
+            assert_ne!(i, 2, "seeded planning failure");
+            i
+        });
+        assert_eq!(some.get(2), Some(&None));
+        for (i, result) in some.iter().enumerate() {
+            assert!(result.is_none() || *result == Some(i));
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! frozen converged parameters, and relearn from the stored seed exactly
 //! like SARIMAX jobs.
 
-use crate::evaluate::{evaluate_fleet, EvalStats, EvalTask, EvaluationReport};
+use crate::evaluate::{evaluate_fleet, map_on_pool, EvalStats, EvalTask, EvaluationReport};
 use crate::grid::{CandidateModel, ModelConfig, ModelGrid};
 use crate::pipeline::{EvalPlan, ForecastOutcome, MethodChoice, Pipeline, PipelineConfig};
 use crate::repository::{
@@ -246,7 +246,10 @@ fn usable_champion(
 /// results in input order and `put`s every successful champion back into
 /// the store.
 ///
-/// Three pool passes, all deterministic at any thread count:
+/// Every job is first planned on the pool, then the champion-reuse
+/// decisions are made against the store in job order. Three evaluation
+/// passes follow, each one wide batch over the pool, all deterministic at
+/// any thread count:
 /// 1. every job's primary grid (champion neighbourhood when a fresh
 ///    stored champion exists, the full pruned grid otherwise),
 /// 2. full-grid fallbacks for seeded jobs whose champion degraded,
@@ -261,12 +264,24 @@ pub fn run_batch_on(
     let mut prepared: Vec<PreparedJob> = Vec::new();
     let mut batch = EvalStats::default();
 
-    // Phase A — plan every job (interpolate, split, profile, build
-    // the method's candidate grid) and decide champion reuse.
-    for (job_idx, job) in jobs.iter().enumerate() {
+    // Phase A — plan every job (interpolate, split, profile, build the
+    // method's candidate grid) on the pool, then decide champion reuse
+    // against the store serially, in job order. `Pipeline::plan` is a pure
+    // function of its job, so where a plan is computed cannot change it.
+    let plans = map_on_pool(jobs, options.threads, |job| {
         let pipeline = Pipeline::new(job.config.clone());
-        let mut plan = match pipeline.plan(&job.series, &job.exog) {
-            Ok(plan) => plan,
+        pipeline
+            .plan(&job.series, &job.exog)
+            .map(|plan| (pipeline, plan))
+    });
+    for ((job_idx, job), planned) in jobs.iter().enumerate().zip(plans) {
+        // A planning worker that panicked loses every job it claimed;
+        // those fail typed rather than being re-planned here.
+        let planned = planned.unwrap_or(Err(PlannerError::Internal {
+            context: "a planning worker panicked",
+        }));
+        let (pipeline, mut plan) = match planned {
+            Ok(planned) => planned,
             Err(e) => {
                 if let Some(slot) = results.get_mut(job_idx) {
                     *slot = Some(JobResult {

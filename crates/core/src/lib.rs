@@ -66,7 +66,7 @@ pub use engine::{
 };
 pub use evaluate::{
     evaluate_candidates, evaluate_fleet, EvalStats, EvalTask, EvaluationOptions, EvaluationReport,
-    FamilyStats, ModelScore,
+    FamilyStats, LockstepStats, ModelScore,
 };
 pub use fleet::{
     run_batch_on, Checkpoint, EstateScheduler, FleetOptions, FleetReport, FleetScheduler,

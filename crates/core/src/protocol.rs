@@ -26,10 +26,12 @@
 //!    the de-duplication decision of the alert engine, plus its CAS-claim
 //!    form under which concurrent observers fire exactly once;
 //! 5. the **ticket dispenser** ([`claim_ticket`] over [`TicketCounter`])
-//!    and the **lockstep refill** rule ([`lockstep_claims`]) — the
-//!    evaluator's global unit queue and the per-task chain ticket its
-//!    lockstep groups share, under which every chain is claimed exactly
-//!    once whichever group gets there first.
+//!    and the **lockstep shape and refill** rules ([`lockstep_shape`],
+//!    [`lockstep_claims`]) — the evaluator's global unit queue and the
+//!    batch-wide pair ticket its lockstep groups share, under which every
+//!    `(task, chain)` pair is claimed exactly once whichever group gets
+//!    there first; the fleet's plan phase drains its jobs through the same
+//!    dispenser.
 
 use crate::advisor::BreachSeverity;
 use std::cmp::Ordering as CmpOrdering;
@@ -267,10 +269,23 @@ impl TicketCounter for AtomicUsize {
 /// Claim the next of `len` items from a shared dispenser: every item is
 /// handed out exactly once across all claimants, and `None` once the
 /// dispenser is drained. The evaluator drains its global unit queue and
-/// each task's lockstep chain ticket through this one function.
+/// the batch's lockstep pair ticket through this one function, and the
+/// fleet's plan phase its job list.
 pub fn claim_ticket<C: TicketCounter>(counter: &C, len: usize) -> Option<usize> {
     let ticket = counter.take_ticket();
     (ticket < len).then_some(ticket)
+}
+
+/// The lockstep groups of a batch with `pairs` batchable `(task, chain)`
+/// pairs on `workers` workers, as `(groups, width)`: one group per worker
+/// but never more groups than pairs, each holding at most an even split of
+/// the pairs and never more than `max_width` live chains. With one task
+/// this is the per-grid split (12 chains on 2 workers: 2 groups of 6); an
+/// estate wave of thousands of chains gets one `max_width`-wide group per
+/// worker.
+pub fn lockstep_shape(workers: usize, pairs: usize, max_width: usize) -> (usize, usize) {
+    let groups = workers.min(pairs).max(1);
+    (groups, pairs.div_ceil(groups).min(max_width))
 }
 
 /// How many chains a lockstep group claims at the top of a round, holding
@@ -429,6 +444,18 @@ mod tests {
         let counter = AtomicUsize::new(0);
         let claimed: Vec<Option<usize>> = (0..5).map(|_| claim_ticket(&counter, 3)).collect();
         assert_eq!(claimed, vec![Some(0), Some(1), Some(2), None, None]);
+    }
+
+    #[test]
+    fn lockstep_shape_splits_evenly_up_to_the_width_cap() {
+        // One task: the per-grid split.
+        assert_eq!(lockstep_shape(2, 12, 12), (2, 6));
+        assert_eq!(lockstep_shape(2, 3, 12), (2, 2));
+        assert_eq!(lockstep_shape(8, 3, 12), (3, 1));
+        // A one-thread grid with more than `max_width` chains narrows.
+        assert_eq!(lockstep_shape(1, 22, 12), (1, 12));
+        // An estate wave: one full-width group per worker.
+        assert_eq!(lockstep_shape(2, 3072, 12), (2, 12));
     }
 
     #[test]

@@ -18,10 +18,12 @@
 //!   index — under every interleaving of the result merge;
 //! * the `fetch_add` work queue dispenses each candidate exactly once and
 //!   workers on different tasks never touch each other's incumbents;
-//! * two lockstep groups refilling from one per-task chain ticket
-//!   ([`claim_ticket`] under the [`lockstep_claims`] rule) claim every
-//!   chain exactly once beside a worker draining the global unit queue —
-//!   and a load-then-store dispenser is caught;
+//! * two lockstep groups refilling from one batch-wide pair ticket over
+//!   three tasks' chains ([`claim_ticket`] under the [`lockstep_shape`]
+//!   and [`lockstep_claims`] rules) run every `(task, chain)` pair exactly
+//!   once beside a worker draining the global unit queue — while a
+//!   load-then-store dispenser, and a group that drops a pair drawn from a
+//!   task other than its last claim's, are caught;
 //! * the estate scheduler's wave checkpoint (`commit_wave`) never
 //!   publishes a slot whose record is not durable, at every kill point —
 //!   and the inverted publish-first variant is *caught* by exploration;
@@ -35,8 +37,8 @@
 use dwcp_core::advisor::BreachSeverity;
 use dwcp_core::protocol::{
     accept_one, alert_refire, claim_ticket, commit_wave, decode_breach, lockstep_claims,
-    publish_min_rmse, request_shutdown, resume_split, score_order, try_fire, DrainFlag,
-    IncumbentCell, TicketCounter, WaveLedger, BREACH_EMPTY,
+    lockstep_shape, publish_min_rmse, request_shutdown, resume_split, score_order, try_fire,
+    DrainFlag, IncumbentCell, TicketCounter, WaveLedger, BREACH_EMPTY,
 };
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -183,7 +185,7 @@ fn work_queue_dispenses_each_candidate_exactly_once() {
     assert!(report.complete, "state space exceeded the budget");
 }
 
-// --- Lockstep refill (evaluate_fleet's per-task chain ticket) ---
+// --- Lockstep refill (evaluate_fleet's batch-wide pair ticket) ---
 
 /// The instrumented ticket counter: `interleave::AtomicUsize` behind the
 /// same trait the evaluator's `std` counters implement.
@@ -211,31 +213,50 @@ fn record_claim(record: &[std::sync::atomic::AtomicUsize], item: usize) {
     }
 }
 
+/// A batch's batchable chains as `(task, rounds)` pairs in task order:
+/// three tasks with uneven chain counts and lengths.
+const PAIRS: [(usize, usize); 4] = [(0, 2), (1, 1), (1, 3), (2, 1)];
+/// The evaluator's width cap (`LOCKSTEP_WIDTH`).
+const LOCKSTEP_WIDTH: usize = 12;
+
+/// How a model group treats the pairs it draws.
+#[derive(Clone, Copy)]
+enum Claiming {
+    /// As `run_chain_group` does: run every pair it draws.
+    Every,
+    /// The seeded bug: drop a drawn pair whose task differs from the
+    /// group's previous claim, as a per-task group would.
+    DropCrossTask,
+}
+
 /// One lockstep group, as `run_chain_group` schedules it: at the top of
-/// each round claim `lockstep_claims` chains from the task's ticket, run
+/// each round claim `lockstep_claims` pairs from the batch's ticket, run
 /// one round of every live chain, and drop the chains that drained.
-/// `rounds[i]` is how many rounds chain `i` runs for.
 fn lockstep_group(
     ticket: &CheckedTicket,
-    rounds: &[usize],
+    pairs: &[(usize, usize)],
     width: usize,
     record: &[std::sync::atomic::AtomicUsize],
+    claiming: Claiming,
 ) {
     let mut live: Vec<usize> = Vec::new();
     let (mut drained, mut exhausted) = (0, false);
+    let mut last_task: Option<usize> = None;
     loop {
         if !exhausted {
-            for _ in 0..lockstep_claims(live.len(), drained, width, rounds.len()) {
-                match claim_ticket(ticket, rounds.len()) {
-                    Some(chain) => {
-                        record_claim(record, chain);
-                        live.push(rounds.get(chain).copied().unwrap_or(1));
-                    }
-                    None => {
-                        exhausted = true;
-                        break;
-                    }
+            for _ in 0..lockstep_claims(live.len(), drained, width, pairs.len()) {
+                let Some(pair) = claim_ticket(ticket, pairs.len()) else {
+                    exhausted = true;
+                    break;
+                };
+                let (task, rounds) = pairs.get(pair).copied().unwrap_or((0, 1));
+                let switched = last_task.is_some_and(|last| last != task);
+                last_task = Some(task);
+                if switched && matches!(claiming, Claiming::DropCrossTask) {
+                    continue;
                 }
+                record_claim(record, pair);
+                live.push(rounds);
             }
         }
         if live.is_empty() {
@@ -253,25 +274,22 @@ fn lockstep_group(
     }
 }
 
-#[test]
-fn lockstep_refill_claims_every_chain_exactly_once() {
-    // Two lockstep groups of one task split its four chains (uneven
-    // lengths, width cap 2) through the per-task ticket while a third
-    // worker drains the global unit queue. Under every interleaving of
-    // the two dispensers, each chain and each unit is claimed exactly
-    // once and none is skipped.
-    const CHAIN_ROUNDS: [usize; 4] = [2, 1, 3, 1];
+/// Two lockstep groups, shaped by the evaluator's rule, drain one pair
+/// ticket over `PAIRS` while a third worker drains the unit queue; the
+/// check requires every pair and every unit to run exactly once.
+fn explore_batch(claiming: Claiming) -> interleave::Report {
     const UNITS: usize = 1;
-    let report = interleave::explore(BUDGET, |sch| {
+    let (groups, width) = lockstep_shape(2, PAIRS.len(), LOCKSTEP_WIDTH);
+    assert_eq!((groups, width), (2, 2));
+    interleave::explore(BUDGET, |sch| {
         let ticket = Arc::new(CheckedTicket(interleave::AtomicUsize::new(0)));
         let queue = Arc::new(CheckedTicket(interleave::AtomicUsize::new(0)));
-        let chains = claim_record(CHAIN_ROUNDS.len());
+        let pairs = claim_record(PAIRS.len());
         let units = claim_record(UNITS);
-        let width = CHAIN_ROUNDS.len().div_ceil(2);
-        for _ in 0..2 {
+        for _ in 0..groups {
             let ticket = Arc::clone(&ticket);
-            let chains = Arc::clone(&chains);
-            sch.thread(move || lockstep_group(&ticket, &CHAIN_ROUNDS, width, &chains));
+            let pairs = Arc::clone(&pairs);
+            sch.thread(move || lockstep_group(&ticket, &PAIRS, width, &pairs, claiming));
         }
         let worker_units = Arc::clone(&units);
         sch.thread(move || {
@@ -280,18 +298,40 @@ fn lockstep_refill_claims_every_chain_exactly_once() {
             }
         });
         sch.check(move || {
-            for (i, slot) in chains.iter().enumerate() {
+            for (i, slot) in pairs.iter().enumerate() {
                 let n = slot.load(std::sync::atomic::Ordering::Relaxed);
-                assert_eq!(n, 1, "chain {i} claimed {n} times");
+                assert_eq!(n, 1, "pair {i} {:?} ran {n} times", PAIRS.get(i));
             }
             for (i, slot) in units.iter().enumerate() {
                 let n = slot.load(std::sync::atomic::Ordering::Relaxed);
                 assert_eq!(n, 1, "unit {i} claimed {n} times");
             }
         });
-    });
+    })
+}
+
+#[test]
+fn lockstep_refill_claims_every_chain_exactly_once() {
+    // Two lockstep groups split three tasks' four chains (uneven lengths,
+    // width 2 from the evaluator's rule) through the batch's pair ticket
+    // while a third worker drains the global unit queue. Under every
+    // interleaving of the two dispensers, each `(task, chain)` pair and
+    // each unit runs exactly once and none is skipped.
+    let report = explore_batch(Claiming::Every);
     assert!(report.complete, "state space exceeded the budget");
     assert!(report.schedules_explored >= 2);
+}
+
+#[test]
+fn cross_task_ticket_drop_is_caught_by_exploration() {
+    // The seeded regression: a group that still thinks per task drops a
+    // pair it drew from a different task than its previous claim. The
+    // pair is then skipped, and exploration must find it.
+    let caught = std::panic::catch_unwind(|| explore_batch(Claiming::DropCrossTask));
+    assert!(
+        caught.is_err(),
+        "exploration failed to catch the dropped cross-task pair"
+    );
 }
 
 #[test]

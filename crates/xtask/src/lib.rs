@@ -81,10 +81,10 @@ pub const BLESSED_RELAXED_ATOMICS: &[(&str, &str)] = &[
     ),
     (
         "crates/core/src/evaluate.rs",
-        "incumbent bound reads; the global unit queue and the per-task \
-         lockstep chain ticket take their tickets through \
-         protocol::claim_ticket, and the dispatch, lockstep refill and \
-         publish protocols are model-checked in \
+        "incumbent bound reads; the global unit queue, the batch-wide \
+         lockstep pair ticket and the plan dispenser take their tickets \
+         through protocol::claim_ticket, and the dispatch, lockstep refill \
+         and publish protocols are model-checked in \
          crates/core/tests/model_check.rs",
     ),
 ];
@@ -102,7 +102,8 @@ pub const ATOMIC_PROTOCOLS: &[(&str, &str, &str)] = &[
     ),
     (
         "crates/core/src/evaluate.rs",
-        "incumbent racing + work-queue dispatch + per-task lockstep chain refill",
+        "incumbent racing + work-queue dispatch + batch-wide lockstep pair refill \
+         + plan dispenser",
         "lockstep_refill",
     ),
     (

@@ -14,9 +14,10 @@
 #      from this stage are indicative only)
 #   5. bench_kernels smoke (bitwise CSS/ETS/TBATS kernel parity asserted
 #      in-binary, snapshot schema checked), then bench_grid
-#      perf-regression smoke: the accelerated 4-thread wall — pure-ARIMA
-#      sweep and the mixed-family auto-mode union grid — must stay within
-#      25% of the checked-in results/BENCH_grid.json (the run also
+#      perf-regression smoke: the accelerated 2- and 4-thread walls —
+#      pure-ARIMA sweep and the mixed-family auto-mode union grid — must
+#      stay within 25% of the checked-in results/BENCH_grid.json, with
+#      the 1-thread walls reported beside them (the run also
 #      re-asserts champion parity and the auto-order RMSE guard), then
 #      bench_fleet smoke on the reduced (DWCP_QUICK=1) batch and a schema
 #      check of the written snapshots so downstream tooling can rely on
@@ -133,44 +134,40 @@ git checkout -- results/BENCH_kernels.json 2>/dev/null || true
 
 echo "== perf smoke: bench_grid vs checked-in reference =="
 # Guard the acceleration layer against silent regressions: the accelerated
-# 4-thread wall (both the pure-ARIMA sweep and the mixed-family auto-mode
-# union grid) must stay within 25% of the checked-in snapshot. Full reps
-# (best-of-3) to damp single-core scheduler noise; bench_grid itself
-# asserts champion parity across modes/threads and that the auto-order
-# champion is never worse than the full sweep.
-ref_wall=$(python3 -c '
-import json
-snap = json.load(open("results/BENCH_grid.json"))
-print(next(r["wall_ms"] for r in snap["runs"]
-           if r["mode"] == "accelerated" and r["threads"] == 4))')
-ref_auto_wall=$(python3 -c '
-import json
-snap = json.load(open("results/BENCH_grid.json"))
-print(next(r["wall_ms"] for r in snap["auto_mode"]
-           if r["mode"] == "accelerated" and r["threads"] == 4))')
+# 2- and 4-thread walls (both the pure-ARIMA sweep and the mixed-family
+# auto-mode union grid) must stay within 25% of the checked-in snapshot.
+# On the 2-vCPU reference host (`available_parallelism` in the snapshot)
+# the 2-thread wall measures scaling and the 4-thread wall time-slicing.
+# The 1-thread walls are reported, not gated: a one-thread grid with more
+# than 12 batchable chains is the one single-task case whose lockstep
+# rounds narrow to the width cap. Full reps (best-of-3) to damp scheduler
+# noise; bench_grid itself asserts champion parity across modes/threads
+# and that the auto-order champion is never worse than the full sweep.
+ref_grid=$(mktemp)
+cp results/BENCH_grid.json "$ref_grid"
 cargo run -q --release -p dwcp-bench --bin bench_grid
-new_wall=$(python3 -c '
-import json
-snap = json.load(open("results/BENCH_grid.json"))
-print(next(r["wall_ms"] for r in snap["runs"]
-           if r["mode"] == "accelerated" and r["threads"] == 4))')
-new_auto_wall=$(python3 -c '
-import json
-snap = json.load(open("results/BENCH_grid.json"))
-print(next(r["wall_ms"] for r in snap["auto_mode"]
-           if r["mode"] == "accelerated" and r["threads"] == 4))')
-python3 -c "
-ref, new = float('$ref_wall'), float('$new_wall')
-limit = ref * 1.25
-print(f'accelerated 4t: {new:.1f} ms vs reference {ref:.1f} ms (limit {limit:.1f} ms)')
-raise SystemExit(1 if new > limit else 0)" \
-  || { echo "bench_grid: accelerated wall regressed >25% vs reference"; exit 1; }
-python3 -c "
-ref, new = float('$ref_auto_wall'), float('$new_auto_wall')
-limit = ref * 1.25
-print(f'auto-mode accelerated 4t: {new:.1f} ms vs reference {ref:.1f} ms (limit {limit:.1f} ms)')
-raise SystemExit(1 if new > limit else 0)" \
-  || { echo "bench_grid: auto-mode accelerated wall regressed >25% vs reference"; exit 1; }
+python3 - "$ref_grid" <<'PY' \
+  || { echo "bench_grid: accelerated wall regressed >25% vs reference"; rm -f "$ref_grid"; exit 1; }
+import json, sys
+ref = json.load(open(sys.argv[1]))
+new = json.load(open("results/BENCH_grid.json"))
+def wall(snap, block, threads):
+    return next(r["wall_ms"] for r in snap[block]
+                if r["mode"] == "accelerated" and r["threads"] == threads)
+regressed = False
+for block, label in (("runs", "sweep"), ("auto_mode", "auto-mode")):
+    for threads in (1, 2, 4):
+        r, n = wall(ref, block, threads), wall(new, block, threads)
+        if threads == 1:
+            print(f"{label} accelerated 1t: {n:.1f} ms vs reference {r:.1f} ms (reported)")
+            continue
+        limit = r * 1.25
+        print(f"{label} accelerated {threads}t: {n:.1f} ms vs reference {r:.1f} ms "
+              f"(limit {limit:.1f} ms)")
+        regressed |= n > limit
+sys.exit(1 if regressed else 0)
+PY
+rm -f "$ref_grid"
 git checkout -- results/BENCH_grid.json 2>/dev/null || true
 
 echo "== bench smoke: bench_fleet (DWCP_QUICK=1) =="

@@ -14,8 +14,8 @@
 
 use crate::planner::{
     AlertRule, Checkpoint, Engine, EngineConfig, EstateScheduler, FleetOptions, FleetScheduler,
-    GridStrategy, MethodChoice, ModelRepository, Pipeline, PipelineConfig, SeriesJob,
-    ShardedRepository, SliceJobSource, ThresholdAdvisor, WaveOptions,
+    GridStrategy, LockstepStats, MethodChoice, ModelRepository, Pipeline, PipelineConfig,
+    SeriesJob, ShardedRepository, SliceJobSource, ThresholdAdvisor, WaveOptions,
 };
 use crate::series::{Frequency, Granularity, TimeSeries};
 use crate::workload::{olap_scenario, oltp_scenario, Metric, Scenario};
@@ -574,6 +574,7 @@ pub fn execute(
                 report.jobs_per_second(),
                 report.stats.objective_evals
             )?;
+            write_lockstep_line(stdout, &report.stats.lockstep)?;
             writeln!(
                 stdout,
                 "# champion reuse: {} hits, {} misses, {} fallbacks{}",
@@ -651,6 +652,22 @@ pub fn execute(
     }
 }
 
+/// The `# lockstep:` summary line of a fleet run: how many lockstep groups
+/// ran, how many batched kernel rounds they took, and how many chains the
+/// average round advanced.
+fn write_lockstep_line(
+    stdout: &mut impl std::io::Write,
+    lockstep: &LockstepStats,
+) -> std::io::Result<()> {
+    writeln!(
+        stdout,
+        "# lockstep: {} groups, {} rounds, {:.2} lanes/round",
+        lockstep.groups,
+        lockstep.rounds,
+        lockstep.lanes_per_round()
+    )
+}
+
 /// The `fleet --repo-dir` path: stream the jobs through the estate wave
 /// scheduler over a sharded on-disk repository, printing per-job rows as
 /// each wave retires plus `# wave i/n:` progress lines.
@@ -718,6 +735,7 @@ fn execute_fleet_waves(
         report.waves,
         report.jobs_per_second()
     )?;
+    write_lockstep_line(stdout, &report.stats.lockstep)?;
     writeln!(
         stdout,
         "# champion reuse: {} hits, {} misses, {} fallbacks{}",

@@ -131,6 +131,75 @@ fn fleet_batches_csvs_and_persists_the_repository() {
     std::fs::remove_file(&repo_path).ok();
 }
 
+/// The `# lockstep:` summary line's `(groups, rounds, lanes per round)`.
+fn lockstep_line(out: &str) -> (usize, usize, f64) {
+    let line = out
+        .lines()
+        .find_map(|l| l.strip_prefix("# lockstep: "))
+        .unwrap_or_else(|| panic!("no lockstep line in {out}"));
+    let fields: Vec<&str> = line.split(", ").collect();
+    let number = |i: usize, unit: &str| {
+        fields[i]
+            .strip_suffix(unit)
+            .unwrap_or_else(|| panic!("field {i} of {line:?} lacks {unit:?}"))
+            .to_string()
+    };
+    (
+        number(0, " groups").parse().unwrap(),
+        number(1, " rounds").parse().unwrap(),
+        number(2, " lanes/round").parse().unwrap(),
+    )
+}
+
+#[test]
+fn fleet_summaries_report_lockstep_lanes() {
+    // Both fleet paths — the in-memory batch and the estate waves over a
+    // sharded repository — print how wide their lockstep rounds ran.
+    let mut inputs = Vec::new();
+    for (instance, metric) in [("cdbm011", "cpu"), ("cdbm012", "cpu"), ("cdbm011", "iops")] {
+        let path = tmp(&format!("lockstep_{instance}_{metric}"));
+        run(Command::Simulate {
+            scenario: "oltp".into(),
+            instance: instance.into(),
+            metric: metric.into(),
+            seed: 11,
+            out: path.to_string_lossy().into_owned(),
+        });
+        inputs.push(path.to_string_lossy().into_owned());
+    }
+    let fleet = |extra: &[&str]| {
+        let mut args: Vec<String> = ["fleet", "--inputs", &inputs.join(","), "--method", "hes"]
+            .iter()
+            .map(|a| a.to_string())
+            .collect();
+        args.extend(["--threads", "2"].iter().map(|a| a.to_string()));
+        args.extend(extra.iter().map(|a| a.to_string()));
+        run(parse(&args).unwrap())
+    };
+
+    let out = fleet(&[]);
+    assert!(out.contains("# batch: 3 jobs"), "{out}");
+    let (groups, rounds, lanes) = lockstep_line(&out);
+    // Three HES grids' chains on two workers: one group per worker.
+    assert_eq!(groups, 2, "{out}");
+    assert!(rounds > 0, "{out}");
+    assert!(lanes > 1.0, "{out}");
+
+    let repo_dir = tmp("lockstep_estate");
+    std::fs::remove_dir_all(&repo_dir).ok();
+    let out = fleet(&["--repo-dir", &repo_dir.to_string_lossy(), "--wave", "2"]);
+    assert!(out.contains("# scan: 3 fitted"), "{out}");
+    let (groups, rounds, lanes) = lockstep_line(&out);
+    // Two waves (2 + 1 jobs), each a batch with one group per worker.
+    assert_eq!(groups, 4, "{out}");
+    assert!(rounds > 0 && lanes > 1.0, "{out}");
+
+    for p in inputs {
+        std::fs::remove_file(p).ok();
+    }
+    std::fs::remove_dir_all(&repo_dir).ok();
+}
+
 #[test]
 fn forecast_rejects_missing_file() {
     let cmd = Command::Forecast {
