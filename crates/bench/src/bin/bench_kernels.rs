@@ -5,7 +5,10 @@
 //! per-evaluation cost can be attributed layer by layer. A second section
 //! times the exponential-smoothing families the same three ways — scalar
 //! reference, solo kernel, batched kernel — per ETS/TBATS menu shape, with
-//! bitwise SSE parity across all three paths asserted in-binary.
+//! bitwise SSE parity across all three paths asserted in-binary (and, for
+//! TBATS, bitwise final state between the solo and batched kernels). The
+//! TBATS rows include forecast-auto-like passes of 2–4 lanes that share
+//! no shape, and record the batched-vs-solo ratio of every row.
 //!
 //! Writes `results/BENCH_kernels.json`.
 //!
@@ -26,6 +29,9 @@ use std::time::Instant;
 
 const SERIES_LEN: usize = 480;
 const BATCH: usize = 12;
+/// Length of the mixed-shape TBATS rows' series: a forecast-auto training
+/// window.
+const MIXED_SERIES_LEN: usize = 984;
 
 #[derive(Debug, Clone, Serialize)]
 struct KernelRow {
@@ -53,8 +59,13 @@ struct KernelRow {
 struct FamilyRow {
     /// Model family ("ETS" or "TBATS").
     family: &'static str,
-    /// Candidate shape within the family (e.g. "hw-add-24").
+    /// Candidate shape within the family (e.g. "hw-add-24"); `mixed-k`
+    /// rows are one pass of `k` lanes with distinct shapes.
     shape: &'static str,
+    /// Lanes in the batched pass.
+    lanes: usize,
+    /// Observations per lane.
+    series_len: usize,
     /// Scalar reference, ns per evaluation.
     reference_ns: f64,
     /// Solo kernel, ns per evaluation.
@@ -65,6 +76,9 @@ struct FamilyRow {
     kernel_speedup: f64,
     /// reference / batched per-candidate speedup.
     batch_speedup: f64,
+    /// solo-kernel / batched per-candidate speedup: above 1 when batching
+    /// pays.
+    batch_vs_solo: f64,
 }
 
 /// The batched ETS/TBATS section of the snapshot: same batch width and
@@ -111,6 +125,16 @@ fn series(n: usize) -> Vec<f64> {
                 + 12.0 * (2.0 * std::f64::consts::PI * tf / 24.0).sin()
                 + ((t * 2654435761 % 89) as f64) / 25.0
         })
+        .collect()
+}
+
+/// An hourly series with daily and weekly cycles, like the simulated
+/// workloads forecast-auto fits.
+fn dual_season_series(n: usize) -> Vec<f64> {
+    series(n)
+        .iter()
+        .enumerate()
+        .map(|(t, v)| v + 5.0 * (2.0 * std::f64::consts::PI * t as f64 / 168.0).sin())
         .collect()
 }
 
@@ -352,228 +376,268 @@ fn bench_ets(iters: usize, y: &[f64]) -> Vec<FamilyRow> {
         rows.push(FamilyRow {
             family: "ETS",
             shape: shape.name,
+            lanes: BATCH,
+            series_len: y.len(),
             reference_ns,
             kernel_ns,
             batch_ns,
             kernel_speedup: reference_ns / kernel_ns,
             batch_speedup: reference_ns / batch_ns,
+            batch_vs_solo: kernel_ns / batch_ns,
         });
     }
     rows
 }
 
-/// Time the TBATS menu shapes through reference / solo kernel / batched
-/// kernel, asserting bitwise SSE parity across all three paths first. The
-/// reference rebuilds rotation tables and reallocates ARMA histories per
-/// call (the per-objective-call shape of the original model filter); the
-/// kernel paths reuse caller-pooled state.
-fn bench_tbats(iters: usize, z: &[f64]) -> Vec<FamilyRow> {
-    struct Shape {
-        name: &'static str,
-        seasons: &'static [(f64, usize)],
-        use_trend: bool,
-        phi: f64,
-        ar: &'static [f64],
-        ma: &'static [f64],
-    }
-    let shapes = [
-        Shape {
-            name: "level",
-            seasons: &[],
-            use_trend: false,
-            phi: 0.0,
-            ar: &[],
-            ma: &[],
-        },
-        Shape {
-            name: "trend-arma11",
-            seasons: &[],
-            use_trend: true,
-            phi: 0.95,
-            ar: &[0.4],
-            ma: &[0.3],
-        },
-        Shape {
-            name: "seasonal-24x3",
-            seasons: &[(24.0, 3)],
-            use_trend: false,
-            phi: 0.0,
-            ar: &[],
-            ma: &[],
-        },
-        Shape {
-            name: "damped-arma-24x3",
-            seasons: &[(24.0, 3)],
-            use_trend: true,
-            phi: 0.95,
-            ar: &[0.4],
-            ma: &[0.3],
-        },
-        Shape {
-            name: "dual-24x3-168x5",
-            seasons: &[(24.0, 3), (168.0, 5)],
-            use_trend: true,
-            phi: 0.95,
-            ar: &[0.4],
-            ma: &[0.3],
-        },
-    ];
-    let (alpha, beta) = (0.1, 0.05);
-    let level0 = z[0];
-    let trend0 = 0.02;
-    let mut rows = Vec::new();
-    for shape in &shapes {
+/// One TBATS lane shape of a bench row.
+#[derive(Clone, Copy)]
+struct TbatsShape {
+    seasons: &'static [(f64, usize)],
+    use_trend: bool,
+    phi: f64,
+    ar: &'static [f64],
+    ma: &'static [f64],
+}
+
+/// One lane's inputs: its shape's tables, γ pairs and start state.
+struct TbatsCase {
+    shape: TbatsShape,
+    alpha: f64,
+    tables: Vec<Vec<(f64, f64)>>,
+    gammas: Vec<(f64, f64)>,
+    seasonal: Vec<f64>,
+}
+
+impl TbatsCase {
+    fn new(shape: TbatsShape, alpha: f64) -> TbatsCase {
         let tables: Vec<Vec<(f64, f64)>> = shape
             .seasons
             .iter()
             .map(|&(period, harmonics)| trig_seasonal::rotation_table(period, harmonics))
             .collect();
-        let gammas: Vec<(f64, f64)> = shape.seasons.iter().map(|_| (0.01, 0.005)).collect();
+        let gammas = shape.seasons.iter().map(|_| (0.01, 0.005)).collect();
         let seasonal_len: usize = tables.iter().map(|t| 2 * t.len()).sum();
-        let base_seasonal: Vec<f64> = (0..seasonal_len)
+        let seasonal = (0..seasonal_len)
             .map(|i| 0.1 * (i as f64 * 0.37).sin())
             .collect();
-        let alphas: Vec<f64> = (0..BATCH)
-            .map(|c| alpha * (1.0 - 0.01 * c as f64))
-            .collect();
-
-        let mut seas = base_seasonal.clone();
-        let mut d_hist = vec![0.0; shape.ar.len()];
-        let mut e_hist = vec![0.0; shape.ma.len()];
-        let solo = |seas: &mut [f64], d_hist: &mut [f64], e_hist: &mut [f64], alpha: f64| {
-            seas.copy_from_slice(&base_seasonal);
-            d_hist.fill(0.0);
-            e_hist.fill(0.0);
-            let mut lane = TbatsLane {
-                z,
-                alpha,
-                beta,
-                phi: shape.phi,
-                use_trend: shape.use_trend,
-                gammas: &gammas,
-                ar: shape.ar,
-                ma: shape.ma,
-                tables: &tables,
-                level: level0,
-                trend: trend0,
-                seasonal: seas,
-                d_hist,
-                e_hist,
-                sse: 0.0,
-                alive: true,
-            };
-            tbats_filter::run(&mut lane);
-            lane.result()
-        };
-        let mut seasonal_pool: Vec<Vec<f64>> = (0..BATCH).map(|_| base_seasonal.clone()).collect();
-        let mut d_pool: Vec<Vec<f64>> = (0..BATCH).map(|_| vec![0.0; shape.ar.len()]).collect();
-        let mut e_pool: Vec<Vec<f64>> = (0..BATCH).map(|_| vec![0.0; shape.ma.len()]).collect();
-        let run_batch =
-            |seasonal_pool: &mut [Vec<f64>], d_pool: &mut [Vec<f64>], e_pool: &mut [Vec<f64>]| {
-                let mut lanes: Vec<TbatsLane<'_>> = seasonal_pool
-                    .iter_mut()
-                    .zip(d_pool.iter_mut())
-                    .zip(e_pool.iter_mut())
-                    .zip(&alphas)
-                    .map(|(((seas, d_hist), e_hist), &alpha)| {
-                        seas.copy_from_slice(&base_seasonal);
-                        d_hist.fill(0.0);
-                        e_hist.fill(0.0);
-                        TbatsLane {
-                            z,
-                            alpha,
-                            beta,
-                            phi: shape.phi,
-                            use_trend: shape.use_trend,
-                            gammas: &gammas,
-                            ar: shape.ar,
-                            ma: shape.ma,
-                            tables: &tables,
-                            level: level0,
-                            trend: trend0,
-                            seasonal: seas,
-                            d_hist,
-                            e_hist,
-                            sse: 0.0,
-                            alive: true,
-                        }
-                    })
-                    .collect();
-                tbats_filter::run_batch(&mut lanes);
-                lanes[0].result()
-            };
-
-        // Parity before timing.
-        let reference = kernels::reference::tbats_filter(
-            z,
-            shape.seasons,
+        TbatsCase {
+            shape,
             alpha,
-            beta,
-            shape.phi,
-            shape.use_trend,
-            &gammas,
-            shape.ar,
-            shape.ma,
-            level0,
-            trend0,
-            &base_seasonal,
-        );
-        let solo_sse = solo(&mut seas, &mut d_hist, &mut e_hist, alpha);
+            tables,
+            gammas,
+            seasonal,
+        }
+    }
+}
+
+/// Per-lane state windows, reset before every filter run.
+struct TbatsBuffers {
+    seasonal: Vec<f64>,
+    d_hist: Vec<f64>,
+    e_hist: Vec<f64>,
+}
+
+const TBATS_BETA: f64 = 0.05;
+const TBATS_TREND0: f64 = 0.02;
+
+/// A fresh lane for `case` over `z`, its windows reset from `bufs`.
+fn tbats_lane<'a>(case: &'a TbatsCase, z: &'a [f64], bufs: &'a mut TbatsBuffers) -> TbatsLane<'a> {
+    bufs.seasonal.copy_from_slice(&case.seasonal);
+    bufs.d_hist.fill(0.0);
+    bufs.e_hist.fill(0.0);
+    TbatsLane {
+        z,
+        alpha: case.alpha,
+        beta: TBATS_BETA,
+        phi: case.shape.phi,
+        use_trend: case.shape.use_trend,
+        gammas: &case.gammas,
+        ar: case.shape.ar,
+        ma: case.shape.ma,
+        tables: &case.tables,
+        level: z[0],
+        trend: TBATS_TREND0,
+        seasonal: &mut bufs.seasonal,
+        d_hist: &mut bufs.d_hist,
+        e_hist: &mut bufs.e_hist,
+        sse: 0.0,
+        alive: true,
+    }
+}
+
+fn tbats_reference(case: &TbatsCase, z: &[f64]) -> Option<f64> {
+    kernels::reference::tbats_filter(
+        z,
+        case.shape.seasons,
+        case.alpha,
+        TBATS_BETA,
+        case.shape.phi,
+        case.shape.use_trend,
+        &case.gammas,
+        case.shape.ar,
+        case.shape.ma,
+        z[0],
+        TBATS_TREND0,
+        &case.seasonal,
+    )
+}
+
+/// Time one TBATS pass — `cases` scored by the scalar reference, one solo
+/// kernel run each, and one `run_batch` pass — in ns per lane, asserting
+/// first that every batched lane's SSE and final state are bitwise those
+/// of its solo run, and its SSE that of the reference.
+fn bench_tbats_row(name: &'static str, iters: usize, z: &[f64], cases: &[TbatsCase]) -> FamilyRow {
+    let buffers = |case: &TbatsCase| TbatsBuffers {
+        seasonal: case.seasonal.clone(),
+        d_hist: vec![0.0; case.shape.ar.len()],
+        e_hist: vec![0.0; case.shape.ma.len()],
+    };
+    let mut solo_bufs: Vec<TbatsBuffers> = cases.iter().map(buffers).collect();
+    let mut batch_bufs: Vec<TbatsBuffers> = cases.iter().map(buffers).collect();
+    // Each run reports (SSE, level, trend) per lane.
+    let outcome = |lane: &TbatsLane<'_>| (lane.result(), lane.level, lane.trend);
+    let run_solo = |bufs: &mut [TbatsBuffers]| -> Vec<(Option<f64>, f64, f64)> {
+        cases
+            .iter()
+            .zip(bufs.iter_mut())
+            .map(|(case, b)| {
+                let mut lane = tbats_lane(case, z, b);
+                tbats_filter::run(&mut lane);
+                outcome(&lane)
+            })
+            .collect()
+    };
+    let run_batch = |bufs: &mut [TbatsBuffers]| -> Vec<(Option<f64>, f64, f64)> {
+        let mut lanes: Vec<TbatsLane<'_>> = cases
+            .iter()
+            .zip(bufs.iter_mut())
+            .map(|(case, b)| tbats_lane(case, z, b))
+            .collect();
+        tbats_filter::run_batch(&mut lanes);
+        lanes.iter().map(outcome).collect()
+    };
+
+    // Parity before timing.
+    let solo = run_solo(&mut solo_bufs);
+    let batched = run_batch(&mut batch_bufs);
+    for (i, case) in cases.iter().enumerate() {
+        let reference = tbats_reference(case, z);
+        let ((solo_sse, solo_level, solo_trend), (sse, level, trend)) = (solo[i], batched[i]);
         assert_sse_bits(
             reference,
             solo_sse,
-            &format!("TBATS {} reference vs solo", shape.name),
+            &format!("TBATS {name} lane {i} reference vs solo"),
         );
-        let batched_sse = run_batch(&mut seasonal_pool, &mut d_pool, &mut e_pool);
         assert_sse_bits(
             reference,
-            batched_sse,
-            &format!("TBATS {} reference vs batched", shape.name),
+            sse,
+            &format!("TBATS {name} lane {i} reference vs batched"),
         );
-
-        let mut sink = 0.0f64;
-        let reference_ns = time_ns(iters, || {
-            sink += kernels::reference::tbats_filter(
-                z,
-                shape.seasons,
-                alpha,
-                beta,
-                shape.phi,
-                shape.use_trend,
-                &gammas,
-                shape.ar,
-                shape.ma,
-                level0,
-                trend0,
-                &base_seasonal,
-            )
-            .unwrap_or(0.0);
-        });
-        let kernel_ns = time_ns(iters, || {
-            sink += solo(&mut seas, &mut d_hist, &mut e_hist, alpha).unwrap_or(0.0);
-        });
-        let batch_iters = (iters / BATCH).max(1);
-        let batch_ns = time_ns(batch_iters, || {
-            sink += run_batch(&mut seasonal_pool, &mut d_pool, &mut e_pool).unwrap_or(0.0);
-        }) / BATCH as f64;
-        std::hint::black_box(sink);
-
-        println!(
-            "  TBATS {:<14} reference {reference_ns:>7.0} ns  kernel {kernel_ns:>7.0} ns  \
-             batch {batch_ns:>7.0} ns/cand  ({:.2}x solo, {:.2}x batched)",
-            shape.name,
-            reference_ns / kernel_ns,
-            reference_ns / batch_ns
+        let (a, b) = (&solo_bufs[i], &batch_bufs[i]);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert!(
+            bits(&[solo_level, solo_trend]) == bits(&[level, trend])
+                && bits(&a.seasonal) == bits(&b.seasonal)
+                && bits(&a.d_hist) == bits(&b.d_hist)
+                && bits(&a.e_hist) == bits(&b.e_hist),
+            "bitwise state parity violated: TBATS {name} lane {i} solo vs batched"
         );
-        rows.push(FamilyRow {
-            family: "TBATS",
-            shape: shape.name,
-            reference_ns,
-            kernel_ns,
-            batch_ns,
-            kernel_speedup: reference_ns / kernel_ns,
-            batch_speedup: reference_ns / batch_ns,
-        });
+    }
+
+    let lanes = cases.len();
+    let passes = (iters / lanes).max(1);
+    let mut sink = 0.0f64;
+    let reference_ns = time_ns(passes, || {
+        for case in cases {
+            sink += tbats_reference(case, z).unwrap_or(0.0);
+        }
+    }) / lanes as f64;
+    let kernel_ns = time_ns(passes, || {
+        sink += run_solo(&mut solo_bufs)[0].0.unwrap_or(0.0);
+    }) / lanes as f64;
+    let batch_ns = time_ns(passes, || {
+        sink += run_batch(&mut batch_bufs)[0].0.unwrap_or(0.0);
+    }) / lanes as f64;
+    std::hint::black_box(sink);
+
+    println!(
+        "  TBATS {name:<16} {lanes:>2} lanes  reference {reference_ns:>7.0} ns  kernel {kernel_ns:>7.0} ns  \
+         batch {batch_ns:>7.0} ns/cand  ({:.2}x solo, {:.2}x batched, batched/solo {:.2}x)",
+        reference_ns / kernel_ns,
+        reference_ns / batch_ns,
+        kernel_ns / batch_ns
+    );
+    FamilyRow {
+        family: "TBATS",
+        shape: name,
+        lanes,
+        series_len: z.len(),
+        reference_ns,
+        kernel_ns,
+        batch_ns,
+        kernel_speedup: reference_ns / kernel_ns,
+        batch_speedup: reference_ns / batch_ns,
+        batch_vs_solo: kernel_ns / batch_ns,
+    }
+}
+
+/// Time the TBATS rows: each menu shape as a pass of [`BATCH`] same-shape
+/// lanes over the [`SERIES_LEN`]-point series, then forecast-auto-like
+/// mixed passes of 2, 3 and 4 lanes with distinct {trend, ARMA,
+/// harmonics} shapes over a [`MIXED_SERIES_LEN`]-point dual-season
+/// series. The reference rebuilds rotation tables and reallocates ARMA
+/// histories per call (the per-objective-call shape of the original
+/// model filter); the kernel paths reuse caller-pooled state.
+fn bench_tbats(iters: usize, z: &[f64], z_mixed: &[f64]) -> Vec<FamilyRow> {
+    const fn shape(
+        seasons: &'static [(f64, usize)],
+        use_trend: bool,
+        phi: f64,
+        ar: &'static [f64],
+        ma: &'static [f64],
+    ) -> TbatsShape {
+        TbatsShape {
+            seasons,
+            use_trend,
+            phi,
+            ar,
+            ma,
+        }
+    }
+    let same_shape: [(&'static str, TbatsShape); 5] = [
+        ("level", shape(&[], false, 0.0, &[], &[])),
+        ("trend-arma11", shape(&[], true, 0.95, &[0.4], &[0.3])),
+        ("seasonal-24x3", shape(&[(24.0, 3)], false, 0.0, &[], &[])),
+        (
+            "damped-arma-24x3",
+            shape(&[(24.0, 3)], true, 0.95, &[0.4], &[0.3]),
+        ),
+        (
+            "dual-24x3-168x5",
+            shape(&[(24.0, 3), (168.0, 5)], true, 0.95, &[0.4], &[0.3]),
+        ),
+    ];
+    // Distinct shapes in lattice order of a forecast-auto round: the
+    // first `k` of them make the `mixed-k` pass.
+    let mixed: [TbatsShape; 4] = [
+        shape(&[(24.0, 1), (168.0, 1)], false, 0.0, &[], &[]),
+        shape(&[(24.0, 3), (168.0, 3)], true, 0.95, &[0.4], &[0.3]),
+        shape(&[(24.0, 2), (168.0, 2)], true, 1.0, &[0.4], &[]),
+        shape(&[(24.0, 3), (168.0, 3)], false, 0.0, &[0.4], &[0.3]),
+    ];
+    let alpha = |c: usize| 0.1 * (1.0 - 0.01 * c as f64);
+    let mut rows = Vec::new();
+    for (name, s) in same_shape {
+        let cases: Vec<TbatsCase> = (0..BATCH).map(|c| TbatsCase::new(s, alpha(c))).collect();
+        rows.push(bench_tbats_row(name, iters, z, &cases));
+    }
+    for (k, name) in [(2, "mixed-2"), (3, "mixed-3"), (4, "mixed-4")] {
+        let cases: Vec<TbatsCase> = mixed[..k]
+            .iter()
+            .enumerate()
+            .map(|(c, &s)| TbatsCase::new(s, alpha(c)))
+            .collect();
+        rows.push(bench_tbats_row(name, iters, z_mixed, &cases));
     }
     rows
 }
@@ -677,7 +741,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // additive recursions' cost profile.
     let y: Vec<f64> = w.iter().map(|v| v + 50.0).collect();
     let mut family_rows = bench_ets(iters, &y);
-    family_rows.extend(bench_tbats(iters, &w));
+    let w_mixed = dual_season_series(MIXED_SERIES_LEN);
+    family_rows.extend(bench_tbats(iters, &w, &w_mixed));
     let ets_geo = geomean_batch_speedup(&family_rows, "ETS");
     let tbats_geo = geomean_batch_speedup(&family_rows, "TBATS");
     println!("  geomean batched speedup: ETS {ets_geo:.2}x  TBATS {tbats_geo:.2}x");

@@ -9,8 +9,9 @@
 
 use crate::grid::{CandidateModel, ModelGrid};
 use crate::Result;
+use dwcp_series::diff::difference;
 use dwcp_series::stationarity::{adf_test, AdfRegression};
-use dwcp_series::{detect_seasonality, suggest_differencing, Correlogram};
+use dwcp_series::{detect_seasonality, suggest_differencing, Correlogram, SeriesError};
 
 /// Everything the pipeline learned about a series before model fitting.
 #[derive(Debug, Clone)]
@@ -33,10 +34,7 @@ pub struct DataProfile {
 impl DataProfile {
     /// Profile `values` (gap-free; interpolate first).
     pub fn analyze(values: &[f64]) -> Result<DataProfile> {
-        let suggested_d = suggest_differencing(values, 2)?;
-        let stationary = adf_test(values, None, AdfRegression::Constant)
-            .map(|r| r.stationary)
-            .unwrap_or(false);
+        let (suggested_d, stationary) = differencing_profile(values)?;
         let season_report = detect_seasonality(values, values.len() / 2)?;
         let correlogram = Correlogram::compute(values, 30)?;
         Ok(DataProfile {
@@ -77,6 +75,20 @@ impl DataProfile {
         } else {
             self.seasonal_periods.iter().map(|&p| p as f64).collect()
         }
+    }
+}
+
+/// `(suggested_d, stationary)` from one ADF test of the undifferenced
+/// series: the first step of [`suggest_differencing`] (up to `d = 2`) is
+/// exactly the stationarity question, so its answer serves both. A series
+/// too short to test is `d = 0` and not stationary; any other test error
+/// propagates, as from [`suggest_differencing`].
+fn differencing_profile(values: &[f64]) -> Result<(usize, bool)> {
+    match adf_test(values, None, AdfRegression::Constant) {
+        Ok(r) if r.stationary => Ok((0, true)),
+        Ok(_) => Ok((1 + suggest_differencing(&difference(values, 1), 1)?, false)),
+        Err(SeriesError::TooShort { .. }) => Ok((0, false)),
+        Err(e) => Err(e.into()),
     }
 }
 
@@ -155,6 +167,47 @@ mod tests {
                     + ((t * 7919 % 101) as f64) / 40.0
             })
             .collect()
+    }
+
+    #[test]
+    fn differencing_profile_matches_the_two_test_composition() {
+        // One ADF test at d = 0 must answer exactly what the separate
+        // `suggest_differencing` + `adf_test` calls did.
+        let old = |y: &[f64]| -> (usize, bool) {
+            let d = suggest_differencing(y, 2).unwrap();
+            let stationary = adf_test(y, None, AdfRegression::Constant)
+                .map(|r| r.stationary)
+                .unwrap_or(false);
+            (d, stationary)
+        };
+        let mut state = 17u64;
+        let mut noise = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 33) as f64 / (1u64 << 31) as f64) - 0.5
+        };
+        let white: Vec<f64> = (0..300).map(|_| noise()).collect();
+        let walk: Vec<f64> = white
+            .iter()
+            .scan(0.0, |acc, &e| {
+                *acc += e;
+                Some(*acc)
+            })
+            .collect();
+        let trend: Vec<f64> = (0..300).map(|t| 0.5 * t as f64 + noise()).collect();
+        let short: Vec<f64> = (0..11).map(|_| noise()).collect();
+        for (name, y) in [
+            ("white noise", &white),
+            ("random walk", &walk),
+            ("trend", &trend),
+            ("short", &short),
+        ] {
+            assert_eq!(differencing_profile(y).unwrap(), old(y), "{name}");
+        }
+        assert_eq!(differencing_profile(&white).unwrap(), (0, true));
+        assert_eq!(differencing_profile(&short).unwrap(), (0, false));
+        assert!(differencing_profile(&walk).unwrap().0 >= 1);
     }
 
     #[test]

@@ -194,6 +194,11 @@ pub struct LockstepStats {
     pub rounds: usize,
     /// Objective evaluations served by batched kernel passes.
     pub batched_evals: usize,
+    /// [`kernels::tbats_filter::run_batch`] passes run (at most one per
+    /// round).
+    pub tbats_passes: usize,
+    /// TBATS lanes those passes scored.
+    pub tbats_lanes: usize,
     /// Time in cursor advancement: optimiser bookkeeping, session
     /// open/settle, forecasting and scoring completed fits.
     pub advance: Duration,
@@ -222,10 +227,22 @@ impl LockstepStats {
         }
     }
 
+    /// Mean lanes per TBATS kernel pass (`tbats_lanes / tbats_passes`);
+    /// 0 when no TBATS pass ran.
+    pub fn tbats_lanes_per_pass(&self) -> f64 {
+        if self.tbats_passes == 0 {
+            0.0
+        } else {
+            self.tbats_lanes as f64 / self.tbats_passes as f64
+        }
+    }
+
     fn merge(&mut self, other: &LockstepStats) {
         self.groups += other.groups;
         self.rounds += other.rounds;
         self.batched_evals += other.batched_evals;
+        self.tbats_passes += other.tbats_passes;
+        self.tbats_lanes += other.tbats_lanes;
         self.advance += other.advance;
         self.stage += other.stage;
         self.batch_css += other.batch_css;
@@ -1313,6 +1330,8 @@ fn run_chain_group(batch: &LockstepBatch, width: usize, out: &mut [WorkerOutput]
                 }
             }
             if !lanes.is_empty() {
+                stats.tbats_passes += 1;
+                stats.tbats_lanes += lanes.len();
                 kernels::tbats_filter::run_batch(&mut lanes);
                 tbats_sse.extend(lanes.iter().map(|l| l.result().unwrap_or(f64::INFINITY)));
             }

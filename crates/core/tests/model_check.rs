@@ -143,7 +143,7 @@ fn exact_tie_yields_one_champion_the_lower_index() {
             assert_eq!(cell.value(), 1.0);
             // The merge phase sorts (rmse, index); the tie resolves the
             // same way regardless of the publication order just explored.
-            let mut scores = vec![(1.0_f64, 7_usize), (1.0_f64, 3_usize)];
+            let mut scores = [(1.0_f64, 7_usize), (1.0_f64, 3_usize)];
             scores.sort_by(|a, b| score_order(a.0, a.1, b.0, b.1));
             let champions: Vec<usize> = scores
                 .iter()
@@ -457,7 +457,7 @@ fn torn_wave_commit_is_caught_by_exploration() {
         interleave::explore(BUDGET, |sch| {
             let ledger = Arc::new(CheckedLedger::new(SLOTS));
             let committer = Arc::clone(&ledger);
-            sch.thread(move || torn_commit(&*committer, SLOTS));
+            sch.thread(move || torn_commit(&committer, SLOTS));
             let observer = Arc::clone(&ledger);
             sch.thread(move || resume_observer(&observer, SLOTS));
         })

@@ -767,18 +767,81 @@ pub mod reference {
         gammas: &[(f64, f64)],
         ar: &[f64],
         ma: &[f64],
-        mut level: f64,
-        mut trend: f64,
+        level: f64,
+        trend: f64,
         seasonal: &[f64],
     ) -> Option<f64> {
-        let mut seasonal = seasonal.to_vec();
-        let mut d_hist = vec![0.0; ar.len()];
-        let mut e_hist = vec![0.0; ma.len()];
-        let mut sse = 0.0;
+        let state = TbatsState {
+            level,
+            trend,
+            seasonal: seasonal.to_vec(),
+            d_hist: vec![0.0; ar.len()],
+            e_hist: vec![0.0; ma.len()],
+            sse: 0.0,
+            alive: true,
+        };
+        let state = tbats_filter_state(
+            z, seasons, alpha, beta, phi, use_trend, gammas, ar, ma, state,
+        );
+        state.alive.then_some(state.sse)
+    }
+
+    /// A TBATS filter's full state: what [`tbats_filter_state`] starts
+    /// from and returns, mirroring the mutable fields of
+    /// [`super::tbats_filter::TbatsLane`].
+    #[derive(Debug, Clone)]
+    pub struct TbatsState {
+        /// Level.
+        pub level: f64,
+        /// Trend (never touched when the trend is off).
+        pub trend: f64,
+        /// Flattened interleaved seasonal blocks.
+        pub seasonal: Vec<f64>,
+        /// Recent `d` values, newest first.
+        pub d_hist: Vec<f64>,
+        /// Recent `e` values, newest first.
+        pub e_hist: Vec<f64>,
+        /// Accumulated squared one-step error.
+        pub sse: f64,
+        /// Cleared on numerical blow-up; the state is then the one the
+        /// fatal observation found.
+        pub alive: bool,
+    }
+
+    /// [`tbats_filter`] from an arbitrary start state, returning the final
+    /// state — the whole of it, so parity tests can compare levels,
+    /// seasonal states and ARMA histories as well as the SSE. A filter
+    /// that diverges stops before the fatal observation touches anything
+    /// but `alive`; a state that arrives dead is returned as it is.
+    #[allow(clippy::too_many_arguments)]
+    pub fn tbats_filter_state(
+        z: &[f64],
+        seasons: &[(f64, usize)],
+        alpha: f64,
+        beta: f64,
+        phi: f64,
+        use_trend: bool,
+        gammas: &[(f64, f64)],
+        ar: &[f64],
+        ma: &[f64],
+        mut state: TbatsState,
+    ) -> TbatsState {
+        let TbatsState {
+            level,
+            trend,
+            seasonal,
+            d_hist,
+            e_hist,
+            sse,
+            alive,
+        } = &mut state;
         for &obs in z {
-            let mut yhat = level;
+            if !*alive {
+                break;
+            }
+            let mut yhat = *level;
             if use_trend {
-                yhat += phi * trend;
+                yhat += phi * *trend;
             }
             let mut off = 0usize;
             for &(_, harmonics) in seasons {
@@ -800,15 +863,16 @@ pub mod reference {
             }
             let e = obs - (yhat + d_hat);
             if !e.is_finite() || e.abs() > 1e12 {
-                return None;
+                *alive = false;
+                break;
             }
-            sse += e * e;
+            *sse += e * e;
             let d = d_hat + e;
-            let damped = phi * trend;
-            let prev_level = level;
-            level = prev_level + if use_trend { damped } else { 0.0 } + alpha * d;
+            let damped = phi * *trend;
+            let prev_level = *level;
+            *level = prev_level + if use_trend { damped } else { 0.0 } + alpha * d;
             if use_trend {
-                trend = damped + beta * d;
+                *trend = damped + beta * d;
             }
             let mut off = 0usize;
             for (&(period, harmonics), &(g1, g2)) in seasons.iter().zip(gammas) {
@@ -830,7 +894,7 @@ pub mod reference {
                 e_hist[0] = e;
             }
         }
-        Some(sse)
+        state
     }
 }
 
@@ -1220,15 +1284,84 @@ pub mod trig_seasonal {
 /// with the same `{seasonal_periods, harmonics}` signature), and the
 /// per-observation loop is a pure state recurrence.
 /// [`run`](tbats_filter::run) drives one lane — the serve engine's frozen
-/// re-score path — and [`run_batch`](tbats_filter::run_batch) interleaves
-/// many lanes time-outer so their serial state chains overlap, exactly as
-/// [`css_batch`] and [`ets_batch`] do. Per observation each lane executes
-/// the statements of the model layer's scalar filter in the same order
-/// (the ARMA-error step goes through the shared
-/// [`lag_dot`] kernel), so SSEs and final states are
-/// bit-identical to the scalar reference regardless of batching.
+/// re-score path — and [`run_batch`](tbats_filter::run_batch) scores a
+/// lockstep round's lanes together.
+///
+/// # The lane-inner pass
+///
+/// One lane's step is a serial latency chain — `d` → level → in-phase
+/// seasonal sum → `e` → `d` — that no out-of-order core can overlap with
+/// itself, and interleaving whole lane steps time-outer does not overlap
+/// it with other lanes either: a seasonal step is longer than the
+/// reorder window. `run_batch` therefore turns the loop inside out. It
+/// packs up to `W` lanes into a structure-of-arrays chunk and runs every
+/// statement of the step as a loop over the chunk's lanes, so the lanes'
+/// chains advance side by side in one vector register per statement.
+///
+/// The lanes of a round rarely share a shape (trend, ARMA orders,
+/// harmonics per block differ across the configuration lattice), so a
+/// chunk is padded to the elementwise maximum of its lanes' shapes: trend
+/// on if any lane has it, AR and MA order, and per seasonal block the
+/// largest harmonic count. A lane's real harmonics keep their block order;
+/// padded harmonics follow them inside the block.
+///
+/// # Why padding is exact
+///
+/// Every padded term is a product of exact zeros: a zero coefficient,
+/// rotation table or γ times a zero state. A no-trend lane's trend state,
+/// Φ and β are `+0.0`, and so are a padded harmonic's states, table and
+/// γ pair and a missing AR or MA term's coefficient and history. Those
+/// states stay `+0.0` through every step (`0·0 + 0·0 + 0·d = +0.0` for
+/// finite `d`, and `d` is finite while the lane lives). Adding a `+0.0`
+/// term can change a partial sum only by turning `−0.0` into `+0.0`, and
+/// only inside `ŷ`: `ŷ` reaches the state solely through `ŷ + d̂`, where
+/// `d̂` is a sum that starts at `+0.0` and so is never `−0.0` — the sign of
+/// a zero `ŷ` cannot change that sum. The level update of a no-trend lane
+/// is already `prev + 0.0 + α·d` in the solo step, and the padded damped
+/// trend is exactly that `+0.0`. So each lane executes its own solo
+/// arithmetic, statement for statement: SSEs, levels, trends, seasonal
+/// states and ARMA histories are bit-identical to
+/// [`run`](tbats_filter::run) and to [`reference::tbats_filter`], whatever
+/// the chunk holds.
+///
+/// # Stepping
+///
+/// Between series ends a chunk steps in a tight loop with its per-lane
+/// scalars in registers. The next step's `ŷ` — level, damped trend, then
+/// the in-phase states in slot order, the solo step's order — is summed as
+/// the states come out of their rotations, so it never makes a round trip
+/// through memory; being an in-order sum, it also keeps the compiler from
+/// vectorising across harmonic slots instead of across lanes. A step whose
+/// guard fails for any lane is redone as one careful step that retires
+/// the failed lanes first.
+///
+/// # Dead and finished lanes
+///
+/// A lane whose error fails the guard is retired with its state as the
+/// fatal observation found it (`alive` cleared), exactly as the solo
+/// step's early return leaves it; a lane whose series ends is retired
+/// alive. A retired slot is zeroed — state, coefficients and observations
+/// — so it computes exact zeros for the rest of the chunk and can never
+/// trip the guard again. Lanes of unequal length share a chunk this way.
+/// Lanes that arrive dead are skipped. A lane outside the padded envelope
+/// (more than `MAX_BLOCKS` blocks or `MAX_HARMONICS` harmonics per block,
+/// ARMA orders above one, or state windows not sized to the shape) and a
+/// lane left alone at the end of a round run through the solo
+/// [`run`](tbats_filter::run). The chunk lives on the stack: a pass
+/// allocates nothing.
 pub mod tbats_filter {
     use super::{lag_dot, trig_seasonal};
+
+    /// Lanes per chunk: one AVX2 register of `f64`s per statement.
+    const W: usize = 4;
+    /// Seasonal blocks a chunked lane may carry (the grids use at most two
+    /// periods).
+    const MAX_BLOCKS: usize = 2;
+    /// Harmonics per block a chunked lane may carry (the grids use at most
+    /// three).
+    const MAX_HARMONICS: usize = 8;
+    /// Harmonic slots of the widest padded chunk.
+    const MAX_SLOTS: usize = MAX_BLOCKS * MAX_HARMONICS;
 
     /// One candidate's in-flight filter state inside [`run`] /
     /// [`run_batch`]. Seasonal blocks are flattened into one caller-pooled
@@ -1344,24 +1477,428 @@ pub mod tbats_filter {
         }
     }
 
-    /// Run many lanes' filters in lockstep: time-outer, one observation of
-    /// every live lane per round, so the serial state recurrences
-    /// interleave across candidates. Lanes may differ in shape (trend,
-    /// ARMA orders, seasonal blocks) and series length; per observation
-    /// each lane executes exactly the solo [`run`] statements, so results
-    /// are bit-identical to solo runs and independent of batch membership
-    /// and order.
+    /// Score a round's lanes together: chunks of up to `W` lanes run
+    /// lane-inner over their padded superset shape (see the module docs);
+    /// a lane outside the padded envelope, or left alone at the end, runs
+    /// through [`run`]. Lanes may differ in shape and series length; every
+    /// lane's results and final state are bit-identical to a solo [`run`]
+    /// and independent of batch membership and order.
     pub fn run_batch(lanes: &mut [TbatsLane<'_>]) {
-        let t_max = lanes.iter().map(|l| l.z.len()).max().unwrap_or(0);
-        for t in 0..t_max {
-            for lane in lanes.iter_mut() {
-                if !lane.alive || t >= lane.z.len() {
-                    continue;
-                }
-                let obs = lane.z[t];
-                step(lane, obs);
+        let mut members = [0usize; W];
+        let mut n = 0;
+        for i in 0..lanes.len() {
+            let lane = &mut lanes[i];
+            if !lane.alive || lane.z.is_empty() {
+                continue;
+            }
+            if !chunkable(lane) {
+                run(lane);
+                continue;
+            }
+            members[n] = i;
+            n += 1;
+            if n == W {
+                run_chunk(lanes, &members);
+                n = 0;
             }
         }
+        match n {
+            0 => {}
+            1 => run(&mut lanes[members[0]]),
+            _ => run_chunk(lanes, &members[..n]),
+        }
+    }
+
+    /// Run `members` as one lane-inner chunk.
+    fn run_chunk(lanes: &mut [TbatsLane<'_>], members: &[usize]) {
+        let (mut chunk, st) = Chunk::load(lanes, members);
+        chunk.run(st, lanes);
+    }
+
+    /// Whether a lane fits the padded envelope: at most `MAX_BLOCKS`
+    /// blocks of at most `MAX_HARMONICS` harmonics, each with its γ pair,
+    /// ARMA orders of at most one, and state windows sized to the shape.
+    fn chunkable(lane: &TbatsLane<'_>) -> bool {
+        lane.tables.len() <= MAX_BLOCKS
+            && lane.gammas.len() >= lane.tables.len()
+            && lane.tables.iter().all(|t| t.len() <= MAX_HARMONICS)
+            && lane.seasonal.len() == 2 * lane.tables.iter().map(Vec::len).sum::<usize>()
+            && lane.ar.len() <= 1
+            && lane.d_hist.len() == lane.ar.len()
+            && lane.ma.len() <= 1
+            && lane.e_hist.len() == lane.ma.len()
+    }
+
+    /// The harmonic slots of a chunk, one row per quantity and slot, each
+    /// row across the chunk's lanes: the in-phase and quadrature states,
+    /// the rotation table entries and the γ pairs.
+    #[repr(align(64))]
+    struct Slots {
+        s: [[f64; W]; MAX_SLOTS],
+        s_star: [[f64; W]; MAX_SLOTS],
+        cos: [[f64; W]; MAX_SLOTS],
+        sin: [[f64; W]; MAX_SLOTS],
+        g1: [[f64; W]; MAX_SLOTS],
+        g2: [[f64; W]; MAX_SLOTS],
+    }
+
+    /// A chunk's per-lane scalar state, copied into registers for the
+    /// stepping loop. `yhat` is the next step's prediction before its ARMA
+    /// term — level, damped trend, then the in-phase states in slot order
+    /// — accumulated while the states advance.
+    #[derive(Clone, Copy, Default)]
+    #[repr(align(64))]
+    struct Scalars {
+        yhat: [f64; W],
+        level: [f64; W],
+        trend: [f64; W],
+        d_hist: [f64; W],
+        e_hist: [f64; W],
+        sse: [f64; W],
+    }
+
+    /// Up to `W` lanes' filters in structure-of-arrays form, padded to the
+    /// chunk's superset shape; index `l` of every row is one lane's slot.
+    /// Seasonal block `b` owns harmonic slots `base[b]..base[b] + its
+    /// widest harmonic count`, in block order. Empty and retired lane
+    /// slots hold exact zeros and read `0.0` observations.
+    struct Chunk<'a> {
+        /// The pass index of each lane slot's lane.
+        lane: [usize; W],
+        /// Lane slots still filtering, and how many.
+        live: [bool; W],
+        n_live: usize,
+        /// Each lane slot's observations (empty once retired).
+        z: [&'a [f64]; W],
+        /// The superset shape.
+        trend_on: bool,
+        ar_on: bool,
+        ma_on: bool,
+        base: [usize; MAX_BLOCKS],
+        n_slots: usize,
+        /// Which lane slots carry a real AR / MA term (the others keep
+        /// their history at `+0.0`).
+        has_ar: [bool; W],
+        has_ma: [bool; W],
+        alpha: [f64; W],
+        beta: [f64; W],
+        phi: [f64; W],
+        ar: [f64; W],
+        ma: [f64; W],
+        slots: Slots,
+    }
+
+    impl<'a> Chunk<'a> {
+        /// Pack `members` (chunkable, alive, non-empty lanes) into a chunk
+        /// and its scalar state.
+        fn load(lanes: &[TbatsLane<'a>], members: &[usize]) -> (Chunk<'a>, Scalars) {
+            let mut c = Chunk {
+                lane: [0; W],
+                live: [false; W],
+                n_live: 0,
+                z: [&[]; W],
+                trend_on: false,
+                ar_on: false,
+                ma_on: false,
+                base: [0; MAX_BLOCKS],
+                n_slots: 0,
+                has_ar: [false; W],
+                has_ma: [false; W],
+                alpha: [0.0; W],
+                beta: [0.0; W],
+                phi: [0.0; W],
+                ar: [0.0; W],
+                ma: [0.0; W],
+                slots: Slots {
+                    s: [[0.0; W]; MAX_SLOTS],
+                    s_star: [[0.0; W]; MAX_SLOTS],
+                    cos: [[0.0; W]; MAX_SLOTS],
+                    sin: [[0.0; W]; MAX_SLOTS],
+                    g1: [[0.0; W]; MAX_SLOTS],
+                    g2: [[0.0; W]; MAX_SLOTS],
+                },
+            };
+            let mut st = Scalars::default();
+            let mut widest = [0usize; MAX_BLOCKS];
+            for &i in members {
+                let lane = &lanes[i];
+                c.trend_on |= lane.use_trend;
+                c.ar_on |= !lane.ar.is_empty();
+                c.ma_on |= !lane.ma.is_empty();
+                for (w, table) in widest.iter_mut().zip(lane.tables) {
+                    *w = (*w).max(table.len());
+                }
+            }
+            for b in 1..MAX_BLOCKS {
+                c.base[b] = c.base[b - 1] + widest[b - 1];
+            }
+            c.n_slots = c.base[MAX_BLOCKS - 1] + widest[MAX_BLOCKS - 1];
+            for (l, &i) in members.iter().enumerate() {
+                let lane = &lanes[i];
+                c.lane[l] = i;
+                c.live[l] = true;
+                c.n_live += 1;
+                c.z[l] = lane.z;
+                c.alpha[l] = lane.alpha;
+                st.level[l] = lane.level;
+                st.sse[l] = lane.sse;
+                // A no-trend lane keeps Φ, β and its trend state at +0.0.
+                if lane.use_trend {
+                    c.beta[l] = lane.beta;
+                    c.phi[l] = lane.phi;
+                    st.trend[l] = lane.trend;
+                }
+                if let (Some(&a), Some(&h)) = (lane.ar.first(), lane.d_hist.first()) {
+                    c.has_ar[l] = true;
+                    c.ar[l] = a;
+                    st.d_hist[l] = h;
+                }
+                if let (Some(&m), Some(&h)) = (lane.ma.first(), lane.e_hist.first()) {
+                    c.has_ma[l] = true;
+                    c.ma[l] = m;
+                    st.e_hist[l] = h;
+                }
+                let mut off = 0usize;
+                for (b, (table, &(g1, g2))) in lane.tables.iter().zip(lane.gammas).enumerate() {
+                    for (j, &(cos, sin)) in table.iter().enumerate() {
+                        let (k, slots) = (c.base[b] + j, &mut c.slots);
+                        slots.cos[k][l] = cos;
+                        slots.sin[k][l] = sin;
+                        slots.g1[k][l] = g1;
+                        slots.g2[k][l] = g2;
+                        slots.s[k][l] = lane.seasonal[off + 2 * j];
+                        slots.s_star[k][l] = lane.seasonal[off + 2 * j + 1];
+                    }
+                    off += 2 * table.len();
+                }
+            }
+            st.yhat = c.prediction(&st);
+            (c, st)
+        }
+
+        /// `ŷ` from the current state, in the solo step's order: level,
+        /// damped trend, then every in-phase state.
+        fn prediction(&self, st: &Scalars) -> [f64; W] {
+            let mut yhat = st.level;
+            if self.trend_on {
+                for l in 0..W {
+                    yhat[l] += self.phi[l] * st.trend[l];
+                }
+            }
+            for s in &self.slots.s[..self.n_slots] {
+                for l in 0..W {
+                    yhat[l] += s[l];
+                }
+            }
+            yhat
+        }
+
+        /// Filter every lane slot to the end of its series, retiring each
+        /// lane into its [`TbatsLane`] as it finishes or dies.
+        fn run(&mut self, mut st: Scalars, lanes: &mut [TbatsLane<'_>]) {
+            let mut t = 0usize;
+            while self.n_live > 0 {
+                // Step to the next series end without per-step length
+                // checks; a failed guard drops to one careful step.
+                let end = (0..W)
+                    .filter(|&l| self.live[l])
+                    .map(|l| self.z[l].len())
+                    .min()
+                    .unwrap_or(t);
+                while t < end && self.n_live > 0 {
+                    t = self.run_until_guard(&mut st, t, end);
+                    if t < end {
+                        let (mut e, mut d_hat) = self.predict(&st, t);
+                        for l in 0..W {
+                            if self.live[l] && !passes_guard(e[l]) {
+                                self.retire(l, false, &mut st, lanes);
+                                e[l] = 0.0;
+                                d_hat[l] = 0.0;
+                            }
+                        }
+                        self.advance(&mut st, &e, &d_hat);
+                        t += 1;
+                    }
+                }
+                for l in 0..W {
+                    if self.live[l] && self.z[l].len() <= t {
+                        self.retire(l, true, &mut st, lanes);
+                    }
+                }
+            }
+        }
+
+        /// Steps `t..end` while every error passes the guard, with the
+        /// scalar state in registers; returns the first step whose guard
+        /// failed (left undone), or `end`.
+        fn run_until_guard(&mut self, st: &mut Scalars, mut t: usize, end: usize) -> usize {
+            let mut local = *st;
+            while t < end {
+                let (e, d_hat) = self.predict(&local, t);
+                if !e.iter().fold(true, |ok, &v| ok & passes_guard(v)) {
+                    break;
+                }
+                self.advance(&mut local, &e, &d_hat);
+                t += 1;
+            }
+            *st = local;
+            t
+        }
+
+        /// The solo step's predict statements, each a loop over the lane
+        /// slots: the one-step errors `e` and ARMA terms `d̂` at `t`.
+        #[inline(always)]
+        fn predict(&self, st: &Scalars, t: usize) -> ([f64; W], [f64; W]) {
+            let mut obs = [0.0f64; W];
+            for (o, z) in obs.iter_mut().zip(&self.z) {
+                *o = z.get(t).copied().unwrap_or(0.0);
+            }
+            let mut d_hat = [0.0f64; W];
+            if self.ar_on {
+                for l in 0..W {
+                    d_hat[l] += self.ar[l] * st.d_hist[l];
+                }
+            }
+            if self.ma_on {
+                for l in 0..W {
+                    d_hat[l] += self.ma[l] * st.e_hist[l];
+                }
+            }
+            let mut e = [0.0f64; W];
+            for l in 0..W {
+                e[l] = obs[l] - (st.yhat[l] + d_hat[l]);
+            }
+            (e, d_hat)
+        }
+
+        /// The solo step's advance statements, each a loop over the lane
+        /// slots, for errors that passed the guard; the next `ŷ` is summed
+        /// as the in-phase states come out of their rotations. (That sum is
+        /// also what keeps the compiler from vectorising across harmonic
+        /// slots instead of across lanes: an in-order sum cannot be split.)
+        #[inline(always)]
+        fn advance(&mut self, st: &mut Scalars, e: &[f64; W], d_hat: &[f64; W]) {
+            for l in 0..W {
+                st.sse[l] += e[l] * e[l];
+            }
+            let mut d = [0.0f64; W];
+            for l in 0..W {
+                d[l] = d_hat[l] + e[l];
+            }
+            if self.trend_on {
+                for l in 0..W {
+                    let damped = self.phi[l] * st.trend[l];
+                    st.level[l] = st.level[l] + damped + self.alpha[l] * d[l];
+                    st.trend[l] = damped + self.beta[l] * d[l];
+                }
+            } else {
+                for l in 0..W {
+                    st.level[l] = st.level[l] + 0.0 + self.alpha[l] * d[l];
+                }
+            }
+            let mut yhat = st.level;
+            if self.trend_on {
+                for l in 0..W {
+                    yhat[l] += self.phi[l] * st.trend[l];
+                }
+            }
+            let Slots {
+                s,
+                s_star,
+                cos,
+                sin,
+                g1,
+                g2,
+            } = &mut self.slots;
+            for k in 0..self.n_slots {
+                for l in 0..W {
+                    let (sv, sv_star) = (s[k][l], s_star[k][l]);
+                    s[k][l] = sv * cos[k][l] + sv_star * sin[k][l] + g1[k][l] * d[l];
+                    s_star[k][l] = -sv * sin[k][l] + sv_star * cos[k][l] + g2[k][l] * d[l];
+                    yhat[l] += s[k][l];
+                }
+            }
+            st.yhat = yhat;
+            if self.ar_on {
+                for l in 0..W {
+                    st.d_hist[l] = if self.has_ar[l] { d[l] } else { 0.0 };
+                }
+            }
+            if self.ma_on {
+                for l in 0..W {
+                    st.e_hist[l] = if self.has_ma[l] { e[l] } else { 0.0 };
+                }
+            }
+        }
+
+        /// Write lane slot `l`'s state back into its lane (`alive` as
+        /// given), then zero the slot so it computes exact zeros from here
+        /// on.
+        #[cold]
+        fn retire(&mut self, l: usize, alive: bool, st: &mut Scalars, lanes: &mut [TbatsLane<'_>]) {
+            let lane = &mut lanes[self.lane[l]];
+            lane.level = st.level[l];
+            if lane.use_trend {
+                lane.trend = st.trend[l];
+            }
+            let mut off = 0usize;
+            for (b, table) in lane.tables.iter().enumerate() {
+                for j in 0..table.len() {
+                    let k = self.base[b] + j;
+                    lane.seasonal[off + 2 * j] = self.slots.s[k][l];
+                    lane.seasonal[off + 2 * j + 1] = self.slots.s_star[k][l];
+                }
+                off += 2 * table.len();
+            }
+            if let Some(h) = lane.d_hist.first_mut() {
+                *h = st.d_hist[l];
+            }
+            if let Some(h) = lane.e_hist.first_mut() {
+                *h = st.e_hist[l];
+            }
+            lane.sse = st.sse[l];
+            lane.alive = alive;
+            self.live[l] = false;
+            self.n_live -= 1;
+            self.z[l] = &[];
+            self.has_ar[l] = false;
+            self.has_ma[l] = false;
+            for row in [
+                &mut self.alpha,
+                &mut self.beta,
+                &mut self.phi,
+                &mut self.ar,
+                &mut self.ma,
+                &mut st.yhat,
+                &mut st.level,
+                &mut st.trend,
+                &mut st.d_hist,
+                &mut st.e_hist,
+                &mut st.sse,
+            ] {
+                row[l] = 0.0;
+            }
+            let slots = &mut self.slots;
+            for rows in [
+                &mut slots.s,
+                &mut slots.s_star,
+                &mut slots.cos,
+                &mut slots.sin,
+                &mut slots.g1,
+                &mut slots.g2,
+            ] {
+                for row in &mut rows[..self.n_slots] {
+                    row[l] = 0.0;
+                }
+            }
+        }
+    }
+
+    /// The solo step's error guard, `!e.is_finite() || |e| > 1e12`
+    /// negated, as one comparison (false for NaN).
+    #[inline(always)]
+    fn passes_guard(e: f64) -> bool {
+        e.abs() <= 1e12
     }
 }
 
@@ -1552,16 +2089,20 @@ mod tests {
         assert_eq!(lag_dot(0.5, &[], &hist).to_bits(), 0.5f64.to_bits());
     }
 
-    /// The random ETS menu used by the batch parity tests: mixed classes,
-    /// parameters and lengths, positive data so the multiplicative lanes
-    /// are well-posed.
-    fn ets_menu() -> Vec<(
+    /// One ETS parity case: class, series, `[α, β, γ, Φ]`, trend flag and
+    /// initial seasonal state.
+    type EtsCase = (
         holt_winters::SeasonalClass,
         Vec<f64>,
         [f64; 4],
         bool,
         Vec<f64>,
-    )> {
+    );
+
+    /// The random ETS menu used by the batch parity tests: mixed classes,
+    /// parameters and lengths, positive data so the multiplicative lanes
+    /// are well-posed.
+    fn ets_menu() -> Vec<EtsCase> {
         use holt_winters::SeasonalClass;
         let mut menu = Vec::new();
         for (i, &(class, m, n)) in [
@@ -1737,20 +2278,25 @@ mod tests {
         );
     }
 
+    /// One TBATS parity case: series, `(period, harmonics)` blocks,
+    /// `[α, β, Φ]`, trend flag, γ pairs, AR and MA coefficients, and the
+    /// initial flattened seasonal state.
+    struct TbatsCase {
+        z: Vec<f64>,
+        seasons: Vec<(f64, usize)>,
+        params: [f64; 3],
+        use_trend: bool,
+        gammas: Vec<(f64, f64)>,
+        ar: Vec<f64>,
+        ma: Vec<f64>,
+        seasonal: Vec<f64>,
+    }
+
     /// Random TBATS menu: mixed trend/damping, ARMA orders and seasonal
     /// signatures, for the solo/batch/reference parity tests.
-    #[allow(clippy::type_complexity)]
-    fn tbats_menu() -> Vec<(
-        Vec<f64>,          // z
-        Vec<(f64, usize)>, // seasons (period, harmonics)
-        [f64; 3],          // alpha, beta, phi
-        bool,              // use_trend
-        Vec<(f64, f64)>,   // gammas
-        Vec<f64>,          // ar
-        Vec<f64>,          // ma
-        Vec<f64>,          // initial flattened seasonal
-    )> {
-        let shapes: Vec<(Vec<(f64, usize)>, bool, bool, usize, usize, usize)> = vec![
+    fn tbats_menu() -> Vec<TbatsCase> {
+        // (blocks, trend, damped, p, q, length)
+        let shapes = vec![
             (vec![], false, false, 0, 0, 480),
             (vec![], true, false, 1, 0, 480),
             (vec![(24.0, 3)], true, true, 1, 1, 480),
@@ -1786,24 +2332,61 @@ mod tests {
                         (0.05 + 0.05 * g[0].abs(), 0.05 + 0.05 * g[1].abs())
                     })
                     .collect();
-                let ar: Vec<f64> = coeffs(p, seed + 60, 0.5);
-                let ma: Vec<f64> = coeffs(q, seed + 70, 0.4);
                 let seasonal: Vec<f64> = seasons
                     .iter()
                     .enumerate()
                     .flat_map(|(s, &(_, h))| series(2 * h, seed + 80 + s as u64))
                     .collect();
-                (
+                TbatsCase {
                     z,
                     seasons,
-                    [alpha, beta, phi],
+                    params: [alpha, beta, phi],
                     use_trend,
                     gammas,
-                    ar,
-                    ma,
+                    ar: coeffs(p, seed + 60, 0.5),
+                    ma: coeffs(q, seed + 70, 0.4),
                     seasonal,
-                )
+                }
             })
+            .collect()
+    }
+
+    /// A lane over `case` and the state windows in `state`.
+    fn tbats_lane<'a>(
+        case: &'a TbatsCase,
+        tables: &'a [Vec<(f64, f64)>],
+        state: &'a mut reference::TbatsState,
+    ) -> tbats_filter::TbatsLane<'a> {
+        let [alpha, beta, phi] = case.params;
+        tbats_filter::TbatsLane {
+            z: &case.z,
+            alpha,
+            beta,
+            phi,
+            use_trend: case.use_trend,
+            gammas: &case.gammas,
+            ar: &case.ar,
+            ma: &case.ma,
+            tables,
+            level: state.level,
+            trend: state.trend,
+            seasonal: &mut state.seasonal,
+            d_hist: &mut state.d_hist,
+            e_hist: &mut state.e_hist,
+            sse: state.sse,
+            alive: state.alive,
+        }
+    }
+
+    /// Every field of a final state as bits.
+    fn state_bits(state: &reference::TbatsState) -> Vec<u64> {
+        [state.level, state.trend, state.sse]
+            .iter()
+            .chain(&state.seasonal)
+            .chain(&state.d_hist)
+            .chain(&state.e_hist)
+            .map(|v| v.to_bits())
+            .chain([u64::from(state.alive)])
             .collect()
     }
 
@@ -1812,123 +2395,77 @@ mod tests {
         let menu = tbats_menu();
         let tables: Vec<Vec<Vec<(f64, f64)>>> = menu
             .iter()
-            .map(|(_, seasons, ..)| {
-                seasons
+            .map(|case| {
+                case.seasons
                     .iter()
                     .map(|&(p, h)| trig_seasonal::rotation_table(p, h))
                     .collect()
             })
             .collect();
+        let start = |case: &TbatsCase| reference::TbatsState {
+            level: case.z[0],
+            trend: 0.25,
+            seasonal: case.seasonal.clone(),
+            d_hist: vec![0.0; case.ar.len()],
+            e_hist: vec![0.0; case.ma.len()],
+            sse: 0.0,
+            alive: true,
+        };
         // Reference: per-call tables + plain scalar loop.
-        let expected: Vec<Option<f64>> = menu
+        let expected: Vec<reference::TbatsState> = menu
             .iter()
-            .map(
-                |(z, seasons, [alpha, beta, phi], use_trend, gammas, ar, ma, seasonal)| {
-                    reference::tbats_filter(
-                        z, seasons, *alpha, *beta, *phi, *use_trend, gammas, ar, ma, z[0], 0.25,
-                        seasonal,
-                    )
-                },
-            )
-            .collect();
-        // Solo kernel lane per candidate.
-        let mut solo_states: Vec<(f64, f64, Vec<f64>, Vec<f64>, Vec<f64>)> = Vec::new();
-        for (i, (z, _, [alpha, beta, phi], use_trend, gammas, ar, ma, seasonal)) in
-            menu.iter().enumerate()
-        {
-            let mut s = seasonal.clone();
-            let mut d_hist = vec![0.0; ar.len()];
-            let mut e_hist = vec![0.0; ma.len()];
-            let mut lane = tbats_filter::TbatsLane {
-                z,
-                alpha: *alpha,
-                beta: *beta,
-                phi: *phi,
-                use_trend: *use_trend,
-                gammas,
-                ar,
-                ma,
-                tables: &tables[i],
-                level: z[0],
-                trend: 0.25,
-                seasonal: &mut s,
-                d_hist: &mut d_hist,
-                e_hist: &mut e_hist,
-                sse: 0.0,
-                alive: true,
-            };
-            tbats_filter::run(&mut lane);
-            assert_eq!(
-                lane.result().map(f64::to_bits),
-                expected[i].map(f64::to_bits),
-                "solo lane {i} vs reference"
-            );
-            let (level, trend) = (lane.level, lane.trend);
-            solo_states.push((level, trend, s, d_hist, e_hist));
-        }
-        // Batched lanes over caller-pooled buffers.
-        let mut bufs: Vec<(Vec<f64>, Vec<f64>, Vec<f64>)> = menu
-            .iter()
-            .map(|(_, _, _, _, _, ar, ma, seasonal)| {
-                (seasonal.clone(), vec![0.0; ar.len()], vec![0.0; ma.len()])
+            .map(|case| {
+                let [alpha, beta, phi] = case.params;
+                reference::tbats_filter_state(
+                    &case.z,
+                    &case.seasons,
+                    alpha,
+                    beta,
+                    phi,
+                    case.use_trend,
+                    &case.gammas,
+                    &case.ar,
+                    &case.ma,
+                    start(case),
+                )
             })
             .collect();
+        // Solo kernel, one lane per candidate, then all of them batched
+        // (two full chunks over these eight mixed shapes).
+        let mut solo: Vec<reference::TbatsState> = menu.iter().map(start).collect();
+        for (i, (case, state)) in menu.iter().zip(solo.iter_mut()).enumerate() {
+            let mut lane = tbats_lane(case, &tables[i], state);
+            tbats_filter::run(&mut lane);
+            let (level, trend, sse, alive) = (lane.level, lane.trend, lane.sse, lane.alive);
+            (state.level, state.trend, state.sse, state.alive) = (level, trend, sse, alive);
+        }
+        let mut batched: Vec<reference::TbatsState> = menu.iter().map(start).collect();
         let mut lanes: Vec<tbats_filter::TbatsLane> = menu
             .iter()
-            .zip(tables.iter())
-            .zip(bufs.iter_mut())
-            .map(
-                |(
-                    ((z, _, [alpha, beta, phi], use_trend, gammas, ar, ma, _), t),
-                    (s, d_hist, e_hist),
-                )| tbats_filter::TbatsLane {
-                    z,
-                    alpha: *alpha,
-                    beta: *beta,
-                    phi: *phi,
-                    use_trend: *use_trend,
-                    gammas,
-                    ar,
-                    ma,
-                    tables: t,
-                    level: z[0],
-                    trend: 0.25,
-                    seasonal: s,
-                    d_hist,
-                    e_hist,
-                    sse: 0.0,
-                    alive: true,
-                },
-            )
+            .zip(&tables)
+            .zip(batched.iter_mut())
+            .map(|((case, t), state)| tbats_lane(case, t, state))
             .collect();
         tbats_filter::run_batch(&mut lanes);
-        for (i, lane) in lanes.iter().enumerate() {
+        let finals: Vec<(f64, f64, f64, bool)> = lanes
+            .iter()
+            .map(|l| (l.level, l.trend, l.sse, l.alive))
+            .collect();
+        drop(lanes);
+        for (state, (level, trend, sse, alive)) in batched.iter_mut().zip(finals) {
+            (state.level, state.trend, state.sse, state.alive) = (level, trend, sse, alive);
+        }
+        for i in 0..menu.len() {
+            assert!(expected[i].alive, "lane {i} should survive");
             assert_eq!(
-                lane.result().map(f64::to_bits),
-                expected[i].map(f64::to_bits),
+                state_bits(&solo[i]),
+                state_bits(&expected[i]),
+                "solo lane {i} vs reference"
+            );
+            assert_eq!(
+                state_bits(&batched[i]),
+                state_bits(&expected[i]),
                 "batched lane {i} vs reference"
-            );
-            let (level, trend, s, d_hist, e_hist) = &solo_states[i];
-            assert_eq!(lane.level.to_bits(), level.to_bits(), "lane {i} level");
-            assert_eq!(lane.trend.to_bits(), trend.to_bits(), "lane {i} trend");
-            assert!(
-                lane.seasonal
-                    .iter()
-                    .zip(s)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "lane {i} seasonal state"
-            );
-            assert!(
-                lane.d_hist
-                    .iter()
-                    .zip(d_hist)
-                    .all(|(a, b)| a.to_bits() == b.to_bits())
-                    && lane
-                        .e_hist
-                        .iter()
-                        .zip(e_hist)
-                        .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "lane {i} ARMA histories"
             );
         }
     }

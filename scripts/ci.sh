@@ -5,7 +5,8 @@
 #
 # Stages:
 #   1. release build of the whole workspace
-#   2. rustfmt check + clippy with warnings denied
+#   2. rustfmt check + clippy with warnings denied on every target
+#      (tests, benches and bins as well as the libraries)
 #   3. full workspace test suite, then the benchmark package's own unit
 #      and smoke tests (it sits outside the workspace)
 #   4. grid_search criterion bench in --quick mode (smoke: the acceleration
@@ -13,7 +14,8 @@
 #      equality is asserted inside the evaluate tests; wall-clock numbers
 #      from this stage are indicative only)
 #   5. bench_kernels smoke (bitwise CSS/ETS/TBATS kernel parity asserted
-#      in-binary, snapshot schema checked), then bench_grid
+#      in-binary, snapshot schema checked, batched TBATS faster than solo
+#      on every row), then bench_grid
 #      perf-regression smoke: the accelerated 2- and 4-thread walls —
 #      pure-ARIMA sweep and the mixed-family auto-mode union grid — must
 #      stay within 25% of the checked-in results/BENCH_grid.json, with
@@ -52,8 +54,8 @@ cargo build --release
 echo "== lint: cargo fmt --check =="
 cargo fmt --check
 
-echo "== lint: cargo clippy (deny warnings) =="
-cargo clippy --workspace -- -D warnings
+echo "== lint: cargo clippy, every target (deny warnings) =="
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== lint: clippy unwrap/expect denied on the hot-set crates =="
 cargo clippy -q --no-deps -p dwcp-math -p dwcp-series -p dwcp-models \
@@ -117,8 +119,8 @@ DWCP_QUICK=1 cargo run -q --release -p dwcp-bench --bin bench_kernels
 echo "== snapshot schema: results/BENCH_kernels.json =="
 for key in series_len batch iters rows reference_ns kernel_ns batch_ns \
            transform_ns objective_ns kernel_speedup batched_families \
-           family shape batch_speedup ets_geomean_batch_speedup \
-           tbats_geomean_batch_speedup; do
+           family shape lanes batch_speedup batch_vs_solo \
+           ets_geomean_batch_speedup tbats_geomean_batch_speedup; do
   grep -q "\"$key\"" results/BENCH_kernels.json \
     || { echo "BENCH_kernels.json missing key: $key"; exit 1; }
 done
@@ -129,7 +131,14 @@ fam = snap["batched_families"]
 families = {r["family"] for r in fam["rows"]}
 assert families == {"ETS", "TBATS"}, f"unexpected families: {families}"
 ets, tbats = fam["ets_geomean_batch_speedup"], fam["tbats_geomean_batch_speedup"]
-print(f"kernels snapshot OK (geomean batched speedup: ETS {ets:.2f}x, TBATS {tbats:.2f}x)")'
+# A batched TBATS pass must beat scoring its lanes one by one on every
+# row, the mixed-shape 2-lane pass included.
+worst = min((r for r in fam["rows"] if r["family"] == "TBATS"),
+            key=lambda r: r["batch_vs_solo"])
+ratio, shape = worst["batch_vs_solo"], worst["shape"]
+assert ratio > 1.0, f"batched TBATS slower than solo: {worst}"
+print(f"kernels snapshot OK (geomean batched speedup: ETS {ets:.2f}x, TBATS {tbats:.2f}x; "
+      f"TBATS batched/solo at least {ratio:.2f}x, {shape})")'
 git checkout -- results/BENCH_kernels.json 2>/dev/null || true
 
 echo "== perf smoke: bench_grid vs checked-in reference =="

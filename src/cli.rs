@@ -440,7 +440,7 @@ pub fn execute(
                 outcome.evaluated
             )?;
             if outcome.stats.objective_evals > 0 {
-                writeln!(
+                write!(
                     stdout,
                     "# search: {} objective evals, {} cache hits, {} warm starts, {:.0} ms wall",
                     outcome.stats.objective_evals,
@@ -448,6 +448,15 @@ pub fn execute(
                     outcome.stats.warm_starts,
                     outcome.stats.wall_time.as_secs_f64() * 1e3
                 )?;
+                let lockstep = &outcome.stats.lockstep;
+                if lockstep.tbats_passes > 0 {
+                    write!(
+                        stdout,
+                        ", {:.2} TBATS lanes/pass",
+                        lockstep.tbats_lanes_per_pass()
+                    )?;
+                }
+                writeln!(stdout)?;
             }
             writeln!(stdout, "step,timestamp,forecast,lower,upper")?;
             let step_seconds = series.frequency().seconds();

@@ -201,6 +201,48 @@ fn fleet_summaries_report_lockstep_lanes() {
 }
 
 #[test]
+fn forecast_search_line_reports_tbats_lanes_per_pass() {
+    // A TBATS grid scores its chains' staged points in batched kernel
+    // passes; the search line reports how many lanes a pass held. Other
+    // families run no TBATS pass and print no such field.
+    let csv_path = tmp("tbats_lanes");
+    run(Command::Simulate {
+        scenario: "olap".into(),
+        instance: "cdbm012".into(),
+        metric: "cpu".into(),
+        seed: 1,
+        out: csv_path.to_string_lossy().into_owned(),
+    });
+    let search_line = |method: &str| {
+        let args: Vec<String> = [
+            "forecast",
+            "--input",
+            &csv_path.to_string_lossy(),
+            "--method",
+            method,
+        ]
+        .iter()
+        .map(|a| a.to_string())
+        .collect();
+        let out = run(parse(&args).unwrap());
+        out.lines()
+            .find(|l| l.starts_with("# search:"))
+            .unwrap_or_else(|| panic!("no search line: {out}"))
+            .to_string()
+    };
+    let line = search_line("tbats");
+    let lanes: f64 = line
+        .strip_suffix(" TBATS lanes/pass")
+        .and_then(|l| l.rsplit(", ").next())
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no TBATS lanes/pass field: {line}"));
+    assert!((1.0..=12.0).contains(&lanes), "{line}");
+    let line = search_line("hes");
+    assert!(!line.contains("TBATS"), "{line}");
+    std::fs::remove_file(&csv_path).ok();
+}
+
+#[test]
 fn forecast_rejects_missing_file() {
     let cmd = Command::Forecast {
         input: "/nonexistent/definitely_missing.csv".into(),
