@@ -5,10 +5,12 @@
 //! per-evaluation cost can be attributed layer by layer. A second section
 //! times the exponential-smoothing families the same three ways — scalar
 //! reference, solo kernel, batched kernel — per ETS/TBATS menu shape, with
-//! bitwise SSE parity across all three paths asserted in-binary (and, for
-//! TBATS, bitwise final state between the solo and batched kernels). The
-//! TBATS rows include forecast-auto-like passes of 2–4 lanes that share
-//! no shape, and record the batched-vs-solo ratio of every row.
+//! bitwise SSE parity across all three paths and bitwise final state
+//! between the solo and batched kernels asserted in-binary. Beside the
+//! same-shape rows, the ETS rows include an estate round, a serve relearn
+//! and mixed 2- and 4-lane passes, each lane on its own series, and the
+//! TBATS rows forecast-auto-like passes of 2–4 lanes that share no shape;
+//! every row records its batched-vs-solo ratio.
 //!
 //! Writes `results/BENCH_kernels.json`.
 //!
@@ -32,6 +34,9 @@ const BATCH: usize = 12;
 /// Length of the mixed-shape TBATS rows' series: a forecast-auto training
 /// window.
 const MIXED_SERIES_LEN: usize = 984;
+/// Length of the estate-round ETS row's series: a benchmark estate's daily
+/// training window.
+const ESTATE_SERIES_LEN: usize = 83;
 
 #[derive(Debug, Clone, Serialize)]
 struct KernelRow {
@@ -52,9 +57,9 @@ struct KernelRow {
     kernel_speedup: f64,
 }
 
-/// One exponential-smoothing-family shape timed three ways: the scalar
+/// One exponential-smoothing-family pass timed three ways: the scalar
 /// reference recursion/filter, the solo monomorphic kernel, and the
-/// time-outer batched kernel at width [`BATCH`].
+/// batched kernel over the row's lanes.
 #[derive(Debug, Clone, Serialize)]
 struct FamilyRow {
     /// Model family ("ETS" or "TBATS").
@@ -168,224 +173,259 @@ fn assert_sse_bits(a: Option<f64>, b: Option<f64>, context: &str) {
     );
 }
 
-/// Time the ETS menu shapes through reference / solo kernel / batched
-/// kernel, asserting bitwise SSE parity across all three paths first.
-fn bench_ets(iters: usize, y: &[f64]) -> Vec<FamilyRow> {
-    struct Shape {
-        name: &'static str,
-        class: SeasonalClass,
-        alpha: f64,
-        beta: f64,
-        gamma: f64,
-        phi: f64,
-        has_trend: bool,
-        m: usize,
-    }
-    let shapes = [
-        Shape {
-            name: "ses",
-            class: SeasonalClass::None,
-            alpha: 0.3,
-            beta: 0.0,
-            gamma: 0.0,
-            phi: 1.0,
-            has_trend: false,
-            m: 0,
-        },
-        Shape {
-            name: "holt",
-            class: SeasonalClass::None,
-            alpha: 0.3,
-            beta: 0.1,
-            gamma: 0.0,
-            phi: 1.0,
-            has_trend: true,
-            m: 0,
-        },
-        Shape {
-            name: "holt-damped",
-            class: SeasonalClass::None,
-            alpha: 0.3,
-            beta: 0.1,
-            gamma: 0.0,
-            phi: 0.98,
-            has_trend: true,
-            m: 0,
-        },
-        Shape {
-            name: "hw-add-24",
-            class: SeasonalClass::Additive,
-            alpha: 0.3,
-            beta: 0.1,
-            gamma: 0.05,
-            phi: 1.0,
-            has_trend: true,
-            m: 24,
-        },
-        Shape {
-            name: "hw-mult-24",
-            class: SeasonalClass::Multiplicative,
-            alpha: 0.3,
-            beta: 0.1,
-            gamma: 0.05,
-            phi: 1.0,
-            has_trend: true,
-            m: 24,
-        },
-    ];
-    let level0 = y[0];
-    let trend0 = 0.05;
-    let mut rows = Vec::new();
-    for shape in &shapes {
-        let base_seasonal: Vec<f64> = match shape.class {
+/// One ETS lane of a bench row: its shape, smoothing parameters, series
+/// and initial seasonal state.
+struct EtsCase {
+    class: SeasonalClass,
+    alpha: f64,
+    beta: f64,
+    gamma: f64,
+    phi: f64,
+    has_trend: bool,
+    y: Vec<f64>,
+    seasonal: Vec<f64>,
+}
+
+const ETS_TREND0: f64 = 0.05;
+
+impl EtsCase {
+    /// A lane of `class` at period `m` over `y`; `trend` is `None` (no
+    /// trend), `Some(1.0)` (Holt) or `Some(φ)` (damped).
+    fn new(class: SeasonalClass, m: usize, trend: Option<f64>, alpha: f64, y: Vec<f64>) -> EtsCase {
+        let seasonal = match class {
             SeasonalClass::None => Vec::new(),
-            SeasonalClass::Additive => (0..shape.m).map(|i| (i as f64 * 0.26).sin()).collect(),
-            SeasonalClass::Multiplicative => (0..shape.m)
+            SeasonalClass::Additive => (0..m).map(|i| (i as f64 * 0.26).sin()).collect(),
+            SeasonalClass::Multiplicative => (0..m)
                 .map(|i| 1.0 + 0.05 * (i as f64 * 0.26).sin())
                 .collect(),
         };
-        // One per-lane α ladder with lane 0 at the baseline so the batched
-        // lane 0 is directly comparable to the reference and solo runs.
-        let alphas: Vec<f64> = (0..BATCH)
-            .map(|c| shape.alpha * (1.0 - 0.01 * c as f64))
-            .collect();
-        let mut seas = base_seasonal.clone();
-        let solo = |seas: &mut [f64], alpha: f64| match shape.class {
-            SeasonalClass::None => kernels::holt_winters::run_none(
-                y,
-                alpha,
-                shape.beta,
-                shape.phi,
-                level0,
-                trend0,
-                shape.has_trend,
-            ),
-            SeasonalClass::Additive => kernels::holt_winters::run_additive(
-                y,
-                alpha,
-                shape.beta,
-                shape.gamma,
-                shape.phi,
-                level0,
-                trend0,
-                shape.has_trend,
-                seas,
-            ),
-            SeasonalClass::Multiplicative => kernels::holt_winters::run_multiplicative(
-                y,
-                alpha,
-                shape.beta,
-                shape.gamma,
-                shape.phi,
-                level0,
-                trend0,
-                shape.has_trend,
-                seas,
-            ),
-        };
-        let mut seasonal_pool: Vec<Vec<f64>> = (0..BATCH).map(|_| base_seasonal.clone()).collect();
-        let run_batch = |pool: &mut [Vec<f64>]| {
-            let mut lanes: Vec<EtsLane<'_>> = pool
-                .iter_mut()
-                .zip(&alphas)
-                .map(|(seas, &alpha)| {
-                    seas.copy_from_slice(&base_seasonal);
-                    EtsLane {
-                        y,
-                        class: shape.class,
-                        alpha,
-                        beta: shape.beta,
-                        gamma: shape.gamma,
-                        phi: shape.phi,
-                        has_trend: shape.has_trend,
-                        level: level0,
-                        trend: trend0,
-                        seasonal: seas,
-                        sse: 0.0,
-                        alive: true,
-                    }
-                })
-                .collect();
-            kernels::ets_batch(&mut lanes);
-            lanes[0].result()
-        };
-
-        // Parity before timing: reference, solo kernel and the batched
-        // lane at the same parameters must agree bit for bit.
-        seas.copy_from_slice(&base_seasonal);
-        let reference = kernels::reference::ets_recursion(
+        EtsCase {
+            class,
+            alpha,
+            beta: if trend.is_some() { 0.1 } else { 0.0 },
+            gamma: if class == SeasonalClass::None {
+                0.0
+            } else {
+                0.05
+            },
+            phi: trend.unwrap_or(1.0),
+            has_trend: trend.is_some(),
             y,
-            shape.class,
-            shape.alpha,
-            shape.beta,
-            shape.gamma,
-            shape.phi,
-            shape.has_trend,
-            level0,
-            trend0,
-            &mut seas,
-        );
-        seas.copy_from_slice(&base_seasonal);
-        let solo_state = solo(&mut seas, shape.alpha);
-        assert_sse_bits(
-            reference.sse,
-            solo_state.sse,
-            &format!("ETS {} reference vs solo", shape.name),
-        );
-        let batched_state = run_batch(&mut seasonal_pool);
-        assert_sse_bits(
-            reference.sse,
-            batched_state.sse,
-            &format!("ETS {} reference vs batched", shape.name),
-        );
-
-        let mut sink = 0.0f64;
-        let reference_ns = time_ns(iters, || {
-            seas.copy_from_slice(&base_seasonal);
-            let st = kernels::reference::ets_recursion(
-                y,
-                shape.class,
-                shape.alpha,
-                shape.beta,
-                shape.gamma,
-                shape.phi,
-                shape.has_trend,
-                level0,
-                trend0,
-                &mut seas,
-            );
-            sink += st.sse.unwrap_or(0.0);
-        });
-        let kernel_ns = time_ns(iters, || {
-            seas.copy_from_slice(&base_seasonal);
-            sink += solo(&mut seas, shape.alpha).sse.unwrap_or(0.0);
-        });
-        let batch_iters = (iters / BATCH).max(1);
-        let batch_ns = time_ns(batch_iters, || {
-            sink += run_batch(&mut seasonal_pool).sse.unwrap_or(0.0);
-        }) / BATCH as f64;
-        std::hint::black_box(sink);
-
-        println!(
-            "  ETS   {:<14} reference {reference_ns:>7.0} ns  kernel {kernel_ns:>7.0} ns  \
-             batch {batch_ns:>7.0} ns/cand  ({:.2}x solo, {:.2}x batched)",
-            shape.name,
-            reference_ns / kernel_ns,
-            reference_ns / batch_ns
-        );
-        rows.push(FamilyRow {
-            family: "ETS",
-            shape: shape.name,
-            lanes: BATCH,
-            series_len: y.len(),
-            reference_ns,
-            kernel_ns,
-            batch_ns,
-            kernel_speedup: reference_ns / kernel_ns,
-            batch_speedup: reference_ns / batch_ns,
-            batch_vs_solo: kernel_ns / batch_ns,
-        });
+            seasonal,
+        }
     }
+
+    /// The solo kernel over `seasonal` (reset first).
+    fn solo(&self, seasonal: &mut [f64]) -> kernels::holt_winters::HwState {
+        use kernels::holt_winters::{run_additive, run_multiplicative, run_none};
+        seasonal.copy_from_slice(&self.seasonal);
+        let (y, level) = (&self.y, self.y[0]);
+        let (a, b, g, p, h) = (self.alpha, self.beta, self.gamma, self.phi, self.has_trend);
+        match self.class {
+            SeasonalClass::None => run_none(y, a, b, p, level, ETS_TREND0, h),
+            SeasonalClass::Additive => run_additive(y, a, b, g, p, level, ETS_TREND0, h, seasonal),
+            SeasonalClass::Multiplicative => {
+                run_multiplicative(y, a, b, g, p, level, ETS_TREND0, h, seasonal)
+            }
+        }
+    }
+
+    /// The scalar reference over `seasonal` (reset first).
+    fn reference(&self, seasonal: &mut [f64]) -> kernels::holt_winters::HwState {
+        seasonal.copy_from_slice(&self.seasonal);
+        kernels::reference::ets_recursion(
+            &self.y,
+            self.class,
+            self.alpha,
+            self.beta,
+            self.gamma,
+            self.phi,
+            self.has_trend,
+            self.y[0],
+            ETS_TREND0,
+            seasonal,
+        )
+    }
+
+    /// A fresh batch lane over `seasonal` (reset first).
+    fn lane<'a>(&'a self, seasonal: &'a mut [f64]) -> EtsLane<'a> {
+        seasonal.copy_from_slice(&self.seasonal);
+        EtsLane {
+            y: &self.y,
+            class: self.class,
+            alpha: self.alpha,
+            beta: self.beta,
+            gamma: self.gamma,
+            phi: self.phi,
+            has_trend: self.has_trend,
+            level: self.y[0],
+            trend: ETS_TREND0,
+            seasonal,
+            sse: 0.0,
+            alive: true,
+        }
+    }
+}
+
+/// A positive series of `n` points with a cycle of `period`, distinct
+/// per `lane` (level, phase and noise differ), so a row's lanes do not
+/// share one series the way a real pass's lanes do not.
+fn lane_series(n: usize, period: usize, lane: usize) -> Vec<f64> {
+    (0..n)
+        .map(|t| {
+            let tf = t as f64;
+            60.0 + 3.0 * lane as f64
+                + 0.03 * tf
+                + 8.0 * (2.0 * std::f64::consts::PI * (tf + lane as f64) / period as f64).sin()
+                + (((t + 13 * lane) * 2654435761 % 89) as f64) / 25.0
+        })
+        .collect()
+}
+
+/// Time one ETS pass — `cases` scored by the scalar reference, one solo
+/// kernel run each, and one `ets_batch` pass — in ns per lane, asserting
+/// first that every batched lane's SSE and final state are bitwise those
+/// of its solo run, and its SSE that of the reference.
+fn bench_ets_row(name: &'static str, iters: usize, cases: &[EtsCase]) -> FamilyRow {
+    let mut solo_bufs: Vec<Vec<f64>> = cases.iter().map(|c| c.seasonal.clone()).collect();
+    let mut batch_bufs: Vec<Vec<f64>> = solo_bufs.clone();
+    let mut ref_buf: Vec<f64> = Vec::new();
+    let run_batch = |bufs: &mut [Vec<f64>]| -> Vec<kernels::holt_winters::HwState> {
+        let mut lanes: Vec<EtsLane<'_>> = cases
+            .iter()
+            .zip(bufs.iter_mut())
+            .map(|(case, b)| case.lane(b))
+            .collect();
+        kernels::ets_batch(&mut lanes);
+        lanes.iter().map(|l| l.result()).collect()
+    };
+
+    // Parity before timing.
+    let batched = run_batch(&mut batch_bufs);
+    for (i, case) in cases.iter().enumerate() {
+        ref_buf.clone_from(&case.seasonal);
+        let reference = case.reference(&mut ref_buf);
+        let solo = case.solo(&mut solo_bufs[i]);
+        assert_sse_bits(
+            reference.sse,
+            solo.sse,
+            &format!("ETS {name} lane {i} reference vs solo"),
+        );
+        assert_sse_bits(
+            reference.sse,
+            batched[i].sse,
+            &format!("ETS {name} lane {i} reference vs batched"),
+        );
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert!(
+            bits(&[solo.level, solo.trend]) == bits(&[batched[i].level, batched[i].trend])
+                && bits(&solo_bufs[i]) == bits(&batch_bufs[i]),
+            "bitwise state parity violated: ETS {name} lane {i} solo vs batched"
+        );
+    }
+
+    let lanes = cases.len();
+    let passes = (iters / lanes).max(1);
+    let mut sink = 0.0f64;
+    let reference_ns = time_ns(passes, || {
+        for case in cases {
+            ref_buf.clone_from(&case.seasonal);
+            sink += case.reference(&mut ref_buf).sse.unwrap_or(0.0);
+        }
+    }) / lanes as f64;
+    let kernel_ns = time_ns(passes, || {
+        for (case, buf) in cases.iter().zip(solo_bufs.iter_mut()) {
+            sink += case.solo(buf).sse.unwrap_or(0.0);
+        }
+    }) / lanes as f64;
+    let batch_ns = time_ns(passes, || {
+        sink += run_batch(&mut batch_bufs)[0].sse.unwrap_or(0.0);
+    }) / lanes as f64;
+    std::hint::black_box(sink);
+
+    println!(
+        "  ETS   {name:<16} {lanes:>2} lanes  reference {reference_ns:>7.0} ns  kernel {kernel_ns:>7.0} ns  \
+         batch {batch_ns:>7.0} ns/cand  ({:.2}x solo, {:.2}x batched, batched/solo {:.2}x)",
+        reference_ns / kernel_ns,
+        reference_ns / batch_ns,
+        kernel_ns / batch_ns
+    );
+    FamilyRow {
+        family: "ETS",
+        shape: name,
+        lanes,
+        series_len: cases.first().map_or(0, |c| c.y.len()),
+        reference_ns,
+        kernel_ns,
+        batch_ns,
+        kernel_speedup: reference_ns / kernel_ns,
+        batch_speedup: reference_ns / batch_ns,
+        batch_vs_solo: kernel_ns / batch_ns,
+    }
+}
+
+/// Time the ETS rows: each menu shape as a pass of [`BATCH`] same-shape
+/// lanes over the shared [`SERIES_LEN`]-point series, then passes shaped
+/// like the real ones, each lane on its own series: an estate round (the
+/// HES menu's three chains from four daily series, 83 points, period 7),
+/// a serve relearn's SES, additive and multiplicative lanes on an hourly
+/// [`MIXED_SERIES_LEN`]-point series at period 24, and mixed 2- and
+/// 4-lane passes on such series.
+fn bench_ets(iters: usize, y: &[f64]) -> Vec<FamilyRow> {
+    use SeasonalClass::{Additive, Multiplicative, None as NonSeasonal};
+    let alpha = |c: usize| 0.3 * (1.0 - 0.01 * c as f64);
+    let mut rows = Vec::new();
+    let same_shape: [(&'static str, SeasonalClass, Option<f64>); 5] = [
+        ("ses", NonSeasonal, None),
+        ("holt", NonSeasonal, Some(1.0)),
+        ("holt-damped", NonSeasonal, Some(0.98)),
+        ("hw-add-24", Additive, Some(1.0)),
+        ("hw-mult-24", Multiplicative, Some(1.0)),
+    ];
+    for (name, class, trend) in same_shape {
+        let cases: Vec<EtsCase> = (0..BATCH)
+            .map(|c| EtsCase::new(class, 24, trend, alpha(c), y.to_vec()))
+            .collect();
+        rows.push(bench_ets_row(name, iters, &cases));
+    }
+    // An estate round: the non-seasonal chain (SES, Holt and damped Holt
+    // in turn), then the additive and multiplicative Holt-Winters chains,
+    // of four daily series.
+    let daily = |lane: usize| lane_series(ESTATE_SERIES_LEN, 7, lane);
+    let none_trends = [None, Some(1.0), Some(0.9), Some(1.0)];
+    let mut estate: Vec<EtsCase> = none_trends
+        .iter()
+        .enumerate()
+        .map(|(c, &trend)| EtsCase::new(NonSeasonal, 7, trend, alpha(c), daily(c)))
+        .collect();
+    for class in [Additive, Multiplicative] {
+        for c in 0..4 {
+            estate.push(EtsCase::new(class, 7, Some(1.0), alpha(c), daily(c)));
+        }
+    }
+    rows.push(bench_ets_row("estate-round", iters, &estate));
+    let hourly = |lane: usize| lane_series(MIXED_SERIES_LEN, 24, lane);
+    let pass = |shapes: &[(SeasonalClass, Option<f64>)]| -> Vec<EtsCase> {
+        shapes
+            .iter()
+            .enumerate()
+            .map(|(c, &(class, trend))| EtsCase::new(class, 24, trend, alpha(c), hourly(c)))
+            .collect()
+    };
+    let relearn = [
+        (NonSeasonal, None),
+        (Additive, Some(1.0)),
+        (Multiplicative, Some(1.0)),
+    ];
+    rows.push(bench_ets_row("serve-relearn", iters, &pass(&relearn)));
+    let mixed = [
+        (NonSeasonal, None),
+        (Additive, Some(1.0)),
+        (NonSeasonal, Some(0.9)),
+        (Multiplicative, Some(1.0)),
+    ];
+    rows.push(bench_ets_row("mixed-2", iters, &pass(&mixed[..2])));
+    rows.push(bench_ets_row("mixed-4", iters, &pass(&mixed)));
     rows
 }
 

@@ -199,6 +199,11 @@ pub struct LockstepStats {
     pub tbats_passes: usize,
     /// TBATS lanes those passes scored.
     pub tbats_lanes: usize,
+    /// Lane-inner chunks [`kernels::ets_batch`] ran, a lane scored by its
+    /// solo kernel counting as a chunk of one.
+    pub ets_chunks: usize,
+    /// ETS lanes handed to those passes.
+    pub ets_lanes: usize,
     /// Time in cursor advancement: optimiser bookkeeping, session
     /// open/settle, forecasting and scoring completed fits.
     pub advance: Duration,
@@ -237,12 +242,24 @@ impl LockstepStats {
         }
     }
 
+    /// Mean lanes per ETS kernel chunk (`ets_lanes / ets_chunks`); 0 when
+    /// no chunk ran.
+    pub fn ets_lanes_per_chunk(&self) -> f64 {
+        if self.ets_chunks == 0 {
+            0.0
+        } else {
+            self.ets_lanes as f64 / self.ets_chunks as f64
+        }
+    }
+
     fn merge(&mut self, other: &LockstepStats) {
         self.groups += other.groups;
         self.rounds += other.rounds;
         self.batched_evals += other.batched_evals;
         self.tbats_passes += other.tbats_passes;
         self.tbats_lanes += other.tbats_lanes;
+        self.ets_chunks += other.ets_chunks;
+        self.ets_lanes += other.ets_lanes;
         self.advance += other.advance;
         self.stage += other.stage;
         self.batch_css += other.batch_css;
@@ -404,8 +421,7 @@ enum ChainKey {
     /// ETS: one chain per seasonality class (0 = none, 1 = additive,
     /// 2 = multiplicative) — the γ dimension appears and the state
     /// recursion changes shape across classes, so smoothing parameters
-    /// transfer best within a class, and the batched recursion kernel
-    /// gets lanes grouped by class for free.
+    /// transfer best within a class.
     Ets(u8),
     /// TBATS: one chain per Box-Cox half — λ changes the objective's
     /// scale, so parameters don't transfer across the transform boundary.
@@ -1161,7 +1177,8 @@ struct GroupCursor<'c> {
     /// Whether the open fit staged a point for this round's kernel pass.
     staged: bool,
     /// The chain's [`ChainKey`]: ETS chains are keyed by seasonality
-    /// class, so ordering cursors by key groups ETS lanes by class.
+    /// class, so ordering cursors by key hands [`kernels::ets_batch`] its
+    /// lanes in the class order it packs them.
     key: ChainKey,
 }
 
@@ -1223,8 +1240,9 @@ fn run_chain_group(batch: &LockstepBatch, width: usize, out: &mut [WorkerOutput]
                 // Chains from several tasks interleave seasonality
                 // classes; keeping the cursors sorted by class (stably, so
                 // claim order holds within a class) hands the ETS kernel
-                // its lanes grouped, which keeps its per-step dispatch
-                // predictable.
+                // its lanes in the order it packs them into chunks: each
+                // chunk takes a class's lanes in claim order. Results do
+                // not depend on the order.
                 cursors.sort_by_key(|cursor| cursor.key);
             }
         }
@@ -1304,7 +1322,8 @@ fn run_chain_group(batch: &LockstepBatch, width: usize, out: &mut [WorkerOutput]
                 }
             }
             if !lanes.is_empty() {
-                kernels::ets_batch(&mut lanes);
+                stats.ets_chunks += kernels::ets_batch(&mut lanes);
+                stats.ets_lanes += lanes.len();
                 ets_sse.extend(
                     lanes
                         .iter()
@@ -2386,13 +2405,16 @@ mod tests {
 
     #[test]
     fn multi_task_batch_matches_solo_evaluation_at_every_thread_count() {
-        // One batch mixing an HES grid, a TBATS lattice, a plain-ARIMA
-        // grid and a task with exactly one batchable chain: lockstep
-        // groups draw chains from all four, and each report must equal
-        // its task evaluated alone, bit for bit, at every thread count.
+        // One batch mixing HES grids at two periods, a TBATS lattice, a
+        // plain-ARIMA grid and a task with exactly one batchable chain:
+        // lockstep groups draw chains from all five, so the ETS kernel
+        // packs additive lanes of periods 12 and 7 into one round, and
+        // each report must equal its task evaluated alone, bit for bit, at
+        // every thread count.
         let y = seasonal_series(240);
         let (train, test) = y.split_at(216);
         let hes = ModelGrid::ets(12, true, 0.95).candidates;
+        let hes_weekly = ModelGrid::ets(7, true, 0.95).candidates;
         let mut tbats = ModelGrid::tbats(&[12.0], Some(0.3), 0.95).candidates;
         tbats.truncate(8);
         let corr = dwcp_series::Correlogram::compute(train, 30).unwrap();
@@ -2400,7 +2422,7 @@ mod tests {
         let lone = vec![CandidateModel::new(ModelConfig::Ets(EtsConfig::holt()))];
         let mut opts = EvaluationOptions::default();
         opts.fit.max_evals = 60;
-        let tasks: Vec<EvalTask> = [&hes, &tbats, &arima, &lone]
+        let tasks: Vec<EvalTask> = [&hes, &hes_weekly, &tbats, &arima, &lone]
             .into_iter()
             .map(|candidates| EvalTask {
                 train,
@@ -2417,7 +2439,7 @@ mod tests {
         let pairs: usize = tasks.iter().map(|t| build_chains(t.candidates).len()).sum();
         let alone: Vec<EvaluationReport> = tasks.iter().map(solo).collect();
         // Alone, the single-chain task never locksteps.
-        assert_eq!(alone[3].stats.lockstep.groups, 0);
+        assert_eq!(alone[4].stats.lockstep.groups, 0);
         for threads in [1, 2, 4, 8] {
             let reports = evaluate_fleet(&tasks, threads);
             let groups: usize = reports

@@ -905,7 +905,10 @@ pub mod reference {
 /// branch — while seasonal dispatch cost a pattern match plus
 /// seasonal-index arithmetic even for non-seasonal configs). The
 /// arithmetic is transcribed statement-for-statement from the model
-/// layer's recursion, so fits are bit-identical.
+/// layer's recursion, so fits are bit-identical. The lane-inner chunks
+/// that [`ets_batch`] packs a round into live here too, beside the
+/// solo kernels whose statements they run lane by lane; its docs give the
+/// packing rule and why the result is exact.
 pub mod holt_winters {
     /// Final state of a recursion pass.
     #[derive(Debug, Clone)]
@@ -1065,80 +1068,6 @@ pub mod holt_winters {
         }
     }
 
-    /// One observation of the non-seasonal recursion — the loop body of
-    /// [`run_none`], statement for statement.
-    #[inline(always)]
-    pub(super) fn step_none(lane: &mut EtsLane<'_>, obs: f64) {
-        let damped = lane.phi * lane.trend;
-        let fitted = lane.level + damped;
-        let err = obs - fitted;
-        if !err.is_finite() {
-            lane.alive = false;
-            return;
-        }
-        lane.sse += err * err;
-        let prev_level = lane.level;
-        lane.level = lane.alpha * obs + (1.0 - lane.alpha) * (prev_level + damped);
-        if lane.has_trend {
-            lane.trend = lane.beta * (lane.level - prev_level) + (1.0 - lane.beta) * damped;
-        }
-    }
-
-    /// One observation of the additive-seasonal recursion — the loop body
-    /// of [`run_additive`], statement for statement.
-    #[inline(always)]
-    pub(super) fn step_additive(lane: &mut EtsLane<'_>, t: usize, obs: f64) {
-        let m = lane.seasonal.len();
-        let s_idx = t % m;
-        let damped = lane.phi * lane.trend;
-        let s = lane.seasonal[s_idx];
-        let fitted = lane.level + damped + s;
-        let err = obs - fitted;
-        if !err.is_finite() {
-            lane.alive = false;
-            return;
-        }
-        lane.sse += err * err;
-        let prev_level = lane.level;
-        lane.level = lane.alpha * (obs - s) + (1.0 - lane.alpha) * (prev_level + damped);
-        lane.seasonal[s_idx] = lane.gamma * (obs - lane.level) + (1.0 - lane.gamma) * s;
-        if lane.has_trend {
-            lane.trend = lane.beta * (lane.level - prev_level) + (1.0 - lane.beta) * damped;
-        }
-    }
-
-    /// One observation of the multiplicative-seasonal recursion — the loop
-    /// body of [`run_multiplicative`], statement for statement, including
-    /// both degenerate-state guards.
-    #[inline(always)]
-    pub(super) fn step_multiplicative(lane: &mut EtsLane<'_>, t: usize, obs: f64) {
-        let m = lane.seasonal.len();
-        let s_idx = t % m;
-        let damped = lane.phi * lane.trend;
-        let s = lane.seasonal[s_idx];
-        let fitted = (lane.level + damped) * s;
-        let err = obs - fitted;
-        if !err.is_finite() {
-            lane.alive = false;
-            return;
-        }
-        lane.sse += err * err;
-        let prev_level = lane.level;
-        if s.abs() < 1e-12 {
-            lane.alive = false;
-            return;
-        }
-        lane.level = lane.alpha * (obs / s) + (1.0 - lane.alpha) * (prev_level + damped);
-        if lane.level.abs() < 1e-12 {
-            lane.alive = false;
-            return;
-        }
-        lane.seasonal[s_idx] = lane.gamma * (obs / lane.level) + (1.0 - lane.gamma) * s;
-        if lane.has_trend {
-            lane.trend = lane.beta * (lane.level - prev_level) + (1.0 - lane.beta) * damped;
-        }
-    }
-
     /// Multiplicative-seasonal recursion; diverges on a near-zero seasonal
     /// factor or level, matching the model layer's guards.
     #[allow(clippy::too_many_arguments)]
@@ -1187,49 +1116,637 @@ pub mod holt_winters {
             sse: Some(sse),
         }
     }
+
+    /// Lanes in the widest chunk: eight `f64`s, one AVX-512 register (two
+    /// AVX2 registers) per statement.
+    pub(super) const MAX_LANES: usize = 8;
+    /// Lanes in the narrow chunk, for groups of at most this many.
+    const NARROW_LANES: usize = 4;
+    /// Largest seasonal period a chunked lane may carry: the chunk's
+    /// seasonal rows live on the stack (daily 7 and hourly 24 fit).
+    pub(super) const MAX_PERIOD: usize = 32;
+
+    /// Run one lane through its solo kernel and store the outcome in it.
+    /// A lane that diverges keeps the sum it arrived with; its
+    /// [`result`](EtsLane::result) reports `sse: None`.
+    pub(super) fn run_lane(lane: &mut EtsLane<'_>) {
+        let (alpha, beta, gamma, phi) = (lane.alpha, lane.beta, lane.gamma, lane.phi);
+        let (level, trend, has_trend) = (lane.level, lane.trend, lane.has_trend);
+        let state = match lane.class {
+            SeasonalClass::None => run_none(lane.y, alpha, beta, phi, level, trend, has_trend),
+            SeasonalClass::Additive => run_additive(
+                lane.y,
+                alpha,
+                beta,
+                gamma,
+                phi,
+                level,
+                trend,
+                has_trend,
+                lane.seasonal,
+            ),
+            SeasonalClass::Multiplicative => run_multiplicative(
+                lane.y,
+                alpha,
+                beta,
+                gamma,
+                phi,
+                level,
+                trend,
+                has_trend,
+                lane.seasonal,
+            ),
+        };
+        lane.level = state.level;
+        lane.trend = state.trend;
+        match state.sse {
+            Some(sse) => lane.sse = sse,
+            None => lane.alive = false,
+        }
+    }
+
+    /// Run an additive chunk and a multiplicative chunk together in one
+    /// time loop, each given as its member lanes and period; either may be
+    /// empty. Members are live, non-empty lanes of one packing group, at
+    /// most [`MAX_LANES`] of them. The lane count picks a chunk's width:
+    /// one lane runs one wide (the solo step's scalar code), up to four run
+    /// four wide, more run eight wide.
+    pub(super) fn run_chunks(
+        lanes: &mut [EtsLane<'_>],
+        (members, m): (&[usize], usize),
+        multiplicative: (&[usize], usize),
+    ) {
+        match members.len() {
+            0 => with_multiplicative(
+                Chunk::<0, false>::load(lanes, members, m),
+                lanes,
+                multiplicative,
+            ),
+            1 => with_multiplicative(
+                Chunk::<1, false>::load(lanes, members, m),
+                lanes,
+                multiplicative,
+            ),
+            2..=NARROW_LANES => {
+                let additive = Chunk::<NARROW_LANES, false>::load(lanes, members, m);
+                with_multiplicative(additive, lanes, multiplicative)
+            }
+            _ => {
+                let additive = Chunk::<MAX_LANES, false>::load(lanes, members, m);
+                with_multiplicative(additive, lanes, multiplicative)
+            }
+        }
+    }
+
+    /// [`run_chunks`] once the additive chunk is packed: pack the
+    /// multiplicative one and run both.
+    fn with_multiplicative<'a, const W: usize>(
+        mut additive: Chunk<'a, W, false>,
+        lanes: &mut [EtsLane<'a>],
+        (members, m): (&[usize], usize),
+    ) {
+        let a = &mut additive;
+        match members.len() {
+            0 => run_pair(a, &mut Chunk::<0, true>::load(lanes, members, m), lanes),
+            1 => run_pair(a, &mut Chunk::<1, true>::load(lanes, members, m), lanes),
+            2..=NARROW_LANES => run_pair(
+                a,
+                &mut Chunk::<NARROW_LANES, true>::load(lanes, members, m),
+                lanes,
+            ),
+            _ => run_pair(
+                a,
+                &mut Chunk::<MAX_LANES, true>::load(lanes, members, m),
+                lanes,
+            ),
+        }
+    }
+
+    /// Run two chunks to the end of every slot's series in one time loop,
+    /// so their independent chains overlap, retiring each lane into its
+    /// [`EtsLane`] as it finishes or dies.
+    fn run_pair<'a, const WA: usize, const MA: bool, const WB: usize, const MB: bool>(
+        a: &mut Chunk<'a, WA, MA>,
+        b: &mut Chunk<'a, WB, MB>,
+        lanes: &mut [EtsLane<'_>],
+    ) {
+        let mut t = 0usize;
+        // Idle slots of both chunks follow one live lane's series, so no
+        // slot runs out of observations before `end`.
+        while let Some(follow) = a.live_series().or(b.live_series()) {
+            a.follow(follow);
+            b.follow(follow);
+            let end = a.end().min(b.end());
+            while t < end && a.n_live + b.n_live > 0 {
+                let (stop, a_ok, b_ok) = step_until_guard(a, b, t, end);
+                t = stop;
+                if t < end {
+                    if !a_ok {
+                        a.careful_step(t, lanes);
+                    }
+                    if !b_ok {
+                        b.careful_step(t, lanes);
+                    }
+                    (a.k, b.k) = (next_phase(a.k, a.m), next_phase(b.k, b.m));
+                    t += 1;
+                }
+            }
+            a.retire_finished(t, lanes);
+            b.retire_finished(t, lanes);
+        }
+    }
+
+    /// Steps `t..end` while every slot of both chunks passes every guard,
+    /// with the per-lane state in registers; returns the first step whose
+    /// guard failed, or `end`, and whether each chunk passed (and so
+    /// committed) that step.
+    fn step_until_guard<const WA: usize, const MA: bool, const WB: usize, const MB: bool>(
+        a: &mut Chunk<'_, WA, MA>,
+        b: &mut Chunk<'_, WB, MB>,
+        mut t: usize,
+        end: usize,
+    ) -> (usize, bool, bool) {
+        // Locals the compiler can keep in registers: nothing the loop
+        // stores (state, phases, seasonal rows) aliases what it only reads.
+        let (mut sa, mut sb) = (a.state, b.state);
+        let (mut ka, mut kb) = (a.k, b.k);
+        let (ma, mb) = (a.m, b.m);
+        let ya: [&[f64]; WA] = std::array::from_fn(|l| &a.y[l][..end]);
+        let yb: [&[f64]; WB] = std::array::from_fn(|l| &b.y[l][..end]);
+        let (pa, pb) = (a.params, b.params);
+        let (rows_a, rows_b) = (&mut a.seasonal, &mut b.seasonal);
+        let (mut a_ok, mut b_ok) = (true, true);
+        while t < end {
+            a_ok = step::<WA, MA>(&pa, &mut rows_a[ka], &mut sa, &ya, t);
+            b_ok = step::<WB, MB>(&pb, &mut rows_b[kb], &mut sb, &yb, t);
+            if !(a_ok && b_ok) {
+                break;
+            }
+            (ka, kb) = (next_phase(ka, ma), next_phase(kb, mb));
+            t += 1;
+        }
+        (a.state, b.state) = (sa, sb);
+        (a.k, b.k) = (ka, kb);
+        (t, a_ok, b_ok)
+    }
+
+    /// The seasonal phase after `k`: a counter wrapping at `m`, the
+    /// sequence `t % m` without the division.
+    #[inline(always)]
+    fn next_phase(k: usize, m: usize) -> usize {
+        if k + 1 == m {
+            0
+        } else {
+            k + 1
+        }
+    }
+
+    /// Step `t` for every slot of a chunk, each statement of the solo step
+    /// a loop over the slots; `row` is the chunk's seasonal row for this
+    /// step's phase. The step is computed before it is committed: if any
+    /// slot fails a guard, nothing changes and this returns `false`.
+    #[inline(always)]
+    fn step<const W: usize, const MULT: bool>(
+        p: &Params<W>,
+        row: &mut [f64; W],
+        st: &mut State<W>,
+        y: &[&[f64]; W],
+        t: usize,
+    ) -> bool {
+        let mut obs = [0.0f64; W];
+        for l in 0..W {
+            obs[l] = y[l][t];
+        }
+        let s = *row;
+        let mut damped = [0.0f64; W];
+        let mut base = [0.0f64; W];
+        let mut err = [0.0f64; W];
+        let mut level = [0.0f64; W];
+        for l in 0..W {
+            damped[l] = p.phi[l] * st.trend[l];
+            base[l] = st.level[l] + damped[l];
+        }
+        if MULT {
+            for l in 0..W {
+                err[l] = obs[l] - base[l] * s[l];
+                level[l] = p.alpha[l] * (obs[l] / s[l]) + p.one_minus_alpha[l] * base[l];
+            }
+        } else {
+            for l in 0..W {
+                err[l] = obs[l] - (base[l] + s[l]);
+                level[l] = p.alpha[l] * (obs[l] - s[l]) + p.one_minus_alpha[l] * base[l];
+            }
+        }
+        let mut ok = true;
+        for l in 0..W {
+            ok &= err[l].is_finite();
+            // The solo guards' own comparisons, negated: a NaN factor or
+            // level passes them there too.
+            #[allow(clippy::neg_cmp_op_on_partial_ord)]
+            if MULT {
+                ok &= !(s[l].abs() < 1e-12) & !(level[l].abs() < 1e-12);
+            }
+        }
+        if !ok {
+            return false;
+        }
+        for l in 0..W {
+            st.sse[l] += err[l] * err[l];
+            let fresh = if MULT {
+                obs[l] / level[l]
+            } else {
+                obs[l] - level[l]
+            };
+            row[l] = p.gamma[l] * fresh + p.one_minus_gamma[l] * s[l];
+            let trend = p.beta[l] * (level[l] - st.level[l]) + p.one_minus_beta[l] * damped[l];
+            st.trend[l] = if p.has_trend[l] { trend } else { st.trend[l] };
+        }
+        st.level = level;
+        true
+    }
+
+    /// A chunk's per-lane recursion state, copied into registers for the
+    /// stepping loop.
+    #[derive(Clone, Copy)]
+    struct State<const W: usize> {
+        level: [f64; W],
+        trend: [f64; W],
+        sse: [f64; W],
+    }
+
+    /// A chunk's per-lane parameters, read-only while it steps.
+    #[derive(Clone, Copy)]
+    struct Params<const W: usize> {
+        alpha: [f64; W],
+        beta: [f64; W],
+        gamma: [f64; W],
+        phi: [f64; W],
+        /// `1 − α`, `1 − β` and `1 − γ`: the values the solo step computes
+        /// every observation.
+        one_minus_alpha: [f64; W],
+        one_minus_beta: [f64; W],
+        one_minus_gamma: [f64; W],
+        /// Whether the slot's trend update runs; the others keep theirs.
+        has_trend: [bool; W],
+    }
+
+    /// Up to `W` lanes of one packing group in structure-of-arrays form;
+    /// index `l` of every row is one lane slot. `MULT` selects the
+    /// multiplicative step. Seasonal phase `i` of every lane sits in row
+    /// `seasonal[i]`; a non-seasonal lane's rows are `+0.0` with γ = 0.
+    /// Empty and retired slots hold the step's fixed point (see
+    /// [`super::ets_batch`]) and read a live lane's observations.
+    struct Chunk<'a, const W: usize, const MULT: bool> {
+        /// The pass index of each slot's lane.
+        lane: [usize; W],
+        /// Slots still running, and how many.
+        live: [bool; W],
+        n_live: usize,
+        /// Each slot's observations.
+        y: [&'a [f64]; W],
+        /// The group's seasonal period, and the current step's phase.
+        m: usize,
+        k: usize,
+        params: Params<W>,
+        seasonal: [[f64; W]; MAX_PERIOD],
+        state: State<W>,
+    }
+
+    impl<'a, const W: usize, const MULT: bool> Chunk<'a, W, MULT> {
+        /// The fixed point of an empty or retired slot: every parameter
+        /// zero, and level and seasonal state zero (additive) or one
+        /// (multiplicative), so each step returns the slot to itself and
+        /// passes every guard on any finite observation.
+        const IDLE: f64 = if MULT { 1.0 } else { 0.0 };
+
+        /// Pack `members` (live, non-empty lanes of one group of period
+        /// `m ≤ MAX_PERIOD`) into a chunk.
+        fn load(lanes: &[EtsLane<'a>], members: &[usize], m: usize) -> Chunk<'a, W, MULT> {
+            let mut c = Chunk {
+                lane: [0; W],
+                live: [false; W],
+                n_live: 0,
+                y: [&[]; W],
+                m,
+                k: 0,
+                params: Params {
+                    alpha: [0.0; W],
+                    beta: [0.0; W],
+                    gamma: [0.0; W],
+                    phi: [0.0; W],
+                    one_minus_alpha: [1.0; W],
+                    one_minus_beta: [1.0; W],
+                    one_minus_gamma: [1.0; W],
+                    has_trend: [false; W],
+                },
+                seasonal: [[Self::IDLE; W]; MAX_PERIOD],
+                state: State {
+                    level: [Self::IDLE; W],
+                    trend: [0.0; W],
+                    sse: [0.0; W],
+                },
+            };
+            for (l, &i) in members.iter().enumerate() {
+                let lane = &lanes[i];
+                c.lane[l] = i;
+                c.live[l] = true;
+                c.n_live += 1;
+                c.y[l] = lane.y;
+                let p = &mut c.params;
+                p.alpha[l] = lane.alpha;
+                p.beta[l] = lane.beta;
+                p.phi[l] = lane.phi;
+                p.one_minus_alpha[l] = 1.0 - lane.alpha;
+                p.one_minus_beta[l] = 1.0 - lane.beta;
+                p.has_trend[l] = lane.has_trend;
+                c.state.level[l] = lane.level;
+                c.state.trend[l] = lane.trend;
+                c.state.sse[l] = lane.sse;
+                // A non-seasonal lane rides with γ = 0 over the idle
+                // `+0.0` rows of an additive chunk, whatever window it was
+                // handed.
+                if lane.class != SeasonalClass::None {
+                    c.params.gamma[l] = lane.gamma;
+                    c.params.one_minus_gamma[l] = 1.0 - lane.gamma;
+                    for (row, &s) in c.seasonal[..m].iter_mut().zip(lane.seasonal.iter()) {
+                        row[l] = s;
+                    }
+                }
+            }
+            c
+        }
+
+        /// A live slot's series, if any slot is live.
+        fn live_series(&self) -> Option<&'a [f64]> {
+            (0..W).find(|&l| self.live[l]).map(|l| self.y[l])
+        }
+
+        /// Point every idle slot at `y`.
+        fn follow(&mut self, y: &'a [f64]) {
+            for l in 0..W {
+                if !self.live[l] {
+                    self.y[l] = y;
+                }
+            }
+        }
+
+        /// The shortest live series' length (`usize::MAX` with no live
+        /// slot).
+        fn end(&self) -> usize {
+            (0..W)
+                .filter(|&l| self.live[l])
+                .map(|l| self.y[l].len())
+                .min()
+                .unwrap_or(usize::MAX)
+        }
+
+        /// Step `t` one live slot at a time with the solo step's early
+        /// returns, retiring each slot whose guard fails in the state that
+        /// return leaves. Idle slots stay at their fixed point.
+        #[cold]
+        fn careful_step(&mut self, t: usize, lanes: &mut [EtsLane<'_>]) {
+            let k = self.k;
+            for l in 0..W {
+                if !self.live[l] {
+                    continue;
+                }
+                let (p, st) = (&self.params, &mut self.state);
+                let obs = self.y[l][t];
+                let s = self.seasonal[k][l];
+                let damped = p.phi[l] * st.trend[l];
+                let prev_level = st.level[l];
+                let fitted = if MULT {
+                    (prev_level + damped) * s
+                } else {
+                    prev_level + damped + s
+                };
+                let err = obs - fitted;
+                if !err.is_finite() {
+                    self.retire(l, false, lanes);
+                    continue;
+                }
+                st.sse[l] += err * err;
+                if MULT && s.abs() < 1e-12 {
+                    self.retire(l, false, lanes);
+                    continue;
+                }
+                let fresh = if MULT { obs / s } else { obs - s };
+                let level = p.alpha[l] * fresh + p.one_minus_alpha[l] * (prev_level + damped);
+                st.level[l] = level;
+                if MULT && level.abs() < 1e-12 {
+                    self.retire(l, false, lanes);
+                    continue;
+                }
+                let fresh = if MULT { obs / level } else { obs - level };
+                self.seasonal[k][l] = p.gamma[l] * fresh + p.one_minus_gamma[l] * s;
+                if p.has_trend[l] {
+                    st.trend[l] = p.beta[l] * (level - prev_level) + p.one_minus_beta[l] * damped;
+                }
+            }
+        }
+
+        /// Retire, alive, every live slot whose series ends at `t`.
+        fn retire_finished(&mut self, t: usize, lanes: &mut [EtsLane<'_>]) {
+            for l in 0..W {
+                if self.live[l] && self.y[l].len() <= t {
+                    self.retire(l, true, lanes);
+                }
+            }
+        }
+
+        /// Write slot `l`'s state back into its lane (`alive` as given) and
+        /// turn the slot idle.
+        #[cold]
+        fn retire(&mut self, l: usize, alive: bool, lanes: &mut [EtsLane<'_>]) {
+            let lane = &mut lanes[self.lane[l]];
+            lane.level = self.state.level[l];
+            lane.trend = self.state.trend[l];
+            lane.sse = self.state.sse[l];
+            lane.alive = alive;
+            if lane.class != SeasonalClass::None {
+                for (s, row) in lane.seasonal.iter_mut().zip(&self.seasonal[..self.m]) {
+                    *s = row[l];
+                }
+            }
+            self.live[l] = false;
+            self.n_live -= 1;
+            let p = &mut self.params;
+            for row in [&mut p.alpha, &mut p.beta, &mut p.gamma, &mut p.phi] {
+                row[l] = 0.0;
+            }
+            for row in [
+                &mut p.one_minus_alpha,
+                &mut p.one_minus_beta,
+                &mut p.one_minus_gamma,
+            ] {
+                row[l] = 1.0;
+            }
+            p.has_trend[l] = false;
+            self.state.level[l] = Self::IDLE;
+            self.state.trend[l] = 0.0;
+            self.state.sse[l] = 0.0;
+            for row in &mut self.seasonal[..self.m] {
+                row[l] = Self::IDLE;
+            }
+        }
+    }
 }
 
-/// Score a batch of Holt-Winters recursions in lockstep: one time-outer
-/// pass advances every live lane by one observation per round, so the
-/// serial level/trend/seasonal dependency chains (each ~2 multiply-add
-/// latencies deep on its own) interleave across candidates and the
-/// out-of-order core overlaps them — the same trick [`css_batch`] plays on
-/// the MA recursion.
+/// Score a round's Holt-Winters lanes together, each bit-identical to its
+/// solo kernel ([`holt_winters::run_none`] / [`holt_winters::run_additive`]
+/// / [`holt_winters::run_multiplicative`]) and independent of batch
+/// membership and order. Returns the number of chunks run, a lane run
+/// through its solo kernel counting as a chunk of one.
 ///
-/// Lanes should arrive **grouped by seasonality class** (the evaluation
-/// queue's ETS chains are keyed that way): the per-lane `match` below then
-/// takes the same arm for every lane of a batch, so the dispatch branch is
-/// perfectly predicted and the inner loop stays as tight as the
-/// monomorphic solo kernels. Mixed-class batches are still correct — each
-/// lane always executes exactly the statements of its own solo kernel
-/// ([`holt_winters::run_none`] / [`holt_winters::run_additive`] /
-/// [`holt_winters::run_multiplicative`]) in the same order, so results are
-/// bit-identical to solo runs and **independent of batch membership and
-/// order**. Lanes may have different series lengths; a lane that diverges
-/// is skipped for the rest of the pass (its `result()` reports
-/// `sse: None`, exactly as the solo kernel's early return).
-pub fn ets_batch(lanes: &mut [holt_winters::EtsLane<'_>]) {
-    use holt_winters::SeasonalClass;
-    // A seasonal lane with no seasonal state diverges immediately, as in
-    // the solo kernels' `m == 0` guard.
+/// # The lane-inner pass
+///
+/// One lane's step is a serial chain — trend → damped trend → level →
+/// trend — of seven floating-point latencies. Run one lane at a time, or
+/// interleaved step by step across lanes with a per-lane class dispatch
+/// and `t % m`, few chains overlap. So the pass packs its lanes into
+/// stack-resident structure-of-arrays chunks and runs every statement of
+/// the step as a loop over a chunk's lanes, so up to eight chains advance
+/// side by side in vector registers, and it steps an additive chunk and a
+/// multiplicative one in one loop, so their chains overlap as well.
+///
+/// # Packing
+///
+/// Lanes are grouped by whether they are multiplicative and by seasonal
+/// period; a non-seasonal lane joins the first additive group (or a
+/// group of its own, at period 1, when there is none). Multiplicative
+/// lanes never share a chunk with additive ones, so no lane pays for a
+/// division it does not use. Each group splits evenly into chunks of at
+/// most eight lanes, and the lane count picks a chunk's width: one lane
+/// runs one wide, the solo step's scalar code; up to four run four wide;
+/// more run eight wide. Groups come additive first, and the last
+/// additive chunk steps beside the first multiplicative one; any other
+/// chunk runs alone, through the solo kernel if it holds one lane. So a
+/// pass of an additive and a multiplicative lane steps both in one loop,
+/// and an estate round's additive chunk steps beside its multiplicative
+/// one. A lane whose period exceeds the stack block of 32 runs its solo
+/// kernel. Lanes that arrive dead or with an empty series
+/// are skipped; a seasonal lane with an empty window dies at once, as in
+/// the solo kernels.
+///
+/// # Why the result is exact
+///
+/// - A non-seasonal lane rides as an additive lane over `+0.0` seasonal
+///   states with γ = 0. Its fitted value `(level + damped) + 0.0` differs
+///   from the solo `level + damped` only by turning `−0.0` into `+0.0`, so
+///   its error can differ only in the sign of a zero, and `err·err` is
+///   `+0.0` either way. Its level update reads `obs − 0.0`, which is `obs`
+///   for every finite `obs`. Its seasonal states stay `+0.0`
+///   (`0·x + 1·(+0.0)`) and are never written back, so the window it was
+///   handed is ignored, as the solo kernel ignores it.
+/// - A no-trend lane keeps its trend through a per-lane select.
+/// - `1 − α`, `1 − β` and `1 − γ` are computed once per chunk: the same
+///   IEEE values the solo step computes every observation.
+/// - The seasonal phase is a counter wrapping at `m`, the sequence of
+///   `t % m`.
+/// - An empty or retired slot holds a fixed point of the step — all zeros
+///   in an additive chunk, level = seasonal state = 1 with α = β = γ = Φ =
+///   0 in a multiplicative one — that passes every guard on any finite
+///   observation. It reads a live lane's observations (of either chunk in
+///   the pair), so the stepping loop needs no per-lane length check, and
+///   it is never written back.
+///
+/// # Guards and series ends
+///
+/// A pair of chunks steps in a tight loop that computes each chunk's step
+/// before committing it. If any slot of a chunk fails a guard, that
+/// chunk's step is redone one live lane at a time with the solo step's
+/// early returns, and each failing
+/// lane retires in the state its solo kernel leaves: after a non-finite
+/// error nothing is updated; after a multiplicative `|s| < 1e-12` the SSE
+/// is updated and the level is not; after `|level| < 1e-12` the SSE and
+/// level are updated and the seasonal states and trend are not. A lane
+/// that reaches the end of a shorter series retires alive. A pass
+/// allocates nothing.
+pub fn ets_batch(lanes: &mut [holt_winters::EtsLane<'_>]) -> usize {
+    use holt_winters::{EtsLane, SeasonalClass, MAX_LANES, MAX_PERIOD};
     for lane in lanes.iter_mut() {
         if lane.class != SeasonalClass::None && lane.seasonal.is_empty() {
             lane.alive = false;
         }
     }
-    let t_max = lanes.iter().map(|l| l.y.len()).max().unwrap_or(0);
-    for t in 0..t_max {
-        for lane in lanes.iter_mut() {
-            if !lane.alive || t >= lane.y.len() {
+    let running = |lane: &EtsLane<'_>| lane.alive && !lane.y.is_empty();
+    let fits = |lane: &EtsLane<'_>| lane.seasonal.len() <= MAX_PERIOD;
+    let home = lanes
+        .iter()
+        .find(|l| l.class == SeasonalClass::Additive && running(l) && fits(l))
+        .map_or(1, |l| l.seasonal.len());
+    // A running lane's packing group, (multiplicative, period); none for a
+    // seasonal lane whose period does not fit the stack block.
+    let group = |lane: &EtsLane<'_>| match lane.class {
+        _ if !running(lane) => None,
+        SeasonalClass::None => Some((false, home)),
+        _ if !fits(lane) => None,
+        class => Some((class == SeasonalClass::Multiplicative, lane.seasonal.len())),
+    };
+    let mut chunks = 0;
+    for lane in lanes.iter_mut() {
+        if running(lane) && group(lane).is_none() {
+            holt_winters::run_lane(lane);
+            chunks += 1;
+        }
+    }
+    // Groups in key order, additive before multiplicative: running one
+    // changes only its own lanes' keys. The last additive chunk waits in
+    // `held` to step beside the first multiplicative one.
+    let mut held: Option<([usize; MAX_LANES], usize, usize)> = None;
+    let mut done: Option<(bool, usize)> = None;
+    while let Some(key) = lanes
+        .iter()
+        .filter_map(group)
+        .filter(|&key| done.is_none_or(|d| key > d))
+        .min()
+    {
+        done = Some(key);
+        let (mult, m) = key;
+        let size = lanes.iter().filter(|l| group(l) == Some(key)).count();
+        let n_chunks = size.div_ceil(MAX_LANES);
+        let mut members = [0usize; MAX_LANES];
+        let (mut n, mut c) = (0, 0);
+        for i in 0..lanes.len() {
+            if group(&lanes[i]) != Some(key) {
                 continue;
             }
-            let obs = lane.y[t];
-            match lane.class {
-                SeasonalClass::None => holt_winters::step_none(lane, obs),
-                SeasonalClass::Additive => holt_winters::step_additive(lane, t, obs),
-                SeasonalClass::Multiplicative => holt_winters::step_multiplicative(lane, t, obs),
+            members[n] = i;
+            n += 1;
+            if n == size / n_chunks + usize::from(c < size % n_chunks) {
+                let previous = held.take();
+                if let Some((first, n_first, m_first)) = previous.filter(|_| mult) {
+                    holt_winters::run_chunks(
+                        lanes,
+                        (&first[..n_first], m_first),
+                        (&members[..n], m),
+                    );
+                } else {
+                    if let Some((first, n_first, m_first)) = previous {
+                        run_alone(lanes, &first[..n_first], (false, m_first));
+                    }
+                    match mult {
+                        false => held = Some((members, n, m)),
+                        true => run_alone(lanes, &members[..n], key),
+                    }
+                }
+                (n, c, chunks) = (0, c + 1, chunks + 1);
             }
         }
+    }
+    if let Some((first, n, m)) = held {
+        run_alone(lanes, &first[..n], (false, m));
+    }
+    chunks
+}
+
+/// Run one packed chunk of `group` with no partner: a single lane through
+/// its solo kernel, more as a lane-inner chunk.
+fn run_alone(lanes: &mut [holt_winters::EtsLane<'_>], members: &[usize], (mult, m): (bool, usize)) {
+    match (members, mult) {
+        ([only], _) => holt_winters::run_lane(&mut lanes[*only]),
+        (_, false) => holt_winters::run_chunks(lanes, (members, m), (&[], 1)),
+        (_, true) => holt_winters::run_chunks(lanes, (&[], 1), (members, m)),
     }
 }
 

@@ -14,8 +14,8 @@
 #      equality is asserted inside the evaluate tests; wall-clock numbers
 #      from this stage are indicative only)
 #   5. bench_kernels smoke (bitwise CSS/ETS/TBATS kernel parity asserted
-#      in-binary, snapshot schema checked, batched TBATS faster than solo
-#      on every row), then bench_grid
+#      in-binary, snapshot schema checked, batched ETS and TBATS faster
+#      than solo on every row), then bench_grid
 #      perf-regression smoke: the accelerated 2- and 4-thread walls —
 #      pure-ARIMA sweep and the mixed-family auto-mode union grid — must
 #      stay within 25% of the checked-in results/BENCH_grid.json, with
@@ -131,14 +131,17 @@ fam = snap["batched_families"]
 families = {r["family"] for r in fam["rows"]}
 assert families == {"ETS", "TBATS"}, f"unexpected families: {families}"
 ets, tbats = fam["ets_geomean_batch_speedup"], fam["tbats_geomean_batch_speedup"]
-# A batched TBATS pass must beat scoring its lanes one by one on every
-# row, the mixed-shape 2-lane pass included.
-worst = min((r for r in fam["rows"] if r["family"] == "TBATS"),
-            key=lambda r: r["batch_vs_solo"])
-ratio, shape = worst["batch_vs_solo"], worst["shape"]
-assert ratio > 1.0, f"batched TBATS slower than solo: {worst}"
+# A batched ETS or TBATS pass must beat scoring its lanes one by one on
+# every row, the mixed 2-lane passes included.
+worst = {}
+for family in ("ETS", "TBATS"):
+    row = min((r for r in fam["rows"] if r["family"] == family),
+              key=lambda r: r["batch_vs_solo"])
+    assert row["batch_vs_solo"] > 1.0, f"batched {family} slower than solo: {row}"
+    worst[family] = "%.2fx, %s" % (row["batch_vs_solo"], row["shape"])
+e, t = worst["ETS"], worst["TBATS"]
 print(f"kernels snapshot OK (geomean batched speedup: ETS {ets:.2f}x, TBATS {tbats:.2f}x; "
-      f"TBATS batched/solo at least {ratio:.2f}x, {shape})")'
+      f"batched/solo at least ETS {e}, TBATS {t})")'
 git checkout -- results/BENCH_kernels.json 2>/dev/null || true
 
 echo "== perf smoke: bench_grid vs checked-in reference =="

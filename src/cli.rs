@@ -662,18 +662,20 @@ pub fn execute(
 }
 
 /// The `# lockstep:` summary line of a fleet run: how many lockstep groups
-/// ran, how many batched kernel rounds they took, and how many chains the
-/// average round advanced.
+/// ran, how many batched kernel rounds they took, how many chains the
+/// average round advanced, and how many ETS lanes the average lane-inner
+/// kernel chunk held.
 fn write_lockstep_line(
     stdout: &mut impl std::io::Write,
     lockstep: &LockstepStats,
 ) -> std::io::Result<()> {
     writeln!(
         stdout,
-        "# lockstep: {} groups, {} rounds, {:.2} lanes/round",
+        "# lockstep: {} groups, {} rounds, {:.2} lanes/round, {:.2} ETS lanes/chunk",
         lockstep.groups,
         lockstep.rounds,
-        lockstep.lanes_per_round()
+        lockstep.lanes_per_round(),
+        lockstep.ets_lanes_per_chunk()
     )
 }
 

@@ -131,8 +131,9 @@ fn fleet_batches_csvs_and_persists_the_repository() {
     std::fs::remove_file(&repo_path).ok();
 }
 
-/// The `# lockstep:` summary line's `(groups, rounds, lanes per round)`.
-fn lockstep_line(out: &str) -> (usize, usize, f64) {
+/// The `# lockstep:` summary line's `(groups, rounds, lanes per round, ETS
+/// lanes per chunk)`.
+fn lockstep_line(out: &str) -> (usize, usize, f64, f64) {
     let line = out
         .lines()
         .find_map(|l| l.strip_prefix("# lockstep: "))
@@ -148,6 +149,7 @@ fn lockstep_line(out: &str) -> (usize, usize, f64) {
         number(0, " groups").parse().unwrap(),
         number(1, " rounds").parse().unwrap(),
         number(2, " lanes/round").parse().unwrap(),
+        number(3, " ETS lanes/chunk").parse().unwrap(),
     )
 }
 
@@ -179,20 +181,24 @@ fn fleet_summaries_report_lockstep_lanes() {
 
     let out = fleet(&[]);
     assert!(out.contains("# batch: 3 jobs"), "{out}");
-    let (groups, rounds, lanes) = lockstep_line(&out);
+    let (groups, rounds, lanes, per_chunk) = lockstep_line(&out);
     // Three HES grids' chains on two workers: one group per worker.
     assert_eq!(groups, 2, "{out}");
     assert!(rounds > 0, "{out}");
     assert!(lanes > 1.0, "{out}");
+    // A round's non-seasonal and additive lanes share a chunk, so a chunk
+    // holds more than one lane on average and never more than eight.
+    assert!(per_chunk > 1.0 && per_chunk <= 8.0, "{out}");
 
     let repo_dir = tmp("lockstep_estate");
     std::fs::remove_dir_all(&repo_dir).ok();
     let out = fleet(&["--repo-dir", &repo_dir.to_string_lossy(), "--wave", "2"]);
     assert!(out.contains("# scan: 3 fitted"), "{out}");
-    let (groups, rounds, lanes) = lockstep_line(&out);
+    let (groups, rounds, lanes, per_chunk) = lockstep_line(&out);
     // Two waves (2 + 1 jobs), each a batch with one group per worker.
     assert_eq!(groups, 4, "{out}");
     assert!(rounds > 0 && lanes > 1.0, "{out}");
+    assert!(per_chunk > 1.0 && per_chunk <= 8.0, "{out}");
 
     for p in inputs {
         std::fs::remove_file(p).ok();
