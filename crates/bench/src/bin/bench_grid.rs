@@ -1,15 +1,15 @@
 //! Grid-search acceleration snapshot: the full 180-model ARIMA grid,
 //! baseline (per-candidate differencing, cold starts) versus the
 //! acceleration layer (shared transform cache + warm-start chains), at
-//! 1/2/4/8 worker threads, in exact mode. A second section runs the
+//! 1/2/4/8 worker threads. A second section runs the
 //! `--method auto` union grid (SARIMAX + ETS + TBATS menus, deduped)
 //! through the same baseline/accelerated ladder with per-family time
 //! attribution and the batched ETS/TBATS kernel phase buckets.
 //!
 //! Writes `results/BENCH_grid.json` so future PRs can track the
 //! fit-throughput trajectory, and exits non-zero if the accelerated
-//! champion ever differs from the baseline champion — exact mode must not
-//! change model selection.
+//! champion ever differs from the baseline champion — the acceleration
+//! layer must not change model selection.
 //!
 //! ```sh
 //! cargo run -p dwcp-bench --release --bin bench_grid
@@ -36,7 +36,6 @@ struct GridRun {
     champion_rmse: f64,
     scored: usize,
     failures: usize,
-    abandoned: usize,
     cache_entries: usize,
     cache_hits: usize,
     warm_starts: usize,
@@ -150,7 +149,6 @@ fn opts(threads: usize, accelerated: bool) -> EvaluationOptions {
         start_index: 0,
         cache_transforms: accelerated,
         warm_start: accelerated,
-        ..Default::default()
     }
 }
 
@@ -230,7 +228,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 champion_rmse,
                 scored: report.scores.len(),
                 failures: report.failures,
-                abandoned: report.abandoned,
                 cache_entries: report.stats.cache_entries,
                 cache_hits: report.stats.cache_hits,
                 warm_starts: report.stats.warm_starts,
@@ -423,7 +420,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
     println!("wrote {}", path.display());
 
-    // Exact mode must never change model selection.
+    // The acceleration layer must never change model selection.
     if champions_4t[0] != champions_4t[1] {
         eprintln!(
             "FAIL: accelerated champion {} != baseline champion {}",

@@ -346,7 +346,7 @@ impl ScoreStage {
             champion_spec: champion_score.candidate.config.clone(),
             test: plan.split.test,
             train: plan.split.train,
-            evaluated: report.attempted - report.failures - report.abandoned,
+            evaluated: report.attempted - report.failures,
             failures: report.failures,
             gaps_filled: plan.gaps_filled,
             profile: Some(plan.set.profile),

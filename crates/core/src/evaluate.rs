@@ -16,7 +16,7 @@
 //!
 //! # The acceleration layer
 //!
-//! Three observations make the naive fit-every-candidate loop wasteful:
+//! Two observations make the naive fit-every-candidate loop wasteful:
 //!
 //! 1. **Differencing depends only on `(d, D, s)`**, not on the ARMA orders,
 //!    so a 180-model ARIMA grid recomputes the same two differenced series
@@ -36,12 +36,6 @@
 //!    against the cold start, so quality never regresses; chains have a
 //!    fixed maximum length independent of the thread count, so results
 //!    are identical at any parallelism.
-//! 3. **Most candidates lose.** With [`EvaluationOptions::racing`] enabled,
-//!    workers publish the incumbent best RMSE in an atomic and ARIMA-family
-//!    fits whose partial CSS objective cannot plausibly beat it are
-//!    abandoned early — recorded as `abandoned`, not failed. This is an
-//!    opt-in approximation: the CSS-vs-RMSE bound is heuristic, so exact
-//!    mode (the default) never races.
 //!
 //! Results are collected lock-free: each worker fills a private buffer,
 //! buffers are merged after the scope, and the final sort breaks RMSE ties
@@ -62,7 +56,7 @@ use dwcp_models::{Forecast, Forecaster, ModelError};
 use dwcp_series::diff::Differenced;
 use dwcp_series::Accuracy;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -106,16 +100,6 @@ pub struct EvaluationOptions {
     /// in the trailing digits; champion *selection* is unchanged on every
     /// grid we test (and asserted by `bench_grid`).
     pub warm_start: bool,
-    /// Champion-bound racing: abandon ARIMA-family candidates whose
-    /// partial CSS objective cannot beat the incumbent best RMSE (scaled by
-    /// [`racing_slack`](EvaluationOptions::racing_slack)). **Opt-in**: the
-    /// bound is heuristic, so the default (exact) mode leaves this off and
-    /// always selects the same champion as the sequential search.
-    pub racing: bool,
-    /// Safety factor for the racing bound: a fit is abandoned only while
-    /// its CSS exceeds `(racing_slack × incumbent RMSE)²`. Larger is more
-    /// conservative. Ignored unless `racing` is set.
-    pub racing_slack: f64,
 }
 
 impl Default for EvaluationOptions {
@@ -126,8 +110,6 @@ impl Default for EvaluationOptions {
             start_index: 0,
             cache_transforms: true,
             warm_start: true,
-            racing: false,
-            racing_slack: 2.0,
         }
     }
 }
@@ -162,14 +144,12 @@ pub struct ModelScore {
 /// Per-family instrumentation from one evaluation run.
 #[derive(Debug, Clone, Default)]
 pub struct FamilyStats {
-    /// Fit attempts (scored + failed + abandoned).
+    /// Fit attempts (scored + failed).
     pub attempts: usize,
     /// Successfully scored fits.
     pub fits: usize,
     /// Failed fits.
     pub failures: usize,
-    /// Racing-abandoned fits.
-    pub abandoned: usize,
     /// Wall-clock time spent fitting and scoring this family, summed over
     /// workers (can exceed the run's wall time under parallelism).
     pub fit_time: Duration,
@@ -177,9 +157,20 @@ pub struct FamilyStats {
     pub objective_evals: usize,
 }
 
+impl FamilyStats {
+    /// Fold another run's counters for the same family into this one.
+    fn merge(&mut self, other: &FamilyStats) {
+        self.attempts += other.attempts;
+        self.fits += other.fits;
+        self.failures += other.failures;
+        self.fit_time += other.fit_time;
+        self.objective_evals += other.objective_evals;
+    }
+}
+
 /// Where lockstep (batched-kernel) evaluation time goes, summed over
-/// workers. All-zero when no lockstep group ran (racing mode, cache off,
-/// fewer than two batchable chains in the whole batch).
+/// workers. All-zero when no lockstep group ran (cache off, fewer than two
+/// batchable chains in the whole batch).
 ///
 /// A lockstep group draws chains from every task of an [`evaluate_fleet`]
 /// batch, so its counters land in the report of the first task it claimed
@@ -281,8 +272,7 @@ pub struct EvalStats {
     pub cache_hits: usize,
     /// Fits that received a warm start from their chain predecessor.
     pub warm_starts: usize,
-    /// Total objective evaluations across all fits, including abandoned
-    /// ones.
+    /// Total objective evaluations across all fits.
     pub objective_evals: usize,
     /// Per-family breakdown, indexed by position in [`ModelFamily::ALL`].
     pub families: [FamilyStats; ModelFamily::COUNT],
@@ -317,12 +307,7 @@ impl EvalStats {
         self.warm_starts += other.warm_starts;
         self.objective_evals += other.objective_evals;
         for (total, part) in self.families.iter_mut().zip(&other.families) {
-            total.attempts += part.attempts;
-            total.fits += part.fits;
-            total.failures += part.failures;
-            total.abandoned += part.abandoned;
-            total.fit_time += part.fit_time;
-            total.objective_evals += part.objective_evals;
+            total.merge(part);
         }
         self.reuse_hits += other.reuse_hits;
         self.reuse_misses += other.reuse_misses;
@@ -346,9 +331,6 @@ pub struct EvaluationReport {
     pub scores: Vec<ModelScore>,
     /// Number of candidates whose fit failed.
     pub failures: usize,
-    /// Number of candidates abandoned by champion-bound racing (always 0
-    /// unless [`EvaluationOptions::racing`] was set).
-    pub abandoned: usize,
     /// Total candidates attempted.
     pub attempted: usize,
     /// Timing, cache and optimiser instrumentation.
@@ -378,7 +360,6 @@ impl EvaluationReport {
             self.scores.push(score);
         }
         self.failures += other.failures;
-        self.abandoned += other.abandoned;
         self.attempted += other.attempted;
         self.stats.merge(&other.stats);
         sort_scores(&mut self.scores);
@@ -496,7 +477,7 @@ fn build_chains(candidates: &[CandidateModel]) -> Vec<Chain> {
 /// `min(LOCKSTEP_WIDTH, ⌈pairs / groups⌉)` live chains
 /// ([`crate::protocol::lockstep_shape`]). A group's chains
 /// may come from any task; each keeps its own task's transforms, rotation
-/// tables, incumbent, seed and result buffer. For a single task this is
+/// tables, seed and result buffer. For a single task this is
 /// the schedule a lone grid always had (a 12-chain `--method auto` grid at
 /// two threads runs two groups of six); an estate wave of a thousand HES
 /// tasks runs one group per worker, 12 lanes wide.
@@ -549,19 +530,17 @@ fn chain_batch_kind(task: &EvalTask, chain: &Chain) -> Option<BatchKind> {
     }
 }
 
-/// Whether a chain may run in a lockstep group. Only in exact mode (racing
-/// loads the shared incumbent mid-fit; interleaving fits would reorder
-/// those loads), and only when its shared per-task transforms are
-/// available: a plain ARIMA-family chain needs its differenced series in
-/// the transform cache, and ETS/TBATS chains batch whenever the cache
-/// layer is enabled at all (the same ablation flag governs both).
+/// Whether a chain may run in a lockstep group: only when its shared
+/// per-task transforms are available. A plain ARIMA-family chain needs its
+/// differenced series in the transform cache, and ETS/TBATS chains batch
+/// whenever the cache layer is enabled at all (the same ablation flag
+/// governs both).
 fn chain_batches(task: &EvalTask, cache: &BTreeMap<DiffKey, Differenced>, chain: &Chain) -> bool {
-    !task.opts.racing
-        && match chain_batch_kind(task, chain) {
-            Some(BatchKind::Css(key)) => cache.contains_key(&key),
-            Some(BatchKind::Ets | BatchKind::Tbats) => task.opts.cache_transforms,
-            None => false,
-        }
+    match chain_batch_kind(task, chain) {
+        Some(BatchKind::Css(key)) => cache.contains_key(&key),
+        Some(BatchKind::Ets | BatchKind::Tbats) => task.opts.cache_transforms,
+        None => false,
+    }
 }
 
 /// Partition a batch's chains into work units, returning them with the
@@ -599,19 +578,11 @@ fn build_units(
     (units, pairs)
 }
 
-/// Atomic minimum over non-negative f64s stored as bit patterns; delegates
-/// to [`crate::protocol::publish_min_rmse`], the model-checked incumbent
-/// protocol.
-fn update_min_f64(cell: &AtomicU64, value: f64) {
-    crate::protocol::publish_min_rmse(cell, value);
-}
-
 /// What one worker accumulated; merged after the scope ends.
 #[derive(Default)]
 struct WorkerOutput {
     scores: Vec<ModelScore>,
     failures: usize,
-    abandoned: usize,
     cache_hits: usize,
     warm_starts: usize,
     objective_evals: usize,
@@ -635,8 +606,8 @@ impl WorkerOutput {
 ///   column universe).
 /// * `exog_test` — the same columns over the test segment.
 ///
-/// In default (exact) mode the result — champion, scores, everything — is
-/// identical for any `threads` setting, including under exact RMSE ties.
+/// The result — champion, scores, everything — is identical for any
+/// `threads` setting, including under exact RMSE ties.
 ///
 /// This is the single-grid façade over [`evaluate_fleet`]: one task, the
 /// thread count taken from `opts.threads`.
@@ -698,9 +669,6 @@ struct TaskState {
     /// Shared TBATS rotation tables, one per seasonal signature.
     rotations: BTreeMap<SeasonSig, Arc<RotationTables>>,
     chains: Vec<Chain>,
-    /// Incumbent best RMSE for racing, as f64 bits (+inf = no incumbent).
-    /// Per task: champions of different series must not race each other.
-    best_rmse: AtomicU64,
 }
 
 /// What the lockstep groups of one batch share: the tasks and their
@@ -785,10 +753,10 @@ pub(crate) fn map_on_pool<T: Sync, R: Send>(
 /// single grid still runs on every worker, and an estate wave of many
 /// small grids fills each batched kernel round with chains from several
 /// tasks. Every per-task guarantee of [`evaluate_candidates`] carries over:
-/// the transform cache, chain schedule and racing incumbent are all
-/// per-task, workers buffer results per task, and each report is merged
-/// and sorted exactly as in the single-grid path — so in exact mode each
-/// task's report is identical to evaluating it alone, at any thread count.
+/// the transform cache and chain schedule are per-task, workers buffer
+/// results per task, and each report is merged and sorted exactly as in
+/// the single-grid path — so each task's report is identical to evaluating
+/// it alone, at any thread count.
 ///
 /// Returns one result per task, in task order. A task with no viable
 /// candidate yields `Err(NoViableModel)` without affecting its neighbours.
@@ -805,7 +773,6 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
             cache: build_transform_cache(task),
             rotations: build_rotation_cache(task),
             chains: build_chains(task.candidates),
-            best_rmse: AtomicU64::new(f64::INFINITY.to_bits()),
         })
         .collect();
     let (units, pairs) = build_units(tasks, &states, threads);
@@ -840,7 +807,7 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
                                 let Some(chain) = state.chains.get(chain) else {
                                     continue;
                                 };
-                                run_chain(chain, t, &state.cache, &state.best_rmse, slot);
+                                run_chain(chain, t, &state.cache, slot);
                             }
                             Some(&WorkUnit::Group(width)) => {
                                 run_chain_group(&batch, width, &mut out);
@@ -885,7 +852,6 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
             ..Default::default()
         };
         let mut failures = 0;
-        let mut abandoned = 0;
         for worker in outputs.iter_mut() {
             let Some(out) = worker.get_mut(task_idx) else {
                 continue;
@@ -893,18 +859,12 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
             // Taking the buffer frees it as soon as it is merged.
             scores.append(&mut std::mem::take(&mut out.scores));
             failures += out.failures;
-            abandoned += out.abandoned;
             stats.cache_hits += out.cache_hits;
             stats.warm_starts += out.warm_starts;
             stats.objective_evals += out.objective_evals;
             stats.lockstep.merge(&out.lockstep);
             for (total, part) in stats.families.iter_mut().zip(&out.families) {
-                total.attempts += part.attempts;
-                total.fits += part.fits;
-                total.failures += part.failures;
-                total.abandoned += part.abandoned;
-                total.fit_time += part.fit_time;
-                total.objective_evals += part.objective_evals;
+                total.merge(part);
             }
         }
         sort_scores(&mut scores);
@@ -918,7 +878,6 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
         reports.push(Ok(EvaluationReport {
             scores,
             failures,
-            abandoned,
             attempted: task.candidates.len(),
             stats,
         }));
@@ -1023,7 +982,6 @@ fn run_chain(
     chain: &Chain,
     task: &EvalTask,
     cache: &BTreeMap<DiffKey, Differenced>,
-    best_rmse: &AtomicU64,
     out: &mut WorkerOutput,
 ) {
     let (train, test) = (task.train, task.test);
@@ -1069,13 +1027,6 @@ fn run_chain(
                 }
             }
         }
-        if opts.racing {
-            let bound = f64::from_bits(best_rmse.load(Ordering::Relaxed));
-            if bound.is_finite() {
-                let slack = opts.racing_slack.max(1.0);
-                fit_opts.abandon_css_above = Some((slack * bound).powi(2));
-            }
-        }
 
         let cached = candidate
             .as_sarimax()
@@ -1104,15 +1055,8 @@ fn run_chain(
                 out.family_mut(fam).fits += 1;
                 out.family_mut(fam).objective_evals += scored.nm_evals;
                 out.objective_evals += scored.nm_evals;
-                update_min_f64(best_rmse, scored.score.accuracy.rmse);
                 prev = Some((candidate.config.clone(), scored.score.warm_params.clone()));
                 out.scores.push(scored.score);
-            }
-            Err(ModelError::Abandoned { evals }) => {
-                out.abandoned += 1;
-                out.family_mut(fam).abandoned += 1;
-                out.family_mut(fam).objective_evals += evals;
-                out.objective_evals += evals;
             }
             Err(_) => {
                 out.failures += 1;
@@ -1451,7 +1395,7 @@ fn claim_group_chain<'b>(
             // Unreachable by construction (`build_units` only batches
             // chains with their transforms cached); degrade to the
             // sequential path rather than drop work.
-            run_chain(chain, task, &state.cache, &state.best_rmse, slot);
+            run_chain(chain, task, &state.cache, slot);
             continue;
         };
         return Some(GroupCursor {
@@ -1505,9 +1449,7 @@ fn pump_group_cursor(cursor: &mut GroupCursor, batch: &LockstepBatch, out: &mut 
         }
         if let Some((candidate_index, session)) = cursor.active.take() {
             let step_started = Instant::now();
-            if let Some(prev) =
-                settle_group_fit(candidate_index, session, task, &state.best_rmse, out)
-            {
+            if let Some(prev) = settle_group_fit(candidate_index, session, task, out) {
                 cursor.prev = Some(prev);
             }
             cursor.spent += step_started.elapsed();
@@ -1552,9 +1494,8 @@ fn pump_group_cursor(cursor: &mut GroupCursor, batch: &LockstepBatch, out: &mut 
 /// Open a fit session for one batched candidate, mirroring the sequential
 /// path's per-candidate bookkeeping: the attempt count, the chain warm
 /// start, the frozen champion re-score, and (for plain ARIMA candidates)
-/// the cache hit. Batched groups run only in exact mode and never contain
-/// regression designs, so the racing bound and `freeze_beta` never apply
-/// here.
+/// the cache hit. Batched groups never contain regression designs, so
+/// `freeze_beta` never applies here.
 fn open_group_fit(
     candidate: &CandidateModel,
     prev: &Option<(ModelConfig, Vec<f64>)>,
@@ -1625,7 +1566,6 @@ fn settle_group_fit(
     candidate_index: usize,
     session: FitSession,
     task: &EvalTask,
-    best_rmse: &AtomicU64,
     out: &mut WorkerOutput,
 ) -> Option<(ModelConfig, Vec<f64>)> {
     let candidate = task.candidates.get(candidate_index)?;
@@ -1635,17 +1575,9 @@ fn settle_group_fit(
             out.family_mut(fam).fits += 1;
             out.family_mut(fam).objective_evals += scored.nm_evals;
             out.objective_evals += scored.nm_evals;
-            update_min_f64(best_rmse, scored.score.accuracy.rmse);
             let prev = (candidate.config.clone(), scored.score.warm_params.clone());
             out.scores.push(scored.score);
             Some(prev)
-        }
-        Err(ModelError::Abandoned { evals }) => {
-            out.abandoned += 1;
-            out.family_mut(fam).abandoned += 1;
-            out.family_mut(fam).objective_evals += evals;
-            out.objective_evals += evals;
-            None
         }
         Err(_) => {
             out.failures += 1;
@@ -1953,7 +1885,7 @@ mod tests {
             let c = r.champion().unwrap();
             assert_eq!(champ.candidate.config, c.candidate.config);
             assert_eq!(champ.candidate_index, c.candidate_index);
-            // Exact mode: bit-identical, not merely close.
+            // Bit-identical, not merely close.
             assert_eq!(champ.accuracy.rmse.to_bits(), c.accuracy.rmse.to_bits());
         }
     }
@@ -2176,48 +2108,25 @@ mod tests {
     }
 
     #[test]
-    fn racing_accounts_for_every_candidate() {
-        let y = seasonal_series(300);
-        let (train, test) = y.split_at(276);
-        let corr = dwcp_series::Correlogram::compute(train, 30).unwrap();
-        let grid = ModelGrid::arima().prune(&corr, 12);
-        let opts = EvaluationOptions {
-            racing: true,
-            racing_slack: 1.0,
-            threads: 2,
-            ..Default::default()
-        };
-        let report = evaluate_candidates(train, test, &[], &[], &grid.candidates, &opts).unwrap();
-        assert_eq!(
-            report.abandoned + report.failures + report.scores.len(),
-            report.attempted
-        );
-        // Exact mode never abandons.
-        let exact =
-            evaluate_candidates(train, test, &[], &[], &grid.candidates, &Default::default())
-                .unwrap();
-        assert_eq!(exact.abandoned, 0);
-    }
-
-    #[test]
     fn stats_cover_all_attempts() {
         let y = seasonal_series(240);
         let (train, test) = y.split_at(216);
-        let report = evaluate_candidates(
-            train,
-            test,
-            &[],
-            &[],
-            &small_candidates(),
-            &Default::default(),
-        )
-        .unwrap();
-        let total_attempts: usize = report.stats.families.iter().map(|f| f.attempts).sum();
-        assert_eq!(total_attempts, report.attempted);
-        let arima = report.stats.family(ModelFamily::Arima);
-        assert_eq!(arima.attempts, 2);
-        assert!(report.stats.objective_evals > 0);
-        assert!(report.stats.wall_time > Duration::ZERO);
+        for threads in [1, 2] {
+            let opts = EvaluationOptions {
+                threads,
+                ..Default::default()
+            };
+            let report =
+                evaluate_candidates(train, test, &[], &[], &small_candidates(), &opts).unwrap();
+            let total_attempts: usize = report.stats.families.iter().map(|f| f.attempts).sum();
+            assert_eq!(total_attempts, report.attempted);
+            // Every attempted candidate is either scored or counted failed.
+            assert_eq!(report.failures + report.scores.len(), report.attempted);
+            let arima = report.stats.family(ModelFamily::Arima);
+            assert_eq!(arima.attempts, 2);
+            assert!(report.stats.objective_evals > 0);
+            assert!(report.stats.wall_time > Duration::ZERO);
+        }
     }
 
     #[test]

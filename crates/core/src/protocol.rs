@@ -8,12 +8,10 @@
 //! `interleave` scheduler, while production runs it on plain `std` atomics
 //! or real files. Five protocols live here:
 //!
-//! 1. the **atomic incumbent** ([`publish_min_rmse`]) — workers racing
-//!    candidate fits publish their best RMSE into a shared `AtomicU64` so
-//!    slower fits can be abandoned — plus the **deterministic tie-break**
-//!    ([`score_order`]): the champion is the minimum under
-//!    `(rmse, candidate_index)` order, so exact RMSE ties resolve to the
-//!    earlier candidate regardless of which worker finished first;
+//! 1. the **deterministic tie-break** ([`score_order`]): the champion is
+//!    the minimum under `(rmse, candidate_index)` order, so exact RMSE ties
+//!    resolve to the earlier candidate regardless of which worker finished
+//!    first;
 //! 2. the **wave-commit ledger** ([`commit_wave`] over [`WaveLedger`]) —
 //!    the estate scheduler's record-then-publish checkpoint discipline: a
 //!    kill between (or during) waves can force refits but can never
@@ -22,9 +20,9 @@
 //!    over [`DrainFlag`]) — the serve daemon's flag-then-wake trigger and
 //!    enqueue-then-check acceptor, so a request that wins the accept race
 //!    against shutdown is served, never dropped;
-//! 4. the **alert re-fire hysteresis** ([`alert_refire`], [`try_fire`]) —
-//!    the de-duplication decision of the alert engine, plus its CAS-claim
-//!    form under which concurrent observers fire exactly once;
+//! 4. the **alert re-fire hysteresis** ([`alert_refire`]) — the
+//!    de-duplication decision of the alert engine, taken under the engine
+//!    mutex;
 //! 5. the **ticket dispenser** ([`claim_ticket`] over [`TicketCounter`])
 //!    and the **lockstep shape and refill** rules ([`lockstep_shape`],
 //!    [`lockstep_claims`]) — the evaluator's global unit queue and the
@@ -35,53 +33,9 @@
 
 use crate::advisor::BreachSeverity;
 use std::cmp::Ordering as CmpOrdering;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// The one capability the incumbent protocol needs from its storage cell:
-/// a 64-bit load and compare-exchange. `evaluate.rs` provides a plain
-/// [`AtomicU64`]; the model checker provides an instrumented cell whose
-/// operations are scheduling points.
-pub trait IncumbentCell {
-    /// Load the current bit pattern.
-    fn load_bits(&self) -> u64;
-    /// Compare-exchange: replace `current` with `new`, returning the
-    /// previously-stored bits on failure. May fail spuriously (the weak
-    /// variant is permitted); the caller retries.
-    fn compare_exchange_bits(&self, current: u64, new: u64) -> std::result::Result<u64, u64>;
-}
-
-impl IncumbentCell for AtomicU64 {
-    fn load_bits(&self) -> u64 {
-        self.load(Ordering::Relaxed)
-    }
-
-    fn compare_exchange_bits(&self, current: u64, new: u64) -> std::result::Result<u64, u64> {
-        // Relaxed suffices: the incumbent is a monotone scalar used only as
-        // a pruning hint, never as a synchronisation edge.
-        self.compare_exchange_weak(current, new, Ordering::Relaxed, Ordering::Relaxed)
-    }
-}
-
-/// Publish `value` as a candidate incumbent RMSE: atomic minimum over
-/// non-negative finite f64s stored as bit patterns (the IEEE ordering of
-/// non-negative floats matches their bit ordering, so the integer CAS
-/// implements the float minimum).
-///
-/// NaN, infinities and negative values are rejected at the door — a
-/// poisoned score can never become the incumbent, so racing can never
-/// abandon fits against a bogus bound.
-pub fn publish_min_rmse<C: IncumbentCell>(cell: &C, value: f64) {
-    if !value.is_finite() || value < 0.0 {
-        return;
-    }
-    let mut current = cell.load_bits();
-    while value < f64::from_bits(current) {
-        match cell.compare_exchange_bits(current, value.to_bits()) {
-            Ok(_) => return,
-            Err(seen) => current = seen,
-        }
-    }
-}
+// --- Protocol 1: the deterministic tie-break ---
 
 /// The deterministic champion order: best RMSE first under the total f64
 /// order (NaN greatest, so a poisoned score can never win), exact ties
@@ -196,58 +150,6 @@ pub fn alert_refire(
     }
 }
 
-/// The empty claim cell: no breach state has ever been fired.
-pub const BREACH_EMPTY: u64 = 0;
-
-/// Widest horizon step the claim encoding can carry (62 bits is far past
-/// any real forecast horizon; wider steps saturate rather than corrupt
-/// the occupancy flag).
-const BREACH_STEP_MAX: u64 = (1 << 62) - 1;
-
-/// Encode a fired breach state into the 64-bit claim cell: bit 63 marks
-/// the cell occupied, bit 0 the severity, bits 1..63 the step.
-pub fn encode_breach(step: usize, severity: BreachSeverity) -> u64 {
-    let step = (step as u64).min(BREACH_STEP_MAX);
-    let expected = u64::from(severity == BreachSeverity::Expected);
-    (1 << 63) | (step << 1) | expected
-}
-
-/// Decode a claim cell; [`BREACH_EMPTY`] (and any bits without the
-/// occupancy flag) decodes to `None`.
-pub fn decode_breach(bits: u64) -> Option<(usize, BreachSeverity)> {
-    if bits & (1 << 63) == 0 {
-        return None;
-    }
-    let step = ((bits >> 1) & BREACH_STEP_MAX) as usize;
-    let severity = if bits & 1 == 1 {
-        BreachSeverity::Expected
-    } else {
-        BreachSeverity::Possible
-    };
-    Some((step, severity))
-}
-
-/// Claim the right to fire for a fresh breach observation: the lock-free
-/// form of [`alert_refire`] for concurrent observers of the same
-/// `(workload, rule)` cell. The claim CAS loses to a concurrent fire of
-/// the same (or better) news, so identical simultaneous observations fire
-/// **exactly once** and an escalation always lands — proven under every
-/// interleaving in `tests/model_check.rs`. The resident engine serialises
-/// scans behind its mutex and uses [`alert_refire`] directly; this is the
-/// same decision under contention.
-pub fn try_fire<C: IncumbentCell>(cell: &C, step: usize, severity: BreachSeverity) -> bool {
-    let mut current = cell.load_bits();
-    loop {
-        if !alert_refire(decode_breach(current), step, severity) {
-            return false;
-        }
-        match cell.compare_exchange_bits(current, encode_breach(step, severity)) {
-            Ok(_) => return true,
-            Err(seen) => current = seen,
-        }
-    }
-}
-
 // --- Protocol 5: ticket dispensers and lockstep refill ---
 
 /// The one capability a ticket dispenser needs from its counter: an atomic
@@ -306,33 +208,6 @@ pub fn lockstep_claims(live: usize, drained: usize, width: usize, total: usize) 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn publishes_monotone_minimum() {
-        let cell = AtomicU64::new(f64::INFINITY.to_bits());
-        publish_min_rmse(&cell, 5.0);
-        assert_eq!(f64::from_bits(cell.load_bits()), 5.0);
-        publish_min_rmse(&cell, 7.0);
-        assert_eq!(f64::from_bits(cell.load_bits()), 5.0);
-        publish_min_rmse(&cell, 2.5);
-        assert_eq!(f64::from_bits(cell.load_bits()), 2.5);
-    }
-
-    #[test]
-    fn rejects_nan_inf_and_negative() {
-        let cell = AtomicU64::new(f64::INFINITY.to_bits());
-        publish_min_rmse(&cell, f64::NAN);
-        publish_min_rmse(&cell, f64::NEG_INFINITY);
-        publish_min_rmse(&cell, -1.0);
-        assert_eq!(f64::from_bits(cell.load_bits()), f64::INFINITY);
-    }
-
-    #[test]
-    fn zero_is_a_legal_incumbent() {
-        let cell = AtomicU64::new(f64::INFINITY.to_bits());
-        publish_min_rmse(&cell, 0.0);
-        assert_eq!(f64::from_bits(cell.load_bits()), 0.0);
-    }
 
     #[test]
     fn tie_break_prefers_earlier_index() {
@@ -413,30 +288,13 @@ mod tests {
     fn refire_decision_matches_the_firing_policy() {
         use BreachSeverity::{Expected, Possible};
         assert!(alert_refire(None, 5, Possible));
+        assert!(alert_refire(None, 1, Expected)); // first fire, any severity
         assert!(alert_refire(Some((5, Possible)), 3, Possible)); // earlier
         assert!(alert_refire(Some((5, Possible)), 5, Expected)); // escalated
         assert!(!alert_refire(Some((5, Possible)), 5, Possible)); // unchanged
         assert!(!alert_refire(Some((5, Possible)), 7, Possible)); // later
         assert!(!alert_refire(Some((5, Expected)), 5, Possible)); // de-escalated
         assert!(!alert_refire(Some((5, Expected)), 6, Expected)); // later
-    }
-
-    #[test]
-    fn breach_encoding_round_trips() {
-        use BreachSeverity::{Expected, Possible};
-        assert_eq!(decode_breach(BREACH_EMPTY), None);
-        for (step, severity) in [
-            (0, Possible),
-            (0, Expected),
-            (7, Possible),
-            (1 << 40, Expected),
-        ] {
-            let bits = encode_breach(step, severity);
-            assert_eq!(decode_breach(bits), Some((step, severity)));
-        }
-        // Saturating, not corrupting, beyond the encodable range.
-        let huge = encode_breach(usize::MAX, Possible);
-        assert_eq!(decode_breach(huge), Some(((1 << 62) - 1, Possible)));
     }
 
     #[test]
@@ -471,16 +329,5 @@ mod tests {
         // ...and never passes its width cap.
         assert_eq!(lockstep_claims(3, 0, 3, 6), 0);
         assert_eq!(lockstep_claims(2, 4, 3, 6), 1);
-    }
-
-    #[test]
-    fn try_fire_claims_once_then_obeys_hysteresis() {
-        use BreachSeverity::{Expected, Possible};
-        let cell = AtomicU64::new(BREACH_EMPTY);
-        assert!(try_fire(&cell, 4, Possible));
-        assert!(!try_fire(&cell, 4, Possible), "unchanged must not re-fire");
-        assert!(try_fire(&cell, 4, Expected), "escalation fires");
-        assert!(try_fire(&cell, 1, Expected), "earlier fires");
-        assert_eq!(decode_breach(cell.load_bits()), Some((1, Expected)));
     }
 }

@@ -1,23 +1,17 @@
-//! Bounded model checking of the lock-free evaluator protocol.
+//! Bounded model checking of the engine's concurrency protocols.
 //!
-//! These tests drive the *production* champion-selection code —
-//! [`dwcp_core::protocol::publish_min_rmse`] and
-//! [`dwcp_core::protocol::score_order`] — through **every** interleaving of
-//! their atomic operations (up to a schedule budget) using the vendored
-//! `interleave` scheduler. Shared state lives in an instrumented atomic
-//! whose each operation is a scheduling point, so the exploration
-//! enumerates every serialisation of the load/CAS traffic the racing
-//! workers can generate.
+//! These tests drive the *production* protocol code in
+//! [`dwcp_core::protocol`] — the ticket dispenser and lockstep refill
+//! rules, the wave-commit ledger and the shutdown drain gate — through
+//! **every** interleaving of their atomic operations (up to a schedule
+//! budget) using the vendored `interleave` scheduler. Shared state lives
+//! in instrumented atomics whose every operation is a scheduling point, so
+//! the exploration enumerates every serialisation of the traffic the
+//! concurrent workers can generate.
 //!
 //! What is proven (within the bounds):
 //!
-//! * the incumbent cell converges to the true minimum RMSE no matter how
-//!   the publishers interleave;
-//! * NaN / infinite / negative scores can never become the incumbent;
-//! * an exact RMSE tie yields exactly one champion — the lower candidate
-//!   index — under every interleaving of the result merge;
-//! * the `fetch_add` work queue dispenses each candidate exactly once and
-//!   workers on different tasks never touch each other's incumbents;
+//! * the `fetch_add` work queue dispenses each candidate exactly once;
 //! * two lockstep groups refilling from one batch-wide pair ticket over
 //!   three tasks' chains ([`claim_ticket`] under the [`lockstep_shape`]
 //!   and [`lockstep_claims`] rules) run every `(task, chain)` pair exactly
@@ -30,131 +24,19 @@
 //! * the serve daemon's shutdown drain gate never drops a request that
 //!   won the accept race, and an acceptor woken by the shutdown
 //!   self-connect always observes the stop flag — while the old
-//!   check-then-drop acceptor shape is caught;
-//! * the alert re-fire hysteresis fires exactly once for identical
-//!   concurrent observations, and an escalation always lands.
+//!   check-then-drop acceptor shape is caught.
 
-use dwcp_core::advisor::BreachSeverity;
 use dwcp_core::protocol::{
-    accept_one, alert_refire, claim_ticket, commit_wave, decode_breach, lockstep_claims,
-    lockstep_shape, publish_min_rmse, request_shutdown, resume_split, score_order, try_fire,
-    DrainFlag, IncumbentCell, TicketCounter, WaveLedger, BREACH_EMPTY,
+    accept_one, claim_ticket, commit_wave, lockstep_claims, lockstep_shape, request_shutdown,
+    resume_split, DrainFlag, TicketCounter, WaveLedger,
 };
-use std::cmp::Ordering;
 use std::sync::Arc;
-
-/// The instrumented incumbent cell: `interleave::AtomicU64` with every
-/// operation a scheduling point. Newtype because both the trait and the
-/// atomic are foreign to this test crate.
-#[derive(Debug)]
-struct CheckedCell(interleave::AtomicU64);
-
-impl CheckedCell {
-    fn new() -> Self {
-        CheckedCell(interleave::AtomicU64::new(f64::INFINITY.to_bits()))
-    }
-
-    fn value(&self) -> f64 {
-        f64::from_bits(self.0.load())
-    }
-}
-
-impl IncumbentCell for CheckedCell {
-    fn load_bits(&self) -> u64 {
-        self.0.load()
-    }
-
-    fn compare_exchange_bits(&self, current: u64, new: u64) -> Result<u64, u64> {
-        self.0.compare_exchange(current, new)
-    }
-}
 
 /// Exhaustive-exploration budget. Every scenario below asserts
 /// `report.complete`, so this is a ceiling, not a sample size: if the
 /// state space outgrew it the test would fail loudly rather than pass on
 /// a subset.
 const BUDGET: usize = 500_000;
-
-#[test]
-fn incumbent_is_exact_minimum_under_all_interleavings_of_two_publishers() {
-    let report = interleave::explore(BUDGET, |sch| {
-        let cell = Arc::new(CheckedCell::new());
-        for rmse in [3.0_f64, 1.5_f64] {
-            let cell = Arc::clone(&cell);
-            sch.thread(move || publish_min_rmse(&*cell, rmse));
-        }
-        let cell = Arc::clone(&cell);
-        sch.check(move || assert_eq!(cell.value(), 1.5));
-    });
-    assert!(report.complete, "state space exceeded the budget");
-    assert!(report.schedules_explored >= 2);
-}
-
-#[test]
-fn incumbent_is_exact_minimum_under_all_interleavings_of_three_publishers() {
-    // Three workers race distinct scores; the published order the CAS
-    // traffic resolves in varies per schedule, the final value must not.
-    let report = interleave::explore(BUDGET, |sch| {
-        let cell = Arc::new(CheckedCell::new());
-        for rmse in [4.0_f64, 0.25_f64, 2.0_f64] {
-            let cell = Arc::clone(&cell);
-            sch.thread(move || publish_min_rmse(&*cell, rmse));
-        }
-        let cell = Arc::clone(&cell);
-        sch.check(move || assert_eq!(cell.value(), 0.25));
-    });
-    assert!(report.complete, "state space exceeded the budget");
-}
-
-#[test]
-fn poisoned_scores_never_become_the_incumbent() {
-    // One worker publishes garbage (NaN, -inf, negative) around a single
-    // honest score; under no interleaving may the garbage land.
-    let report = interleave::explore(BUDGET, |sch| {
-        let cell = Arc::new(CheckedCell::new());
-        let honest = Arc::clone(&cell);
-        sch.thread(move || publish_min_rmse(&*honest, 2.0));
-        let poison = Arc::clone(&cell);
-        sch.thread(move || {
-            publish_min_rmse(&*poison, f64::NAN);
-            publish_min_rmse(&*poison, f64::NEG_INFINITY);
-            publish_min_rmse(&*poison, -1.0);
-        });
-        let cell = Arc::clone(&cell);
-        sch.check(move || assert_eq!(cell.value(), 2.0));
-    });
-    assert!(report.complete, "state space exceeded the budget");
-}
-
-#[test]
-fn exact_tie_yields_one_champion_the_lower_index() {
-    // Two workers score candidates with bit-identical RMSE and publish
-    // concurrently; whatever order the cell sees them in, the *champion
-    // sort* must name candidate 3 (the lower index), and exactly one
-    // champion exists.
-    let report = interleave::explore(BUDGET, |sch| {
-        let cell = Arc::new(CheckedCell::new());
-        for _ in 0..2 {
-            let cell = Arc::clone(&cell);
-            sch.thread(move || publish_min_rmse(&*cell, 1.0));
-        }
-        let cell = Arc::clone(&cell);
-        sch.check(move || {
-            assert_eq!(cell.value(), 1.0);
-            // The merge phase sorts (rmse, index); the tie resolves the
-            // same way regardless of the publication order just explored.
-            let mut scores = [(1.0_f64, 7_usize), (1.0_f64, 3_usize)];
-            scores.sort_by(|a, b| score_order(a.0, a.1, b.0, b.1));
-            let champions: Vec<usize> = scores
-                .iter()
-                .take_while(|s| score_order(s.0, s.1, scores[0].0, scores[0].1) == Ordering::Equal)
-                .map(|s| s.1)
-                .collect();
-            assert_eq!(champions, vec![3], "exactly one champion, lower index");
-        });
-    });
-    assert!(report.complete, "state space exceeded the budget");
-}
 
 #[test]
 fn work_queue_dispenses_each_candidate_exactly_once() {
@@ -584,119 +466,4 @@ fn check_then_drop_acceptor_shape_is_caught_by_exploration() {
         caught.is_err(),
         "exploration failed to catch the check-then-drop acceptor"
     );
-}
-
-// --- Alert re-fire hysteresis (AlertEngine under concurrent pushes) ---
-
-/// A claim cell seeded [`BREACH_EMPTY`] (the incumbent `CheckedCell`
-/// seeds +inf bits, which decodes as an occupied breach state).
-fn empty_breach_cell() -> CheckedCell {
-    CheckedCell(interleave::AtomicU64::new(BREACH_EMPTY))
-}
-
-#[test]
-fn alert_hysteresis_fires_exactly_once_for_identical_observations() {
-    // Two pushers observe the same fresh breach concurrently; whatever
-    // order their load/CAS traffic resolves in, exactly one fires.
-    let report = interleave::explore(BUDGET, |sch| {
-        let cell = Arc::new(empty_breach_cell());
-        let fires = Arc::new(interleave::AtomicU64::new(0));
-        for _ in 0..2 {
-            let cell = Arc::clone(&cell);
-            let fires = Arc::clone(&fires);
-            sch.thread(move || {
-                if try_fire(&*cell, 1, BreachSeverity::Possible) {
-                    fires.fetch_add(1);
-                }
-            });
-        }
-        let cell = Arc::clone(&cell);
-        let fires = Arc::clone(&fires);
-        sch.check(move || {
-            assert_eq!(fires.load(), 1, "identical observations must fire once");
-            assert_eq!(
-                decode_breach(cell.0.load()),
-                Some((1, BreachSeverity::Possible))
-            );
-        });
-    });
-    assert!(report.complete, "state space exceeded the budget");
-    assert!(report.schedules_explored >= 2);
-}
-
-#[test]
-fn alert_hysteresis_escalation_always_lands() {
-    // A Possible and an Expected observation of the same step race. The
-    // escalation must always fire (it is news under either order), the
-    // weaker call fires only if it got there first, and the cell always
-    // converges to the escalated state.
-    let report = interleave::explore(BUDGET, |sch| {
-        let cell = Arc::new(empty_breach_cell());
-        let weak_fired = Arc::new(interleave::AtomicU64::new(0));
-        let strong_fired = Arc::new(interleave::AtomicU64::new(0));
-
-        let weak_cell = Arc::clone(&cell);
-        let weak = Arc::clone(&weak_fired);
-        sch.thread(move || {
-            if try_fire(&*weak_cell, 1, BreachSeverity::Possible) {
-                weak.fetch_add(1);
-            }
-        });
-        let strong_cell = Arc::clone(&cell);
-        let strong = Arc::clone(&strong_fired);
-        sch.thread(move || {
-            if try_fire(&*strong_cell, 1, BreachSeverity::Expected) {
-                strong.fetch_add(1);
-            }
-        });
-
-        let cell = Arc::clone(&cell);
-        let weak = Arc::clone(&weak_fired);
-        let strong = Arc::clone(&strong_fired);
-        sch.check(move || {
-            assert_eq!(strong.load(), 1, "an escalation must always land");
-            assert!(weak.load() <= 1);
-            assert_eq!(
-                decode_breach(cell.0.load()),
-                Some((1, BreachSeverity::Expected)),
-                "cell must converge to the escalated state"
-            );
-        });
-    });
-    assert!(report.complete, "state space exceeded the budget");
-}
-
-#[test]
-fn hysteresis_decision_is_antisymmetric_under_racing_orders() {
-    // Sequential sanity on the shared decision fn the engine's mutex path
-    // uses directly: replaying both serialisations of the race above
-    // through `alert_refire` yields the same final judgement the
-    // lock-free claim converged to.
-    use BreachSeverity::{Expected, Possible};
-    // Possible first, then Expected: both fire.
-    assert!(alert_refire(None, 1, Possible));
-    assert!(alert_refire(Some((1, Possible)), 1, Expected));
-    // Expected first: the weaker observation is silenced.
-    assert!(alert_refire(None, 1, Expected));
-    assert!(!alert_refire(Some((1, Expected)), 1, Possible));
-}
-
-#[test]
-fn per_task_incumbents_are_isolated() {
-    // Fleet jobs each own an incumbent cell; a worker publishing into one
-    // task's cell must never perturb another's, under any interleaving.
-    let report = interleave::explore(BUDGET, |sch| {
-        let task_a = Arc::new(CheckedCell::new());
-        let task_b = Arc::new(CheckedCell::new());
-        let a = Arc::clone(&task_a);
-        sch.thread(move || publish_min_rmse(&*a, 1.0));
-        let b = Arc::clone(&task_b);
-        sch.thread(move || publish_min_rmse(&*b, 9.0));
-        let (a, b) = (Arc::clone(&task_a), Arc::clone(&task_b));
-        sch.check(move || {
-            assert_eq!(a.value(), 1.0);
-            assert_eq!(b.value(), 9.0);
-        });
-    });
-    assert!(report.complete, "state space exceeded the budget");
 }

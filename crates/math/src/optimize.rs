@@ -49,20 +49,6 @@ pub struct NelderMeadOptions {
     ///
     /// [`max_evals`]: NelderMeadOptions::max_evals
     pub warm_budget: Option<usize>,
-    /// Champion-bound racing: give up when the best objective value is
-    /// still above `threshold` after `min_evals` evaluations. The result is
-    /// flagged [`NelderMeadResult::aborted`] so callers can record the
-    /// candidate as abandoned rather than failed.
-    pub abandon: Option<AbandonRule>,
-}
-
-/// Early-abandon rule for [`NelderMeadOptions::abandon`].
-#[derive(Debug, Clone, Copy)]
-pub struct AbandonRule {
-    /// Abandon while the best objective value exceeds this.
-    pub threshold: f64,
-    /// Grace period: never abandon before this many evaluations.
-    pub min_evals: usize,
 }
 
 impl Default for NelderMeadOptions {
@@ -76,7 +62,6 @@ impl Default for NelderMeadOptions {
             warm_start: None,
             warm_refine_step: None,
             warm_budget: None,
-            abandon: None,
         }
     }
 }
@@ -92,9 +77,6 @@ pub struct NelderMeadResult {
     pub evals: usize,
     /// Whether a tolerance (rather than the evaluation budget) stopped us.
     pub converged: bool,
-    /// Whether an [`AbandonRule`] cut the run short. When set, `x`/`fx` are
-    /// the best point seen so far but the minimisation is incomplete.
-    pub aborted: bool,
 }
 
 /// Minimise `f` starting from `x0` using the Nelder-Mead simplex method.
@@ -150,8 +132,8 @@ enum Phase {
 /// back and advances the state machine. [`nelder_mead`] is the loop
 /// `while let Some(x) = pending_point() { tell(f(x)) }` — a driver stepped
 /// that way performs **exactly** the evaluation sequence of the classic
-/// recursive implementation, in the same order, with the same tolerance,
-/// abandon and budget checks between the same evaluations.
+/// recursive implementation, in the same order, with the same tolerance
+/// and budget checks between the same evaluations.
 ///
 /// The point of the split is batching: an evaluation engine can hold one
 /// driver per concurrent model fit, collect every driver's pending point,
@@ -179,7 +161,6 @@ pub struct NelderMeadDriver {
     best_f: f64,
     warm_won: bool,
     converged: bool,
-    aborted: bool,
     restart: usize,
     step_scale: f64,
     simplex: Vec<Vec<f64>>,
@@ -233,7 +214,6 @@ impl NelderMeadDriver {
             best_f: f64::INFINITY,
             warm_won: false,
             converged: false,
-            aborted: false,
             restart: 0,
             step_scale: opts.initial_step,
             simplex: Vec::with_capacity(n + 1),
@@ -419,7 +399,6 @@ impl NelderMeadDriver {
             fx: self.best_f,
             evals: self.evals,
             converged: self.converged,
-            aborted: self.aborted,
         }
     }
 
@@ -464,7 +443,7 @@ impl NelderMeadDriver {
     }
 
     /// Top of the classic `while evals < max_evals` loop: order the
-    /// simplex, run the convergence / abandon checks, and stage the
+    /// simplex, run the convergence checks, and stage the
     /// reflection — or harvest and move to the next restart / finish.
     fn enter_iteration(&mut self) {
         if self.evals >= self.max_evals {
@@ -504,19 +483,6 @@ impl NelderMeadDriver {
             self.harvest();
             self.after_round();
             return;
-        }
-
-        // Champion-bound racing: stop chasing a candidate that is still
-        // above the caller's threshold after the grace period.
-        if let Some(rule) = self.opts.abandon {
-            if self.evals >= rule.min_evals
-                && self.fvals[self.i_best].min(self.best_f) > rule.threshold
-            {
-                self.harvest();
-                self.aborted = true;
-                self.phase = Phase::Finished;
-                return;
-            }
         }
 
         // Centroid of all but the worst vertex.
@@ -702,41 +668,6 @@ mod tests {
         };
         let r = nelder_mead(f, &[0.0], &opts);
         assert!((r.x[0] - 1.0).abs() < 1e-4);
-        assert!(!r.aborted);
-    }
-
-    #[test]
-    fn abandon_rule_cuts_hopeless_runs_short() {
-        let f = |x: &[f64]| 1000.0 + x.iter().map(|v| v * v).sum::<f64>();
-        let opts = NelderMeadOptions {
-            max_evals: 10_000,
-            f_tol: 0.0,
-            x_tol: 0.0,
-            restarts: 0,
-            abandon: Some(AbandonRule {
-                threshold: 10.0,
-                min_evals: 20,
-            }),
-            ..Default::default()
-        };
-        let r = nelder_mead(f, &[5.0, 5.0, 5.0], &opts);
-        assert!(r.aborted);
-        assert!(r.evals < 200, "evals = {}", r.evals);
-    }
-
-    #[test]
-    fn abandon_rule_lets_winners_finish() {
-        let f = |x: &[f64]| (x[0] - 2.0).powi(2);
-        let opts = NelderMeadOptions {
-            abandon: Some(AbandonRule {
-                threshold: 1e6,
-                min_evals: 0,
-            }),
-            ..Default::default()
-        };
-        let r = nelder_mead(f, &[0.0], &opts);
-        assert!(!r.aborted);
-        assert!((r.x[0] - 2.0).abs() < 1e-4);
     }
 
     #[test]

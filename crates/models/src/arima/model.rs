@@ -39,11 +39,6 @@ pub struct ArimaOptions {
     /// better, so a poor warm start costs one objective evaluation, never
     /// accuracy. Ignored when the length does not match the spec.
     pub warm_start: Option<Vec<f64>>,
-    /// Champion-bound racing: abandon the fit (with
-    /// [`crate::ModelError::Abandoned`]) if the CSS
-    /// objective is still above this after a third of the evaluation budget.
-    /// `None` (the default) fits to completion.
-    pub abandon_css_above: Option<f64>,
     /// Score [`ArimaOptions::warm_start`] verbatim instead of optimising:
     /// the fit evaluates the objective once at the given parameters and
     /// keeps them. This is how a stored repository champion is re-scored
@@ -70,7 +65,6 @@ impl Default for ArimaOptions {
             hannan_rissanen_init: true,
             gls_refinement: true,
             warm_start: None,
-            abandon_css_above: None,
             freeze_warm_start: false,
             freeze_beta: None,
         }
@@ -503,12 +497,6 @@ impl ArimaFitSession {
                     });
                 }
             } else {
-                let abandon =
-                    opts.abandon_css_above
-                        .map(|threshold| dwcp_math::optimize::AbandonRule {
-                            threshold,
-                            min_evals: budget / 3,
-                        });
                 driver = Some(NelderMeadDriver::new(
                     &start,
                     NelderMeadOptions {
@@ -522,7 +510,6 @@ impl ArimaFitSession {
                         warm_refine_step: warm_start.as_ref().map(|_| 0.02),
                         warm_budget: warm_start.as_ref().map(|_| (budget / 6).max(60)),
                         warm_start,
-                        abandon,
                         ..Default::default()
                     },
                 ));
@@ -636,9 +623,6 @@ impl ArimaFitSession {
                         })
                     }
                 };
-                if nm.aborted {
-                    return Err(ModelError::Abandoned { evals: nm.evals });
-                }
                 (nm.x, nm.fx, nm.evals)
             }
         };
@@ -1054,31 +1038,6 @@ mod tests {
         // sq: new block starts at zero.
         assert_eq!(adapted, vec![0.1, 0.3, 0.0, 0.4, 0.0]);
         assert!(adapt_unconstrained(&[0.1], &from, &to).is_none());
-    }
-
-    #[test]
-    fn abandon_bound_reports_abandoned() {
-        let y = simulate_arma(400, &[0.8], &[], 47);
-        let opts = ArimaOptions {
-            abandon_css_above: Some(1e-12), // unbeatable bound
-            ..Default::default()
-        };
-        match FittedArima::fit(&y, ArimaSpec::arima(2, 0, 2), &opts) {
-            Err(ModelError::Abandoned { evals }) => assert!(evals > 0),
-            other => panic!("expected Abandoned, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn generous_abandon_bound_does_not_trigger() {
-        let y = simulate_arma(400, &[0.8], &[], 47);
-        let opts = ArimaOptions {
-            abandon_css_above: Some(f64::INFINITY),
-            ..Default::default()
-        };
-        let fit = FittedArima::fit(&y, ArimaSpec::arima(1, 0, 0), &opts).unwrap();
-        let plain = FittedArima::fit(&y, ArimaSpec::arima(1, 0, 0), &Default::default()).unwrap();
-        assert_eq!(fit.css.to_bits(), plain.css.to_bits());
     }
 
     #[test]

@@ -249,14 +249,6 @@ pub enum ModelError {
         /// Human-readable description.
         context: String,
     },
-    /// The fit was cut short by a champion-bound racing rule
-    /// ([`arima::ArimaOptions::abandon_css_above`]): the partial objective
-    /// could not beat the incumbent. Not a failure — the candidate was
-    /// provably (up to the heuristic bound) not going to win.
-    Abandoned {
-        /// Objective evaluations spent before giving up.
-        evals: usize,
-    },
     /// The caller supplied inconsistent exogenous data.
     ExogenousMismatch {
         /// Human-readable description.
@@ -279,9 +271,6 @@ impl std::fmt::Display for ModelError {
             }
             ModelError::InvalidSpec { context } => write!(f, "invalid model spec: {context}"),
             ModelError::FitFailed { context } => write!(f, "model fit failed: {context}"),
-            ModelError::Abandoned { evals } => {
-                write!(f, "fit abandoned by racing bound after {evals} evaluations")
-            }
             ModelError::ExogenousMismatch { context } => {
                 write!(f, "exogenous data mismatch: {context}")
             }

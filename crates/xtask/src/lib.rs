@@ -71,23 +71,12 @@ pub const BLESSED_REDUCTION_PREFIX: &str = "crates/math/src/";
 /// Files allowed to use `Ordering::Relaxed`, each with the justification
 /// the discipline pass demands: *why* relaxed is correct there and where
 /// the protocol is model-checked.
-pub const BLESSED_RELAXED_ATOMICS: &[(&str, &str)] = &[
-    (
-        "crates/core/src/protocol.rs",
-        "extracted protocol cells (incumbent CAS-minimum, hysteresis claim, \
-         fetch_add ticket dispenser); correctness is ordering-agnostic by \
-         construction and every interleaving is enumerated in \
-         crates/core/tests/model_check.rs",
-    ),
-    (
-        "crates/core/src/evaluate.rs",
-        "incumbent bound reads; the global unit queue, the batch-wide \
-         lockstep pair ticket and the plan dispenser take their tickets \
-         through protocol::claim_ticket, and the dispatch, lockstep refill \
-         and publish protocols are model-checked in \
-         crates/core/tests/model_check.rs",
-    ),
-];
+pub const BLESSED_RELAXED_ATOMICS: &[(&str, &str)] = &[(
+    "crates/core/src/protocol.rs",
+    "extracted protocol cell (fetch_add ticket dispenser); correctness is \
+     ordering-agnostic by construction and every interleaving is enumerated \
+     in crates/core/tests/model_check.rs",
+)];
 
 /// Every file holding atomics in non-test code must appear here, mapped to
 /// its extracted protocol and an evidence symbol that must occur in
@@ -96,14 +85,12 @@ pub const BLESSED_RELAXED_ATOMICS: &[(&str, &str)] = &[
 pub const ATOMIC_PROTOCOLS: &[(&str, &str, &str)] = &[
     (
         "crates/core/src/protocol.rs",
-        "incumbent CAS-minimum, checkpoint ledger, shutdown drain gate, alert hysteresis, \
-         ticket dispenser",
-        "publish_min_rmse",
+        "checkpoint ledger, shutdown drain gate, ticket dispenser",
+        "claim_ticket",
     ),
     (
         "crates/core/src/evaluate.rs",
-        "incumbent racing + work-queue dispatch + batch-wide lockstep pair refill \
-         + plan dispenser",
+        "work-queue dispatch + batch-wide lockstep pair refill + plan dispenser",
         "lockstep_refill",
     ),
     (

@@ -9,10 +9,9 @@
 #      (tests, benches and bins as well as the libraries)
 #   3. full workspace test suite, then the benchmark package's own unit
 #      and smoke tests (it sits outside the workspace)
-#   4. grid_search criterion bench in --quick mode (smoke: the acceleration
-#      layer must still build, run, and beat nothing over — champion
-#      equality is asserted inside the evaluate tests; wall-clock numbers
-#      from this stage are indicative only)
+#   4. benchmark count gate: short traced runs of estate-scan,
+#      estate-relearn and forecast-auto must reproduce the work counts
+#      checked in at results/benchmark_counts.json exactly
 #   5. bench_kernels smoke (bitwise CSS/ETS/TBATS kernel parity asserted
 #      in-binary, snapshot schema checked, batched ETS and TBATS faster
 #      than solo on every row), then bench_grid
@@ -107,8 +106,32 @@ echo "== benchmark package: unit tests + every-workload smoke =="
 # workspace test runs above never reach it.
 cargo test -q --offline --release --manifest-path benchmark/Cargo.toml
 
-echo "== bench smoke: grid_search --quick =="
-cargo bench -p dwcp-bench --bench grid_search -- --quick
+echo "== benchmark counts vs results/benchmark_counts.json =="
+# The work a benchmark run does — objective evaluations, transform-cache
+# hits, warm starts, champion reuse hits/misses/fallbacks, shard loads,
+# appends, evictions and compactions — depends on its seed and the
+# program, never on the host, so it must match the recorded counts
+# exactly. A change that moves one changes behaviour: explain it and
+# re-record the file. serve-mixed is left out: its run exits non-zero
+# whenever the load generator itself ran more than 1 ms late at p99,
+# which depends on how busy the host is.
+counts_dir="$(mktemp -d)"
+for workload in estate-scan estate-relearn forecast-auto; do
+  cargo run --offline --release --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 1 \
+    > "$counts_dir/out" 2> "$counts_dir/err" \
+    || { echo "benchmark $workload failed:"; tail -n 20 "$counts_dir/err"; exit 1; }
+  python3 - "$workload" "$counts_dir/out" <<'PY'
+import json, sys
+workload, path = sys.argv[1], sys.argv[2]
+want = json.load(open("results/benchmark_counts.json"))["workloads"][workload]
+got = json.loads(open(path).read().strip().splitlines()[-1])["metrics"]
+moved = {k: (v, got[k]["value"]) for k, v in want.items() if got[k]["value"] != v}
+assert not moved, f"{workload}: counts moved (recorded, measured): {moved}"
+print(f"{workload}: all {len(want)} counts match")
+PY
+done
+rm -rf "$counts_dir"
 
 echo "== bench smoke: bench_kernels (DWCP_QUICK=1) =="
 # Bitwise SSE parity of reference vs solo kernel vs batched lane for the
