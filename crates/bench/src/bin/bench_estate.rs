@@ -5,15 +5,15 @@
 //! 1. `rss_by_wave_size`: the whole estate at several wave sizes; peak RSS
 //!    must stay flat (≤ 2× spread) while the wave size varies 4× — memory
 //!    tracks the wave, not the estate,
-//! 2. `allatonce`: the legacy all-at-once scheduler at growing estate
-//!    slices; its bytes-per-job slope is extrapolated to a million jobs,
+//! 2. `allatonce`: each of several growing estate slices as one wave as
+//!    large as the slice; the bytes-per-job slope is extrapolated to a
+//!    million jobs,
 //! 3. `relearn`: a second scan over the persisted champions — the reuse
 //!    hit rate of champion-seeded relearning at estate scale,
 //! 4. `resume`: a checkpointed scan killed part-way, then resumed; only
 //!    unfinished jobs may refit,
-//! 5. `parity`: the existing OLTP fleet batch through the legacy and the
-//!    wave scheduler at 1/2/4/8 threads — champions and RMSEs must be
-//!    bit-identical.
+//! 5. `parity`: the OLTP fleet batch as one wave and as waves of 5 at
+//!    1/2/4/8 threads — champions and RMSEs must be bit-identical.
 //!
 //! Peak RSS (`VmHWM`) is process-monotonic, so every RSS-measured scenario
 //! runs in a fresh child process (this binary re-executes itself, role
@@ -28,8 +28,8 @@
 
 use dwcp_bench::{oltp_fleet_batch, peak_rss_bytes, results_dir};
 use dwcp_core::{
-    EstateScheduler, EvaluationOptions, FleetOptions, FleetScheduler, JobSource, MethodChoice,
-    PipelineConfig, SeriesJob, ShardedRepository, SliceJobSource, WaveOptions,
+    EstateScheduler, EvaluationOptions, FleetOptions, JobSource, MethodChoice, PipelineConfig,
+    SeriesJob, ShardedRepository, SliceJobSource, WaveOptions,
 };
 use dwcp_series::Granularity;
 use dwcp_workload::EstateSpec;
@@ -202,52 +202,6 @@ fn child_waves() -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Child role `allatonce`: materialise every job up front and run the
-/// legacy in-memory scheduler — the baseline whose RSS grows with the
-/// estate instead of the wave.
-fn child_allatonce() -> Result<(), Box<dyn std::error::Error>> {
-    let n_jobs = env_usize("DWCP_ESTATE_JOBS", 0);
-    let threads = env_usize("DWCP_ESTATE_THREADS", 1);
-    let seed = env_u64("DWCP_ESTATE_SEED", dwcp_bench::EXPERIMENT_SEED);
-    let spec = EstateSpec::new(n_jobs, OBSERVATIONS, seed);
-    let config = estate_job_config(threads);
-    let jobs: Vec<SeriesJob> = spec
-        .keys()
-        .iter()
-        .map(|key| SeriesJob::new(key, spec.series(key), config.clone()))
-        .collect();
-    let mut scheduler = FleetScheduler::new(FleetOptions {
-        threads,
-        now: NOW,
-        ..Default::default()
-    });
-    let report = scheduler.run_batch(&jobs);
-    let completed = report.jobs.iter().filter(|j| j.outcome.is_ok()).count();
-    let result = ChildResult {
-        n_jobs,
-        wave_size: 0,
-        completed,
-        failed: report.jobs.len() - completed,
-        skipped: 0,
-        waves: 0,
-        stopped_early: false,
-        wall_s: report.stats.wall_time.as_secs_f64(),
-        jobs_per_second: report.jobs_per_second(),
-        objective_evals: report.stats.objective_evals,
-        peak_wave_bytes: 0,
-        peak_rss_bytes: peak_rss_bytes().unwrap_or(0),
-        reuse_hits: report.stats.reuse_hits,
-        reuse_misses: report.stats.reuse_misses,
-        reuse_fallbacks: report.stats.reuse_fallbacks,
-        shard_loads: 0,
-        entries_appended: 0,
-        compactions: 0,
-        evictions: 0,
-    };
-    println!("RESULT {}", serde_json::to_string(&result)?);
-    Ok(())
-}
-
 /// Spawn this binary as a child with the given role + env, stream its
 /// stderr, and parse the `RESULT {json}` line. `allow_stop` accepts the
 /// deliberate mid-scan exit code.
@@ -363,9 +317,46 @@ struct ParityInfo {
     bit_identical: bool,
 }
 
-/// Bit-identity check on the real OLTP fleet batch: legacy all-at-once vs
-/// the wave scheduler over a throwaway sharded repository, per thread
-/// count. Returns the number of mismatching champions/RMSEs.
+/// Each job's champion and held-out RMSE from one scan of `jobs`.
+type Champions = std::collections::BTreeMap<String, (String, f64)>;
+
+/// Scan `jobs` at `threads` in waves of `wave_size` over `repository`.
+fn scan_champions(
+    jobs: &[SeriesJob],
+    threads: usize,
+    wave_size: usize,
+    repository: ShardedRepository,
+) -> Result<Champions, Box<dyn std::error::Error>> {
+    let mut estate = EstateScheduler::new(
+        FleetOptions {
+            threads,
+            now: NOW,
+            ..Default::default()
+        },
+        WaveOptions {
+            wave_size,
+            ..Default::default()
+        },
+        repository,
+    );
+    let mut by_key = Champions::new();
+    estate.run_with_progress(&SliceJobSource::new(jobs), &mut |_, results| {
+        for r in results {
+            if let Ok(outcome) = &r.outcome {
+                by_key.insert(
+                    r.key.clone(),
+                    (outcome.champion.clone(), outcome.accuracy.rmse),
+                );
+            }
+        }
+    })?;
+    Ok(by_key)
+}
+
+/// Wave-size invariance on the real OLTP fleet batch: the whole batch as
+/// one wave over an in-memory store vs waves of 5 over a throwaway
+/// sharded repository, per thread count. Returns the number of
+/// mismatching champions/RMSEs and the batch size.
 fn parity_check(
     quick: bool,
     scratch: &Path,
@@ -376,81 +367,45 @@ fn parity_check(
     for (i, &threads) in thread_counts.iter().enumerate() {
         let jobs: Vec<SeriesJob> = oltp_fleet_batch(quick, threads)?;
         batch_jobs = jobs.len();
-        let options = FleetOptions {
-            threads,
-            now: NOW,
-            ..Default::default()
-        };
-        let mut legacy = FleetScheduler::new(options.clone());
-        let legacy_report = legacy.run_batch(&jobs);
-
+        let one_wave = scan_champions(&jobs, threads, jobs.len(), ShardedRepository::in_memory())?;
         let repo_dir = scratch.join(format!("parity-{i}"));
         let repository = ShardedRepository::open_or_create(&repo_dir, 4)?;
-        let mut estate = EstateScheduler::new(
-            options,
-            WaveOptions {
-                wave_size: 5,
-                ..Default::default()
-            },
-            repository,
-        );
-        let source = SliceJobSource::new(&jobs);
-        let mut by_key = std::collections::BTreeMap::new();
-        estate.run_with_progress(&source, &mut |_, results| {
-            for r in results {
-                if let Ok(outcome) = &r.outcome {
-                    by_key.insert(
-                        r.key.clone(),
-                        (outcome.champion.clone(), outcome.accuracy.rmse),
-                    );
-                }
-            }
-        })?;
+        let waves = scan_champions(&jobs, threads, 5, repository)?;
 
-        for job_result in &legacy_report.jobs {
-            let legacy_outcome = match &job_result.outcome {
-                Ok(o) => o,
-                Err(e) => {
-                    eprintln!("FAIL parity: legacy job {} errored: {e}", job_result.key);
-                    mismatches += 1;
-                    continue;
-                }
+        for job in &jobs {
+            let Some((champion, rmse)) = one_wave.get(&job.key) else {
+                eprintln!("FAIL parity: one-wave job {} errored", job.key);
+                mismatches += 1;
+                continue;
             };
-            match by_key.get(&job_result.key) {
-                Some((champion, rmse)) => {
-                    if *champion != legacy_outcome.champion
-                        || rmse.to_bits() != legacy_outcome.accuracy.rmse.to_bits()
-                    {
+            match waves.get(&job.key) {
+                Some((wave_champion, wave_rmse)) => {
+                    if wave_champion != champion || wave_rmse.to_bits() != rmse.to_bits() {
                         eprintln!(
-                            "FAIL parity ({threads} threads) {}: wave {champion}/{rmse} != legacy {}/{}",
-                            job_result.key, legacy_outcome.champion, legacy_outcome.accuracy.rmse
+                            "FAIL parity ({threads} threads) {}: waves of 5 {wave_champion}/{wave_rmse} != one wave {champion}/{rmse}",
+                            job.key
                         );
                         mismatches += 1;
                     }
                 }
                 None => {
                     eprintln!(
-                        "FAIL parity ({threads} threads): wave scheduler lost job {}",
-                        job_result.key
+                        "FAIL parity ({threads} threads): waves of 5 lost job {}",
+                        job.key
                     );
                     mismatches += 1;
                 }
             }
         }
-        println!(
-            "  parity @ {threads} threads: {} jobs compared",
-            legacy_report.jobs.len()
-        );
+        println!("  parity @ {threads} threads: {} jobs compared", jobs.len());
     }
     Ok((mismatches, batch_jobs))
 }
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Child roles re-enter here; the parent falls through to orchestrate.
-    match std::env::var("DWCP_ESTATE_ROLE").as_deref() {
-        Ok("waves") => return child_waves(),
-        Ok("allatonce") => return child_allatonce(),
-        _ => {}
+    if let Ok("waves") = std::env::var("DWCP_ESTATE_ROLE").as_deref() {
+        return child_waves();
     }
 
     let quick = std::env::var("DWCP_QUICK").is_ok();
@@ -547,12 +502,24 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         failures += 1;
     }
 
-    // 2. Legacy all-at-once at growing slices: RSS is linear in the
-    //    estate, so a million jobs is extrapolated, not attempted.
+    // 2. All-at-once — one wave as large as the slice — at growing
+    //    slices: RSS is linear in the estate, so a million jobs is
+    //    extrapolated, not attempted.
     let mut allatonce_runs: Vec<AllAtOnceRun> = Vec::new();
     for &n in allatonce_sizes {
         println!("  all-at-once {n} jobs ...");
-        let r = run_child("allatonce", &[("DWCP_ESTATE_JOBS", n.to_string())], false)?;
+        let repo_dir = scratch.join(format!("allatonce-{n}"));
+        let r = run_child(
+            "waves",
+            &[
+                ("DWCP_ESTATE_JOBS", n.to_string()),
+                ("DWCP_ESTATE_WAVE", n.to_string()),
+                ("DWCP_ESTATE_SHARDS", shards.to_string()),
+                ("DWCP_ESTATE_REPO", repo_dir.display().to_string()),
+            ],
+            false,
+        )?;
+        let _ = std::fs::remove_dir_all(&repo_dir);
         println!(
             "    {:.1}s, peak RSS {:.1} MiB",
             r.wall_s,
@@ -675,7 +642,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         failures += 1;
     }
 
-    // 5. Bit-identity parity on the real OLTP batch at 1/2/4/8 threads.
+    // 5. Wave-size parity on the real OLTP batch at 1/2/4/8 threads.
     let thread_counts = [1usize, 2, 4, 8];
     println!("  parity on the OLTP fleet batch ...");
     let (parity_mismatches, batch_jobs) = parity_check(quick, &scratch, &thread_counts)?;

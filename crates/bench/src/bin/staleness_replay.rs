@@ -7,7 +7,7 @@
 //! ```
 
 use dwcp_bench::{experiment_pipeline, EXPERIMENT_SEED};
-use dwcp_core::{ModelRecord, ModelRepository};
+use dwcp_core::{ModelRecord, ShardedRepository};
 use dwcp_series::{Accuracy, Granularity};
 use dwcp_workload::{oltp_scenario, Metric};
 
@@ -18,7 +18,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let series = scenario.hourly(EXPERIMENT_SEED, instance, Metric::CpuPercent)?;
     let exog = scenario.exogenous_columns(scenario.start, series.len());
     let pipeline = experiment_pipeline();
-    let mut repo = ModelRepository::new();
+    let mut repo = ShardedRepository::in_memory();
     let key = format!("{instance}/CPU");
 
     // Replay: each day from the protocol boundary onward, check the
@@ -34,7 +34,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // Live accuracy of the stored champion over the just-elapsed day:
         // refit the pipeline only when the repository demands it.
-        let verdict = repo.needs_relearn(&key, now, None);
+        let verdict = repo.needs_relearn(&key, now, None)?;
         let mut label = "kept".to_string();
         if let Some(reason) = verdict {
             let exog_window: Vec<Vec<f64>> = exog.iter().map(|c| c[..upto].to_vec()).collect();
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 &outcome,
                 Granularity::Hourly,
                 now,
-            ));
+            ))?;
             relearns += 1;
             label = format!("{reason:?}");
         }

@@ -29,8 +29,8 @@ pub fn peak_rss_bytes() -> Option<u64> {
     None
 }
 
-/// The SARIMAX pipeline configuration shared by the fleet benches
-/// (`bench_fleet`, `bench_estate` parity scenario).
+/// The SARIMAX pipeline configuration of the OLTP fleet batch
+/// (`bench_estate`'s wave-size parity scenario).
 pub fn fleet_job_config(granularity: Granularity, quick: bool, threads: usize) -> PipelineConfig {
     PipelineConfig {
         method: MethodChoice::Sarimax,
@@ -53,8 +53,8 @@ pub fn fleet_job_config(granularity: Granularity, quick: bool, threads: usize) -
 }
 
 /// The 12-job OLTP fleet batch (2 instances × 3 metrics × hourly+daily;
-/// quick mode: 1 instance × 2 metrics, hourly only) used by `bench_fleet`
-/// and reused by `bench_estate`'s bit-identity parity scenario.
+/// quick mode: 1 instance × 2 metrics, hourly only) behind
+/// `bench_estate`'s wave-size parity scenario.
 pub fn oltp_fleet_batch(
     quick: bool,
     threads: usize,

@@ -40,7 +40,7 @@ use crate::evaluate::{EvaluationReport, ModelScore};
 use crate::fleet::{run_batch_on, FleetOptions, SeriesJob};
 use crate::grid::{CandidateModel, ModelConfig, ModelGrid};
 use crate::pipeline::{ForecastOutcome, GridStrategy, PipelineConfig};
-use crate::repository::{ModelRecord, ModelRepository, RelearnReason};
+use crate::repository::{ModelRecord, RelearnReason, ShardedRepository};
 use crate::{PlannerError, Result};
 use dwcp_models::arima::ArimaOptions;
 use dwcp_models::{
@@ -590,6 +590,8 @@ struct WorkloadState {
     /// Complete aggregates covered by the last successful score.
     scored_hours: usize,
     live_rmse: Option<f64>,
+    /// Baseline RMSE of the stored champion at the last score.
+    baseline_rmse: Option<f64>,
     future: Option<LiveForecast>,
     champion: Option<String>,
     rescores: u64,
@@ -603,6 +605,7 @@ impl WorkloadState {
             ingest: IngestStage::hourly(),
             scored_hours: 0,
             live_rmse: None,
+            baseline_rmse: None,
             future: None,
             champion: None,
             rescores: 0,
@@ -627,18 +630,18 @@ const ALERT_LOG_CAP: usize = 256;
 #[derive(Debug)]
 pub struct Engine {
     config: EngineConfig,
-    repository: ModelRepository,
+    repository: ShardedRepository,
     alert_stage: AlertStage,
     workloads: BTreeMap<String, WorkloadState>,
 }
 
 impl Engine {
-    /// A resident engine with an empty repository.
+    /// A resident engine with an empty in-memory repository.
     pub fn new(config: EngineConfig) -> Engine {
         let alert_stage = AlertStage::new(config.rules.clone());
         Engine {
             config,
-            repository: ModelRepository::new(),
+            repository: ShardedRepository::in_memory(),
             alert_stage,
             workloads: BTreeMap::new(),
         }
@@ -647,11 +650,6 @@ impl Engine {
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
         &self.config
-    }
-
-    /// The champion repository (stored champions, retention policy).
-    pub fn repository(&self) -> &ModelRepository {
-        &self.repository
     }
 
     /// Workload keys seen so far.
@@ -707,7 +705,6 @@ impl Engine {
     /// A status snapshot for a workload.
     pub fn status(&self, workload: &str) -> Option<WorkloadStatus> {
         let state = self.workloads.get(workload)?;
-        let record = self.repository.get(workload);
         Some(WorkloadStatus {
             workload: workload.to_string(),
             points: state.ingest.buffer().accepted(),
@@ -716,7 +713,7 @@ impl Engine {
             scored_hours: state.scored_hours,
             champion: state.champion.clone(),
             live_rmse: state.live_rmse,
-            baseline_rmse: record.map(|r| r.baseline_rmse),
+            baseline_rmse: state.baseline_rmse,
             rescores: state.rescores,
             relearns: state.relearns,
             alerts_fired: state.alerts.len(),
@@ -754,13 +751,13 @@ impl Engine {
         // Frozen re-score when the repository holds a scoreable champion;
         // otherwise (first sight, legacy record, or an exogenous champion
         // whose columns the stream cannot supply) a grid search.
-        let seed = self.repository.get(workload).and_then(scoreable_seed);
+        let seed = self.repository.get(workload)?.and_then(scoreable_seed);
         let (action, score) = match seed {
             Some(seed) => {
                 let live = rescore_frozen(&self.config.pipeline, &seed, &series)?;
                 let verdict = self
                     .repository
-                    .needs_relearn(workload, now, Some(live.rmse));
+                    .needs_relearn(workload, now, Some(live.rmse))?;
                 match verdict {
                     None => (ScoreAction::Rescored, live),
                     Some(reason) => {
@@ -779,20 +776,23 @@ impl Engine {
         // champion, frozen — then run the alert stage over it.
         let record = self
             .repository
-            .get(workload)
+            .get(workload)?
             .ok_or(PlannerError::Internal {
                 context: "engine scored a workload but the repository holds no record for it",
             })?
             .clone();
         let future =
-            frozen_future_forecast(&self.config.pipeline, &record, &series, self.config.horizon)?;
-        let fired = self.alert_stage.scan(workload, &future, now, step_seconds);
+            frozen_future_forecast(&self.config.pipeline, &record, &series, self.config.horizon);
 
         let Some(state) = self.workloads.get_mut(workload) else {
             return Err(PlannerError::Internal {
                 context: "engine workload state vanished mid-step",
             });
         };
+        // The record is stored even when the forecast below fails.
+        state.baseline_rmse = Some(record.baseline_rmse);
+        let future = future?;
+        let fired = self.alert_stage.scan(workload, &future, now, step_seconds);
         state.scored_hours = have;
         state.live_rmse = Some(score.rmse);
         state.champion = Some(score.champion.clone());
@@ -828,7 +828,6 @@ impl Engine {
     fn learn(&mut self, workload: &str, series: &TimeSeries, now: u64) -> Result<ForecastOutcome> {
         let options = FleetOptions {
             threads: self.config.pipeline.eval.threads,
-            reuse_champions: true,
             neighbourhood_radius: self.config.neighbourhood_radius,
             now,
         };
@@ -1045,6 +1044,7 @@ mod tests {
                 need: 1008
             }
         ));
+        assert_eq!(engine.status("db/CPU").unwrap().baseline_rmse, None);
     }
 
     #[test]
@@ -1060,6 +1060,10 @@ mod tests {
         assert!(summary.live_rmse.is_finite());
         // The baseline equals the first fit's RMSE.
         assert_eq!(summary.baseline_rmse, summary.live_rmse);
+        assert_eq!(
+            engine.status("db/CPU").unwrap().baseline_rmse,
+            Some(summary.baseline_rmse)
+        );
 
         // One more on-pattern complete hour: frozen re-score, no grid.
         let next: Vec<(u64, f64)> = quarter_hour_points(1012)

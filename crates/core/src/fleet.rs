@@ -7,22 +7,26 @@
 //! (instance, metric, granularity) series relearned together — not one
 //! series at a time. This module adds that layer:
 //!
-//! * [`FleetScheduler`] runs a batch of [`SeriesJob`]s through **one**
-//!   shared worker pool ([`evaluate_fleet`]): every job's candidate chains
-//!   are interleaved under a single global concurrency cap, so a 12-job
-//!   batch at 4 threads keeps 4 cores busy end to end instead of paying 12
-//!   pool ramp-down tails. Results stay per-job deterministic — each job's
-//!   report is merged and tie-broken exactly as in the single-grid path,
-//!   so champions and RMSEs are bit-identical at any thread count.
-//! * **Champion-seeded relearning**: when the [`ModelRepository`] holds a
-//!   fresh champion for a job, the scheduler fits only the pruned
-//!   neighbourhood grid around the stored configuration
-//!   ([`ModelGrid::neighbourhood_of`]), warm-started from the stored
-//!   converged parameters — whichever family the champion belongs to.
-//!   Only when the pruned champion's held-out RMSE degrades past the
-//!   staleness threshold (`baseline × rmse_degradation_factor`) does the
-//!   job fall back to the full grid — turning the weekly relearn into a
-//!   local refinement.
+//! * [`run_batch_on`] runs a batch of [`SeriesJob`]s through **one**
+//!   shared worker pool ([`evaluate_fleet`]) against any
+//!   [`ChampionStore`]: every job's candidate chains are interleaved under
+//!   a single global concurrency cap, so a 12-job batch at 4 threads keeps
+//!   4 cores busy end to end instead of paying 12 pool ramp-down tails.
+//!   Results stay per-job deterministic — each job's report is merged and
+//!   tie-broken exactly as in the single-grid path, so champions and RMSEs
+//!   are bit-identical at any thread count.
+//! * [`EstateScheduler`] streams a [`JobSource`] through `run_batch_on` in
+//!   bounded-memory waves over a [`ShardedRepository`], on disk or in
+//!   memory. An all-at-once batch is one wave; champions do not depend on
+//!   the wave size.
+//! * **Champion-seeded relearning**: when the store holds a fresh
+//!   champion for a job, the batch fits only the pruned neighbourhood grid
+//!   around the stored configuration ([`ModelGrid::neighbourhood_of`]),
+//!   warm-started from the stored converged parameters — whichever family
+//!   the champion belongs to. Only when the pruned champion's held-out
+//!   RMSE degrades past the staleness threshold
+//!   ([`RetentionPolicy::relearn_reason`]) does the job fall back to the
+//!   full grid — turning the weekly relearn into a local refinement.
 //!
 //! HES and TBATS jobs are first-class batch citizens: their candidate
 //! menus interleave through the same shared pool, persist champions with
@@ -32,9 +36,7 @@
 use crate::evaluate::{evaluate_fleet, map_on_pool, EvalStats, EvalTask, EvaluationReport};
 use crate::grid::{CandidateModel, ModelConfig, ModelGrid};
 use crate::pipeline::{EvalPlan, ForecastOutcome, MethodChoice, Pipeline, PipelineConfig};
-use crate::repository::{
-    shard_of, ChampionStore, ModelRecord, ModelRepository, RetentionPolicy, ShardedRepository,
-};
+use crate::repository::{shard_of, ChampionStore, ModelRecord, RetentionPolicy, ShardedRepository};
 use crate::{protocol, PlannerError, Result};
 use dwcp_series::TimeSeries;
 use std::collections::{BTreeMap, BTreeSet};
@@ -83,10 +85,6 @@ impl SeriesJob {
 pub struct FleetOptions {
     /// Worker threads shared by the whole batch; 0 = one per core.
     pub threads: usize,
-    /// Champion-seeded relearning: consult the repository and relearn
-    /// fresh champions on a pruned neighbourhood grid (on by default; off
-    /// runs every job cold on its full grid).
-    pub reuse_champions: bool,
     /// Neighbourhood radius around a stored champion's `(p, q)` orders.
     pub neighbourhood_radius: usize,
     /// Current epoch-seconds, used for the staleness check and stamped
@@ -99,7 +97,6 @@ impl Default for FleetOptions {
     fn default() -> Self {
         FleetOptions {
             threads: 0,
-            reuse_champions: true,
             neighbourhood_radius: 1,
             now: 0,
         }
@@ -133,19 +130,6 @@ pub struct FleetReport {
     pub stats: EvalStats,
 }
 
-impl FleetReport {
-    /// Successfully forecast jobs per second of batch wall time.
-    pub fn jobs_per_second(&self) -> f64 {
-        let ok = self.jobs.iter().filter(|j| j.outcome.is_ok()).count();
-        let secs = self.stats.wall_time.as_secs_f64();
-        if secs > 0.0 {
-            ok as f64 / secs
-        } else {
-            0.0
-        }
-    }
-}
-
 /// A job after planning, carried across the batch passes.
 struct PreparedJob {
     /// Index into the batch's result vector.
@@ -154,12 +138,10 @@ struct PreparedJob {
     plan: EvalPlan,
     /// Champion seed priming every chain of the primary grid.
     seed: Option<(ModelConfig, Vec<f64>, Vec<f64>)>,
-    /// The full grid to fall back to; `Some` exactly when the primary grid
-    /// is a champion neighbourhood.
-    fallback_models: Option<Vec<CandidateModel>>,
-    /// RMSE above which the seeded relearn is declared degraded
-    /// (`baseline × rmse_degradation_factor`).
-    fallback_threshold: f64,
+    /// The stored champion the primary grid is a neighbourhood of, and
+    /// the full grid to fall back to if the relearn degrades; `Some` until
+    /// the job falls back.
+    fallback: Option<(ModelRecord, Vec<CandidateModel>)>,
     reused: bool,
     fell_back: bool,
     report: Option<EvaluationReport>,
@@ -167,43 +149,6 @@ struct PreparedJob {
     /// neighbourhood pass) — still real compute, so still counted in the
     /// batch aggregate.
     wasted: EvalStats,
-}
-
-/// Runs batches of [`SeriesJob`]s against a model repository.
-#[derive(Debug, Default)]
-pub struct FleetScheduler {
-    /// Scheduling knobs.
-    pub options: FleetOptions,
-    /// The central repository consulted for champion seeds and updated
-    /// with every successful job.
-    pub repository: ModelRepository,
-}
-
-impl FleetScheduler {
-    /// A scheduler with an empty repository.
-    pub fn new(options: FleetOptions) -> FleetScheduler {
-        FleetScheduler {
-            options,
-            repository: ModelRepository::new(),
-        }
-    }
-
-    /// A scheduler over an existing repository (e.g. loaded from disk).
-    pub fn with_repository(options: FleetOptions, repository: ModelRepository) -> FleetScheduler {
-        FleetScheduler {
-            options,
-            repository,
-        }
-    }
-
-    /// Run a batch. Returns per-job results in input order and updates the
-    /// repository with every successful champion.
-    ///
-    /// Delegates to [`run_batch_on`] with the in-memory repository as the
-    /// champion store; see there for the pass structure.
-    pub fn run_batch(&mut self, jobs: &[SeriesJob]) -> FleetReport {
-        run_batch_on(&self.options, &mut self.repository, jobs)
-    }
 }
 
 /// The stored champion to seed a job from, if there is one and it is
@@ -219,7 +164,11 @@ fn usable_champion(
     if record.granularity != job.config.granularity {
         return None;
     }
-    if options.now.saturating_sub(record.fitted_at) > store.retention().max_age_seconds {
+    // No live RMSE yet, so only the age rule can fire.
+    let verdict = store
+        .retention()
+        .relearn_reason(Some(&record), options.now, None);
+    if verdict.is_some() {
         return None;
     }
     let (config, ..) = record.champion_seed()?;
@@ -260,6 +209,7 @@ pub fn run_batch_on(
     jobs: &[SeriesJob],
 ) -> FleetReport {
     let started = Instant::now();
+    let policy = store.retention();
     let mut results: Vec<Option<JobResult>> = (0..jobs.len()).map(|_| None).collect();
     let mut prepared: Vec<PreparedJob> = Vec::new();
     let mut batch = EvalStats::default();
@@ -296,41 +246,29 @@ pub fn run_batch_on(
         };
 
         let mut seed = None;
-        let mut fallback_models = None;
-        let mut fallback_threshold = f64::INFINITY;
-        if options.reuse_champions {
-            if let Some((record, config)) = usable_champion(options, store, job) {
-                // Swap the full grid for the champion neighbourhood;
-                // keep the full grid for the fallback.
-                let neighbourhood = ModelGrid::neighbourhood_of(
-                    &config,
-                    options.neighbourhood_radius,
-                    job.config.granularity.seasonal_period(),
-                );
-                fallback_models = Some(std::mem::replace(
-                    &mut plan.set.models,
-                    neighbourhood.candidates,
-                ));
-                fallback_threshold =
-                    record.baseline_rmse * store.retention().rmse_degradation_factor;
-                if !record.warm_params.is_empty() {
-                    seed = Some((
-                        config.clone(),
-                        record.warm_params.clone(),
-                        record.warm_beta.clone(),
-                    ));
-                }
+        let mut fallback = None;
+        if let Some((record, config)) = usable_champion(options, store, job) {
+            // Swap the full grid for the champion neighbourhood; keep the
+            // full grid for the fallback.
+            let neighbourhood = ModelGrid::neighbourhood_of(
+                &config,
+                options.neighbourhood_radius,
+                job.config.granularity.seasonal_period(),
+            );
+            let full = std::mem::replace(&mut plan.set.models, neighbourhood.candidates);
+            if !record.warm_params.is_empty() {
+                seed = Some((config, record.warm_params.clone(), record.warm_beta.clone()));
             }
+            fallback = Some((record, full));
         }
         prepared.push(PreparedJob {
             job_idx,
             pipeline,
-            reused: fallback_models.is_some(),
+            reused: fallback.is_some(),
             fell_back: false,
             plan,
             seed,
-            fallback_models,
-            fallback_threshold,
+            fallback,
             report: None,
             wasted: EvalStats::default(),
         });
@@ -354,20 +292,19 @@ pub fn run_batch_on(
     // viable model at all). The fallback is unseeded, so its result is
     // exactly what a cold `Pipeline::run` would have selected.
     for job in prepared.iter_mut() {
-        if job.fallback_models.is_none() {
+        let Some((stored, _)) = &job.fallback else {
             continue;
-        }
-        let degraded = match &job.report {
-            None => true,
-            Some(report) => report
-                .champion()
-                .map(|c| c.accuracy.rmse > job.fallback_threshold)
-                .unwrap_or(true),
         };
-        // `fallback_models` was checked non-None above; `take` moves the
-        // grid out so a job can only fall back once.
+        let degraded = match job.report.as_ref().and_then(EvaluationReport::champion) {
+            None => true,
+            Some(c) => policy
+                .relearn_reason(Some(stored), options.now, Some(c.accuracy.rmse))
+                .is_some(),
+        };
+        // `fallback` was checked non-None above; `take` moves the grid out
+        // so a job can only fall back once.
         if degraded {
-            let Some(models) = job.fallback_models.take() else {
+            let Some((_, models)) = job.fallback.take() else {
                 continue;
             };
             job.fell_back = true;
@@ -513,8 +450,8 @@ pub trait JobSource {
     fn load(&self, key: &str) -> Result<SeriesJob>;
 }
 
-/// A [`JobSource`] over jobs already in memory — adapts the legacy
-/// all-at-once batch shape (and tests) to the wave scheduler.
+/// A [`JobSource`] over jobs already in memory — `dwcp fleet`'s CSV
+/// inputs, tests and examples.
 pub struct SliceJobSource<'a> {
     jobs: &'a [SeriesJob],
 }
@@ -785,19 +722,20 @@ impl protocol::WaveLedger for RepoLedger<'_> {
     }
 }
 
-/// Streams an estate of jobs through the shared worker pool in
-/// bounded-memory waves against a [`ShardedRepository`].
+/// Streams a batch of jobs through the shared worker pool in
+/// bounded-memory waves against a [`ShardedRepository`] — the one fleet
+/// scheduler, whether the repository is on disk or in memory.
 ///
 /// Each wave: materialise `wave_size` jobs from the [`JobSource`],
 /// prefetch their stored champions (only the shards those keys hash to),
-/// run the wave through [`run_batch_on`] — the exact legacy batch code
-/// path, so champions are bit-identical to the all-at-once scheduler at
-/// any thread count — then flush fresh champions, evict clean shards,
-/// and append completed keys to the checkpoint. Waves are ordered
+/// run the wave through [`run_batch_on`], then flush fresh champions,
+/// evict clean shards, and append completed keys to the checkpoint. A
+/// wave as large as the batch runs it all at once; champions are
+/// bit-identical at any wave size and thread count. Waves are ordered
 /// stalest-first (missing champions, then oldest `fitted_at`), with ties
 /// broken by shard so a wave's repository traffic clusters on few shards.
 pub struct EstateScheduler {
-    /// Batch scheduling knobs (threads, reuse, staleness clock).
+    /// Batch scheduling knobs (threads, neighbourhood, staleness clock).
     pub fleet: FleetOptions,
     /// Wave size, checkpointing, early stop.
     pub waves: WaveOptions,
@@ -806,7 +744,7 @@ pub struct EstateScheduler {
 }
 
 impl EstateScheduler {
-    /// A scheduler over an existing sharded repository.
+    /// A scheduler over a sharded repository, on disk or in memory.
     pub fn new(
         fleet: FleetOptions,
         waves: WaveOptions,
@@ -1022,11 +960,12 @@ mod tests {
     #[test]
     fn batch_results_match_sequential_pipeline_runs() {
         let jobs = batch(3);
-        let mut scheduler = FleetScheduler::new(FleetOptions {
+        let mut store = ShardedRepository::in_memory();
+        let options = FleetOptions {
             threads: 4,
             ..Default::default()
-        });
-        let report = scheduler.run_batch(&jobs);
+        };
+        let report = run_batch_on(&options, &mut store, &jobs);
         assert_eq!(report.jobs.len(), 3);
         for (job, result) in jobs.iter().zip(&report.jobs) {
             let fleet_outcome = result.outcome.as_ref().unwrap();
@@ -1044,14 +983,11 @@ mod tests {
         // An empty repository means every job was a reuse miss.
         assert_eq!(report.stats.reuse_hits, 0);
         assert_eq!(report.stats.reuse_misses, 3);
-        assert_eq!(scheduler.repository.len(), 3);
+        assert_eq!(store.count_records().unwrap(), 3);
     }
 
-    #[test]
-    fn batch_is_deterministic_across_thread_counts() {
-        // Mixed-family batch: two SARIMAX grids and one HES menu racing
-        // through the same shared pool must stay bit-identical at any
-        // thread count.
+    /// Two SARIMAX grids and one HES menu: a mixed-family batch.
+    fn mixed_batch() -> Vec<SeriesJob> {
         let mut jobs = batch(2);
         let mut hes = fast_config();
         hes.method = MethodChoice::Hes;
@@ -1060,17 +996,27 @@ mod tests {
             hourly_series(1100, 5),
             hes,
         ));
-        let baseline = FleetScheduler::new(FleetOptions {
-            threads: 1,
+        jobs
+    }
+
+    /// Run `jobs` as one cold batch on `threads` workers over a fresh
+    /// in-memory store.
+    fn cold_batch(jobs: &[SeriesJob], threads: usize) -> FleetReport {
+        let options = FleetOptions {
+            threads,
             ..Default::default()
-        })
-        .run_batch(&jobs);
+        };
+        run_batch_on(&options, &mut ShardedRepository::in_memory(), jobs)
+    }
+
+    #[test]
+    fn batch_is_deterministic_across_thread_counts() {
+        // A mixed-family batch racing through the same shared pool must
+        // stay bit-identical at any thread count.
+        let jobs = mixed_batch();
+        let baseline = cold_batch(&jobs, 1);
         for threads in [2, 4, 8] {
-            let report = FleetScheduler::new(FleetOptions {
-                threads,
-                ..Default::default()
-            })
-            .run_batch(&jobs);
+            let report = cold_batch(&jobs, threads);
             for (a, b) in baseline.jobs.iter().zip(&report.jobs) {
                 let (a, b) = (a.outcome.as_ref().unwrap(), b.outcome.as_ref().unwrap());
                 assert_eq!(a.champion, b.champion, "threads = {threads}");
@@ -1086,12 +1032,13 @@ mod tests {
     #[test]
     fn second_batch_reuses_stored_champions() {
         let jobs = batch(2);
-        let mut scheduler = FleetScheduler::new(FleetOptions {
+        let options = FleetOptions {
             threads: 4,
             ..Default::default()
-        });
-        let cold = scheduler.run_batch(&jobs);
-        let relearn = scheduler.run_batch(&jobs);
+        };
+        let mut store = ShardedRepository::in_memory();
+        let cold = run_batch_on(&options, &mut store, &jobs);
+        let relearn = run_batch_on(&options, &mut store, &jobs);
         assert_eq!(relearn.stats.reuse_hits, 2);
         assert_eq!(relearn.stats.reuse_misses, 0);
         assert_eq!(relearn.stats.reuse_fallbacks, 0);
@@ -1117,16 +1064,17 @@ mod tests {
     #[test]
     fn degraded_champion_falls_back_to_full_grid() {
         let jobs = batch(1);
-        let mut scheduler = FleetScheduler::new(FleetOptions {
+        let options = FleetOptions {
             threads: 4,
             ..Default::default()
-        });
-        scheduler.run_batch(&jobs);
+        };
+        let mut store = ShardedRepository::in_memory();
+        run_batch_on(&options, &mut store, &jobs);
         // Sabotage the stored baseline so any relearn RMSE looks degraded.
-        let mut record = scheduler.repository.get(&jobs[0].key).unwrap().clone();
+        let mut record = store.get(&jobs[0].key).unwrap().unwrap().clone();
         record.baseline_rmse = 1e-12;
-        scheduler.repository.store(record);
-        let report = scheduler.run_batch(&jobs);
+        store.store(record).unwrap();
+        let report = run_batch_on(&options, &mut store, &jobs);
         assert_eq!(report.stats.reuse_hits, 1);
         assert_eq!(report.stats.reuse_fallbacks, 1);
         assert!(report.jobs[0].reused && report.jobs[0].fell_back);
@@ -1145,14 +1093,15 @@ mod tests {
     #[test]
     fn stale_champion_is_not_reused() {
         let jobs = batch(1);
-        let mut scheduler = FleetScheduler::new(FleetOptions {
+        let mut options = FleetOptions {
             threads: 4,
             now: 0,
             ..Default::default()
-        });
-        scheduler.run_batch(&jobs);
-        scheduler.options.now = crate::repository::ONE_WEEK_SECONDS + 1;
-        let report = scheduler.run_batch(&jobs);
+        };
+        let mut store = ShardedRepository::in_memory();
+        run_batch_on(&options, &mut store, &jobs);
+        options.now = crate::repository::ONE_WEEK_SECONDS + 1;
+        let report = run_batch_on(&options, &mut store, &jobs);
         assert_eq!(report.stats.reuse_hits, 0);
         assert_eq!(report.stats.reuse_misses, 1);
         assert!(!report.jobs[0].reused);
@@ -1168,14 +1117,14 @@ mod tests {
             hourly_series(1100, 3),
             hes,
         ));
-        let mut scheduler = FleetScheduler::new(FleetOptions::default());
-        let report = scheduler.run_batch(&jobs);
+        let mut store = ShardedRepository::in_memory();
+        let report = run_batch_on(&FleetOptions::default(), &mut store, &jobs);
         assert_eq!(report.jobs.len(), 2);
         assert!(report.jobs.iter().all(|j| j.outcome.is_ok()));
         // Both land in the repository; the HES record now carries a full
         // champion seed (frozen converged smoothing parameters).
-        assert_eq!(scheduler.repository.len(), 2);
-        let record = scheduler.repository.get("cdbm011/Memory/hourly").unwrap();
+        assert_eq!(store.count_records().unwrap(), 2);
+        let record = store.get("cdbm011/Memory/hourly").unwrap().unwrap();
         let (config, params, _) = record
             .champion_seed()
             .expect("HES champion persists a seed");
@@ -1195,9 +1144,10 @@ mod tests {
             hourly_series(1100, 3),
             hes,
         )];
-        let mut scheduler = FleetScheduler::new(FleetOptions::default());
-        let cold = scheduler.run_batch(&jobs);
-        let relearn = scheduler.run_batch(&jobs);
+        let options = FleetOptions::default();
+        let mut store = ShardedRepository::in_memory();
+        let cold = run_batch_on(&options, &mut store, &jobs);
+        let relearn = run_batch_on(&options, &mut store, &jobs);
         assert_eq!(relearn.stats.reuse_hits, 1);
         assert_eq!(relearn.stats.reuse_fallbacks, 0);
         assert!(relearn.jobs[0].reused && !relearn.jobs[0].fell_back);
@@ -1222,11 +1172,11 @@ mod tests {
             hourly_series(100, 0),
             fast_config(),
         ));
-        let mut scheduler = FleetScheduler::new(FleetOptions::default());
-        let report = scheduler.run_batch(&jobs);
+        let mut store = ShardedRepository::in_memory();
+        let report = run_batch_on(&FleetOptions::default(), &mut store, &jobs);
         assert!(report.jobs[0].outcome.is_ok());
         assert!(report.jobs[1].outcome.is_err());
-        assert_eq!(scheduler.repository.len(), 1);
+        assert_eq!(store.count_records().unwrap(), 1);
     }
 
     /// Fresh scratch directory for a wave-scheduler test.
@@ -1248,70 +1198,69 @@ mod tests {
         )
     }
 
+    /// Each job's champion and RMSE bits, as the wave callback saw them.
+    type Champions = BTreeMap<String, (String, u64)>;
+
+    /// Scan `jobs` in `estate`'s waves, collecting each job's champion and
+    /// checking the wave count and the per-wave memory bound.
+    fn scan(estate: &mut EstateScheduler, jobs: &[SeriesJob]) -> Champions {
+        let mut by_key = Champions::new();
+        let report = estate
+            .run_with_progress(&SliceJobSource::new(jobs), &mut |_, results| {
+                for r in results {
+                    let outcome = r.outcome.as_ref().unwrap();
+                    by_key.insert(
+                        r.key.clone(),
+                        (outcome.champion.clone(), outcome.accuracy.rmse.to_bits()),
+                    );
+                }
+            })
+            .unwrap();
+        let wave_size = estate.waves.wave_size;
+        assert_eq!(report.waves, jobs.len().div_ceil(wave_size));
+        assert_eq!(report.completed, jobs.len());
+        assert!(report.peak_wave_bytes <= wave_size * (1100 + 1) * 8);
+        by_key
+    }
+
     #[test]
-    fn wave_scheduler_matches_legacy_batch_at_all_thread_counts() {
-        // Mixed-family batch through waves of 2: champions and RMSEs must
-        // be bit-identical to the legacy all-at-once scheduler, whatever
-        // the thread count.
-        let mut jobs = batch(2);
-        let mut hes = fast_config();
-        hes.method = MethodChoice::Hes;
-        jobs.push(SeriesJob::new(
-            "cdbm013/Memory/hourly",
-            hourly_series(1100, 5),
-            hes,
-        ));
-        let mut legacy = FleetScheduler::new(FleetOptions {
-            threads: 1,
+    fn wave_size_changes_no_champion_at_any_thread_count() {
+        // The mixed-family batch as one wave over an in-memory store, then
+        // as one wave and as waves of 1 and of 2 over a sharded directory:
+        // champions, RMSE bits and stored records must all be equal,
+        // whatever the thread count.
+        let jobs = mixed_batch();
+        let keys: Vec<String> = jobs.iter().map(|j| j.key.clone()).collect();
+        let one_wave = WaveOptions {
+            wave_size: jobs.len(),
             ..Default::default()
-        });
-        let baseline = legacy.run_batch(&jobs);
+        };
+        let mut in_memory = EstateScheduler::new(
+            FleetOptions {
+                threads: 1,
+                ..Default::default()
+            },
+            one_wave,
+            ShardedRepository::in_memory(),
+        );
+        let baseline = scan(&mut in_memory, &jobs);
+        let stored = in_memory.repository.fetch_many(&keys).unwrap();
+        assert_eq!(stored.len(), jobs.len());
 
         for threads in [1, 2, 4, 8] {
-            let dir = estate_dir(&format!("parity{threads}"));
-            let mut estate = estate_scheduler(
-                &dir,
-                threads,
-                WaveOptions {
-                    wave_size: 2,
+            for wave_size in [jobs.len(), 1, 2] {
+                let dir = estate_dir(&format!("invariance{threads}_{wave_size}"));
+                let waves = WaveOptions {
+                    wave_size,
                     ..Default::default()
-                },
-            );
-            let mut by_key: BTreeMap<String, (String, u64)> = BTreeMap::new();
-            let report = estate
-                .run_with_progress(&SliceJobSource::new(&jobs), &mut |_, results| {
-                    for r in results {
-                        let outcome = r.outcome.as_ref().unwrap();
-                        by_key.insert(
-                            r.key.clone(),
-                            (outcome.champion.clone(), outcome.accuracy.rmse.to_bits()),
-                        );
-                    }
-                })
-                .unwrap();
-            assert_eq!(report.waves, 2);
-            assert_eq!(report.completed, 3);
-            assert!(report.peak_wave_bytes <= 2 * (1100 + 1) * 8);
-            for b in &baseline.jobs {
-                let outcome = b.outcome.as_ref().unwrap();
-                let (champion, rmse_bits) = by_key.get(&b.key).unwrap();
-                assert_eq!(champion, &outcome.champion, "threads = {threads}");
-                assert_eq!(
-                    *rmse_bits,
-                    outcome.accuracy.rmse.to_bits(),
-                    "threads = {threads}"
-                );
+                };
+                let mut estate = estate_scheduler(&dir, threads, waves);
+                let context = format!("threads = {threads}, wave size = {wave_size}");
+                assert_eq!(scan(&mut estate, &jobs), baseline, "{context}");
+                let mut back = ShardedRepository::open(&dir).unwrap();
+                assert_eq!(back.fetch_many(&keys).unwrap(), stored, "{context}");
+                std::fs::remove_dir_all(&dir).ok();
             }
-            // The persisted shard records match the legacy repository's.
-            let mut back = ShardedRepository::open(&dir).unwrap();
-            for b in &baseline.jobs {
-                assert_eq!(
-                    back.get(&b.key).unwrap(),
-                    legacy.repository.get(&b.key),
-                    "threads = {threads}"
-                );
-            }
-            std::fs::remove_dir_all(&dir).ok();
         }
     }
 

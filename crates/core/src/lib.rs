@@ -22,12 +22,13 @@
 //! * [`pipeline`] — the user-facing HES / SARIMAX branch of Figure 4:
 //!   gather → interpolate → split → fit → score → forecast,
 //! * [`fleet`] — batch scheduling of many (instance, metric, granularity)
-//!   series on one shared worker pool, with repository-backed
-//!   champion-seeded relearning (§5.1's weekly relearn as a local
-//!   refinement),
-//! * [`repository`] — the model repository with the one-week staleness
-//!   rule, the RMSE-degradation relearn trigger and the >3-occurrence
-//!   shock-acceptance policy (§5.1, §9),
+//!   series on one shared worker pool, in bounded-memory waves, with
+//!   repository-backed champion-seeded relearning (§5.1's weekly relearn
+//!   as a local refinement),
+//! * [`repository`] — the sharded champion repository (on disk or in
+//!   memory) with the one-week staleness rule, the RMSE-degradation
+//!   relearn trigger and the >3-occurrence shock-acceptance policy (§5.1,
+//!   §9),
 //! * [`advisor`] — proactive threshold-breach warnings (§8's short-term
 //!   monitoring use case),
 //! * [`alerts`] — named alert rules over live forecasts with re-fire
@@ -69,16 +70,16 @@ pub use evaluate::{
     FamilyStats, LockstepStats, ModelScore,
 };
 pub use fleet::{
-    run_batch_on, Checkpoint, EstateScheduler, FleetOptions, FleetReport, FleetScheduler,
-    JobResult, JobSource, SeriesJob, SliceJobSource, WaveOptions, WaveProgress, WaveReport,
+    run_batch_on, Checkpoint, EstateScheduler, FleetOptions, FleetReport, JobResult, JobSource,
+    SeriesJob, SliceJobSource, WaveOptions, WaveProgress, WaveReport,
 };
 pub use grid::{dedupe_candidates, CandidateModel, ModelConfig, ModelFamily, ModelGrid};
 pub use pipeline::{
     ChampionSpec, ForecastOutcome, GridStrategy, MethodChoice, Pipeline, PipelineConfig,
 };
 pub use repository::{
-    shard_of, ChampionStore, CompactionPolicy, ModelRecord, ModelRepository, RetentionPolicy,
-    ShardIoStats, ShardedRepository, ShockTracker,
+    shard_of, ChampionStore, CompactionPolicy, ModelRecord, RetentionPolicy, ShardIoStats,
+    ShardedRepository, ShockTracker,
 };
 pub use shocks::{DetectedShock, ShockDetector};
 

@@ -6,6 +6,12 @@
 //! more than 3 times for it to be a behaviour … if a system crashes we
 //! discard it, however if the system continually crashes the learning
 //! engine will see it as a behaviour."
+//!
+//! [`ShardedRepository`] is the one champion store: append-only shard logs
+//! on disk for the estate path, or [`ShardedRepository::in_memory`] for
+//! the resident engine and a fleet run with no repository directory.
+//! [`RetentionPolicy::relearn_reason`] is the one place the week and
+//! degradation rules are written.
 
 use crate::grid::ModelConfig;
 use crate::pipeline::ForecastOutcome;
@@ -115,103 +121,36 @@ impl Default for RetentionPolicy {
     }
 }
 
-/// The central model repository.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct ModelRepository {
-    records: BTreeMap<String, ModelRecord>,
-    /// Policy applied by [`ModelRepository::needs_relearn`].
-    pub policy: RetentionPolicy,
-}
-
-impl ModelRepository {
-    /// An empty repository with the default policy.
-    pub fn new() -> ModelRepository {
-        ModelRepository {
-            records: BTreeMap::new(),
-            policy: RetentionPolicy::default(),
-        }
-    }
-
-    /// Store (or replace) the champion for a workload.
-    pub fn store(&mut self, record: ModelRecord) {
-        self.records.insert(record.workload.clone(), record);
-    }
-
-    /// Fetch the stored champion for a workload.
-    pub fn get(&self, workload: &str) -> Option<&ModelRecord> {
-        self.records.get(workload)
-    }
-
-    /// Number of stored champions.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the repository is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Apply the Figure 4 retention rules: relearn when missing, when older
-    /// than a week, or when the live RMSE has degraded past the policy
-    /// factor. `current_rmse = None` means no fresh accuracy reading is
-    /// available (the age rule still applies).
-    pub fn needs_relearn(
+impl RetentionPolicy {
+    /// Apply the Figure 4 retention rules to a stored champion: relearn
+    /// when none is stored, when it is older than `max_age_seconds`, or
+    /// when the live RMSE has degraded past `baseline × factor`.
+    /// `live_rmse = None` means no fresh accuracy reading is available
+    /// (the age rule still applies).
+    pub fn relearn_reason(
         &self,
-        workload: &str,
+        record: Option<&ModelRecord>,
         now: u64,
-        current_rmse: Option<f64>,
+        live_rmse: Option<f64>,
     ) -> Option<RelearnReason> {
-        let record = match self.records.get(workload) {
-            None => return Some(RelearnReason::Missing),
-            Some(r) => r,
+        let Some(record) = record else {
+            return Some(RelearnReason::Missing);
         };
-        if now.saturating_sub(record.fitted_at) > self.policy.max_age_seconds {
+        if now.saturating_sub(record.fitted_at) > self.max_age_seconds {
             return Some(RelearnReason::Stale);
         }
-        if let Some(rmse) = current_rmse {
-            if rmse > record.baseline_rmse * self.policy.rmse_degradation_factor {
-                return Some(RelearnReason::Degraded);
+        match live_rmse {
+            Some(rmse) if rmse > record.baseline_rmse * self.rmse_degradation_factor => {
+                Some(RelearnReason::Degraded)
             }
-        }
-        None
-    }
-
-    /// Persist to JSON.
-    pub fn save(&self, path: &Path) -> Result<()> {
-        let json = serde_json::to_string_pretty(self)
-            .map_err(|e| PlannerError::Persistence(e.to_string()))?;
-        std::fs::write(path, json).map_err(|e| PlannerError::Persistence(e.to_string()))
-    }
-
-    /// Load from JSON.
-    pub fn load(path: &Path) -> Result<ModelRepository> {
-        let json =
-            std::fs::read_to_string(path).map_err(|e| PlannerError::Persistence(e.to_string()))?;
-        serde_json::from_str(&json).map_err(|e| PlannerError::Persistence(e.to_string()))
-    }
-
-    /// Load from JSON, degrading gracefully: a corrupt or truncated file
-    /// (interrupted write, disk fault) yields an **empty** repository plus
-    /// the parse error, instead of aborting the scheduler run. Losing the
-    /// repository is recoverable by design — every workload simply takes
-    /// the full-relearn path, exactly as on first boot (§5.1's weekly
-    /// relearn needs no history to proceed). A *missing* file is not
-    /// degradation at all, just first boot: `(empty, None)`.
-    pub fn load_lenient(path: &Path) -> (ModelRepository, Option<PlannerError>) {
-        if !path.exists() {
-            return (ModelRepository::new(), None);
-        }
-        match ModelRepository::load(path) {
-            Ok(repo) => (repo, None),
-            Err(err) => (ModelRepository::new(), Some(err)),
+            _ => None,
         }
     }
 }
 
 /// Anything the fleet scheduler can read champions from and write
-/// champions to: the in-memory [`ModelRepository`], the on-disk
-/// [`ShardedRepository`], or a per-wave working set extracted from one.
+/// champions to: a [`ShardedRepository`] (on disk or in memory), or a
+/// per-wave working set extracted from one.
 ///
 /// `fetch` hands back an owned record (a sharded store may have to load
 /// and later evict the shard the record lives in, so borrowed returns
@@ -224,20 +163,6 @@ pub trait ChampionStore {
     fn fetch(&mut self, workload: &str) -> Option<ModelRecord>;
     /// Store (or replace) the champion for the record's workload.
     fn put(&mut self, record: ModelRecord);
-}
-
-impl ChampionStore for ModelRepository {
-    fn retention(&self) -> RetentionPolicy {
-        self.policy
-    }
-
-    fn fetch(&mut self, workload: &str) -> Option<ModelRecord> {
-        self.get(workload).cloned()
-    }
-
-    fn put(&mut self, record: ModelRecord) {
-        self.store(record);
-    }
 }
 
 /// Stable FNV-1a 64-bit hash of a workload key. The shard assignment must
@@ -343,25 +268,30 @@ struct EstateManifest {
     compaction: CompactionPolicy,
 }
 
-/// The estate-scale model repository: champions hashed across `N`
-/// append-only shard logs, loaded lazily one shard at a time.
+/// The champion repository: champions hashed across `N` append-only shard
+/// logs, loaded lazily one shard at a time.
 ///
 /// Looking up or persisting one champion touches exactly one shard file;
 /// a full-estate scan loads shards one at a time and evicts them clean —
-/// peak memory is one shard, never the estate. The [`ModelRepository`]'s
-/// lenient-load semantics hold **per shard**: a corrupt or truncated
-/// shard log degrades only its own workloads to the full-relearn path
-/// (the parseable prefix of the log is kept, the torn tail is skipped
-/// with a warning) while every other shard is untouched.
+/// peak memory is one shard, never the estate. Loading is lenient **per
+/// shard**: a corrupt or truncated shard log degrades only its own
+/// workloads to the full-relearn path (the parseable prefix of the log is
+/// kept, the torn tail is skipped with a warning) while every other shard
+/// is untouched.
 ///
 /// Each shard is an append-only JSON-lines log of put/delete entries with
 /// tombstones; once a log exceeds [`CompactionPolicy`]'s dead-entry
 /// ratio it is rewritten to just its live records via a temp-file +
 /// atomic-rename pass, so a crash mid-compaction can never leave a
 /// half-written shard — the old log stays in place until the rename.
+///
+/// [`ShardedRepository::in_memory`] is the same store without the files:
+/// one resident shard, never evicted, that queues no log entries.
 #[derive(Debug)]
 pub struct ShardedRepository {
-    root: PathBuf,
+    /// Directory holding the manifest and shard logs; `None` for the
+    /// in-memory form.
+    root: Option<PathBuf>,
     n_shards: usize,
     /// Policy applied by [`ShardedRepository::needs_relearn`].
     pub policy: RetentionPolicy,
@@ -375,6 +305,41 @@ pub struct ShardedRepository {
 impl ShardedRepository {
     /// Manifest version written by this build.
     const VERSION: u32 = 1;
+
+    fn with_root(
+        root: Option<PathBuf>,
+        n_shards: usize,
+        policy: RetentionPolicy,
+        compaction: CompactionPolicy,
+    ) -> ShardedRepository {
+        // The in-memory form's one shard is resident from the start and
+        // never evicted; an on-disk shard loads on first touch.
+        let resident = root.is_none();
+        ShardedRepository {
+            root,
+            n_shards,
+            policy,
+            compaction,
+            shards: (0..n_shards)
+                .map(|_| resident.then(ShardState::empty))
+                .collect(),
+            warnings: Vec::new(),
+            io: ShardIoStats::default(),
+        }
+    }
+
+    /// A repository that lives only in memory: one resident shard that
+    /// never reads or writes a file, is never evicted and queues no log
+    /// entries, so storing a workload again replaces its one record.
+    /// `flush` and `evict_clean` do nothing and `io_stats` stays zero.
+    pub fn in_memory() -> ShardedRepository {
+        ShardedRepository::with_root(
+            None,
+            1,
+            RetentionPolicy::default(),
+            CompactionPolicy::default(),
+        )
+    }
 
     /// Create a new sharded repository at `root` (the directory is
     /// created; an existing manifest there is an error — use
@@ -397,15 +362,12 @@ impl ShardedRepository {
         };
         let json = serde_json::to_string_pretty(&manifest).map_err(persistence)?;
         write_atomic(&manifest_path, json.as_bytes())?;
-        Ok(ShardedRepository {
-            root: root.to_path_buf(),
+        Ok(ShardedRepository::with_root(
+            Some(root.to_path_buf()),
             n_shards,
-            policy: manifest.policy,
-            compaction: manifest.compaction,
-            shards: (0..n_shards).map(|_| None).collect(),
-            warnings: Vec::new(),
-            io: ShardIoStats::default(),
-        })
+            manifest.policy,
+            manifest.compaction,
+        ))
     }
 
     /// Open an existing sharded repository. The manifest is the one file
@@ -423,15 +385,12 @@ impl ShardedRepository {
                 manifest.n_shards
             )));
         }
-        Ok(ShardedRepository {
-            root: root.to_path_buf(),
-            n_shards: manifest.n_shards,
-            policy: manifest.policy,
-            compaction: manifest.compaction,
-            shards: (0..manifest.n_shards).map(|_| None).collect(),
-            warnings: Vec::new(),
-            io: ShardIoStats::default(),
-        })
+        Ok(ShardedRepository::with_root(
+            Some(root.to_path_buf()),
+            manifest.n_shards,
+            manifest.policy,
+            manifest.compaction,
+        ))
     }
 
     /// Open the repository at `root`, creating it with `n_shards` shards
@@ -443,11 +402,6 @@ impl ShardedRepository {
         } else {
             ShardedRepository::create(root, n_shards)
         }
-    }
-
-    /// The repository's root directory.
-    pub fn root(&self) -> &Path {
-        &self.root
     }
 
     /// The fixed shard count.
@@ -470,60 +424,59 @@ impl ShardedRepository {
         self.shards.iter().filter(|s| s.is_some()).count()
     }
 
-    fn shard_log_path(&self, idx: usize) -> PathBuf {
-        self.root.join("shards").join(format!("shard-{idx:04}.log"))
-    }
-
     /// Load shard `idx` if it is not already resident, replaying its log
     /// leniently: unreadable files and unparseable lines degrade to
-    /// warnings and skipped entries, never to an error — exactly the
-    /// [`ModelRepository::load_lenient`] contract, scoped to one shard.
+    /// warnings and skipped entries, never to an error, so a damaged
+    /// shard costs only its own workloads a full relearn.
     fn load_shard(&mut self, idx: usize) -> Result<&mut ShardState> {
-        let path = self.shard_log_path(idx);
         let slot = self.shards.get_mut(idx).ok_or(PlannerError::Internal {
             context: "shard index out of range",
         })?;
         if slot.is_none() {
             let mut state = ShardState::empty();
-            // A stale `.tmp` from a crashed compaction is dead weight: the
-            // rename never happened, so the original log is authoritative.
-            let tmp = path.with_extension("log.tmp");
-            if tmp.exists() {
-                std::fs::remove_file(&tmp).ok();
-            }
-            match std::fs::read_to_string(&path) {
-                Ok(content) => {
-                    self.io.shard_loads += 1;
-                    state.needs_newline = !content.is_empty() && !content.ends_with('\n');
-                    let mut skipped = 0usize;
-                    for line in content.lines() {
-                        if line.trim().is_empty() {
-                            continue;
+            if let Some(root) = &self.root {
+                let path = shard_log_path(root, idx);
+                // A stale `.tmp` from a crashed compaction is dead weight:
+                // the rename never happened, so the original log is
+                // authoritative.
+                let tmp = path.with_extension("log.tmp");
+                if tmp.exists() {
+                    std::fs::remove_file(&tmp).ok();
+                }
+                match std::fs::read_to_string(&path) {
+                    Ok(content) => {
+                        self.io.shard_loads += 1;
+                        state.needs_newline = !content.is_empty() && !content.ends_with('\n');
+                        let mut skipped = 0usize;
+                        for line in content.lines() {
+                            if line.trim().is_empty() {
+                                continue;
+                            }
+                            state.log_entries += 1;
+                            match serde_json::from_str::<LogEntry>(line) {
+                                Ok(LogEntry::Put(record)) => {
+                                    state.records.insert(record.workload.clone(), record);
+                                }
+                                Ok(LogEntry::Del(workload)) => {
+                                    state.records.remove(&workload);
+                                }
+                                Err(_) => skipped += 1,
+                            }
                         }
-                        state.log_entries += 1;
-                        match serde_json::from_str::<LogEntry>(line) {
-                            Ok(LogEntry::Put(record)) => {
-                                state.records.insert(record.workload.clone(), record);
-                            }
-                            Ok(LogEntry::Del(workload)) => {
-                                state.records.remove(&workload);
-                            }
-                            Err(_) => skipped += 1,
+                        if skipped > 0 {
+                            self.io.lenient_skips += skipped;
+                            self.warnings.push(format!(
+                                "shard {idx}: skipped {skipped} unparseable log line(s); \
+                                 the affected workloads relearn from scratch"
+                            ));
                         }
                     }
-                    if skipped > 0 {
-                        self.io.lenient_skips += skipped;
+                    Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+                    Err(e) => {
                         self.warnings.push(format!(
-                            "shard {idx}: skipped {skipped} unparseable log line(s); \
-                             the affected workloads relearn from scratch"
+                            "shard {idx}: unreadable ({e}); its workloads relearn from scratch"
                         ));
                     }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => {
-                    self.warnings.push(format!(
-                        "shard {idx}: unreadable ({e}); its workloads relearn from scratch"
-                    ));
                 }
             }
             *slot = Some(state);
@@ -539,31 +492,34 @@ impl ShardedRepository {
         Ok(self.load_shard(idx)?.records.get(workload))
     }
 
-    /// Store (or replace) the champion for a workload. The mutation is
-    /// buffered in the shard until [`ShardedRepository::flush`].
+    /// Store (or replace) the champion for a workload. On disk the
+    /// mutation is buffered in the shard until [`ShardedRepository::flush`].
     pub fn store(&mut self, record: ModelRecord) -> Result<()> {
         let idx = shard_of(&record.workload, self.n_shards);
+        let logged = self.root.is_some();
         let shard = self.load_shard(idx)?;
-        shard
-            .records
-            .insert(record.workload.clone(), record.clone());
-        shard.pending.push(LogEntry::Put(record));
+        if logged {
+            shard.pending.push(LogEntry::Put(record.clone()));
+        }
+        shard.records.insert(record.workload.clone(), record);
         Ok(())
     }
 
-    /// Remove a workload's champion (a tombstone is appended on flush).
-    /// Returns whether a record existed.
+    /// Remove a workload's champion (on disk, a tombstone is appended on
+    /// flush). Returns whether a record existed.
     pub fn remove(&mut self, workload: &str) -> Result<bool> {
         let idx = shard_of(workload, self.n_shards);
+        let logged = self.root.is_some();
         let shard = self.load_shard(idx)?;
         let existed = shard.records.remove(workload).is_some();
-        shard.pending.push(LogEntry::Del(workload.to_string()));
+        if logged {
+            shard.pending.push(LogEntry::Del(workload.to_string()));
+        }
         Ok(existed)
     }
 
-    /// Apply the Figure 4 retention rules against the sharded store —
-    /// same contract as [`ModelRepository::needs_relearn`], loading only
-    /// the workload's shard.
+    /// Apply [`RetentionPolicy::relearn_reason`] to a workload's stored
+    /// champion, loading only its shard.
     pub fn needs_relearn(
         &mut self,
         workload: &str,
@@ -571,33 +527,24 @@ impl ShardedRepository {
         current_rmse: Option<f64>,
     ) -> Result<Option<RelearnReason>> {
         let policy = self.policy;
-        let record = match self.get(workload)? {
-            None => return Ok(Some(RelearnReason::Missing)),
-            Some(r) => r,
-        };
-        if now.saturating_sub(record.fitted_at) > policy.max_age_seconds {
-            return Ok(Some(RelearnReason::Stale));
-        }
-        if let Some(rmse) = current_rmse {
-            if rmse > record.baseline_rmse * policy.rmse_degradation_factor {
-                return Ok(Some(RelearnReason::Degraded));
-            }
-        }
-        Ok(None)
+        Ok(policy.relearn_reason(self.get(workload)?, now, current_rmse))
     }
 
     /// Append every pending mutation to its shard log (one write per
     /// dirty shard), then compact any log that crossed the dead-entry
     /// threshold. Nothing is rewritten unless compaction triggers.
     pub fn flush(&mut self) -> Result<()> {
-        for idx in 0..self.n_shards {
-            let path = self.shard_log_path(idx);
-            let Some(Some(shard)) = self.shards.get_mut(idx) else {
+        let Some(root) = &self.root else {
+            return Ok(());
+        };
+        for (idx, slot) in self.shards.iter_mut().enumerate() {
+            let Some(shard) = slot else {
                 continue;
             };
             if shard.pending.is_empty() {
                 continue;
             }
+            let path = shard_log_path(root, idx);
             let mut batch = String::new();
             if shard.needs_newline {
                 batch.push('\n');
@@ -641,8 +588,12 @@ impl ShardedRepository {
 
     /// Drop every resident shard with no pending mutations. Call after
     /// [`ShardedRepository::flush`] to keep a long scan's memory bounded
-    /// by one wave's shards instead of the whole estate.
+    /// by one wave's shards instead of the whole estate. The in-memory
+    /// form keeps its one shard.
     pub fn evict_clean(&mut self) {
+        if self.root.is_none() {
+            return;
+        }
         for slot in self.shards.iter_mut() {
             if slot.as_ref().is_some_and(|s| s.pending.is_empty()) {
                 *slot = None;
@@ -741,6 +692,10 @@ fn persistence(e: impl std::fmt::Display) -> PlannerError {
     PlannerError::Persistence(e.to_string())
 }
 
+fn shard_log_path(root: &Path, idx: usize) -> PathBuf {
+    root.join("shards").join(format!("shard-{idx:04}.log"))
+}
+
 /// Write via a temp file + atomic rename: readers never observe a
 /// half-written file, and a crash leaves either the old file or the new
 /// one — never a hybrid.
@@ -835,23 +790,42 @@ mod tests {
         assert!(beta.is_empty());
     }
 
+    /// Store `stored` in an on-disk repository, flush, reopen and read it
+    /// back: the record must survive the shard log bit for bit.
+    fn roundtrip_through_shard_log(name: &str, stored: &ModelRecord) -> ModelRecord {
+        let dir = estate_dir(name);
+        let mut repo = ShardedRepository::create(&dir, 4).unwrap();
+        repo.store(stored.clone()).unwrap();
+        repo.flush().unwrap();
+        let back = ShardedRepository::open(&dir)
+            .unwrap()
+            .get(&stored.workload)
+            .unwrap()
+            .cloned()
+            .unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(&back, stored);
+        let bits = |r: &ModelRecord| -> Vec<u64> {
+            std::iter::once(r.baseline_rmse)
+                .chain(r.warm_params.iter().copied())
+                .chain(r.warm_beta.iter().copied())
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(stored));
+        back
+    }
+
     #[test]
-    fn record_with_seed_roundtrips_through_json() {
-        let mut repo = ModelRepository::new();
+    fn record_with_seed_roundtrips_through_the_shard_log() {
         let mut r = record("cdbm011/CPU", 8.42, 1_700_000_000);
         r.champion_config = Some(
             dwcp_models::SarimaxConfig::plain(dwcp_models::ArimaSpec::sarima(4, 1, 2, 1, 1, 1, 24))
                 .into(),
         );
         r.warm_params = vec![0.25, -0.5, 1.5];
-        repo.store(r);
-        let dir = std::env::temp_dir().join("dwcp_repo_seed_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("models.json");
-        repo.save(&path).unwrap();
-        let back = ModelRepository::load(&path).unwrap();
-        assert_eq!(back.get("cdbm011/CPU"), repo.get("cdbm011/CPU"));
-        std::fs::remove_file(&path).ok();
+        r.warm_beta = vec![-0.1];
+        roundtrip_through_shard_log("seed", &r);
     }
 
     /// A short seasonal trace for the smoothing-family round-trip tests.
@@ -865,8 +839,8 @@ mod tests {
             .collect()
     }
 
-    /// Store a champion, round-trip it through JSON, then re-score the
-    /// loaded seed frozen: the stored RMSE must reproduce bit-for-bit.
+    /// Store a champion, round-trip it through the shard log, then re-score
+    /// the loaded seed frozen: the stored RMSE must reproduce bit-for-bit.
     fn roundtrip_and_rescore_frozen(workload: &str, candidates: Vec<crate::grid::CandidateModel>) {
         use crate::evaluate::{evaluate_candidates, evaluate_fleet, EvalTask};
         let y = seasonal_series(240);
@@ -874,8 +848,7 @@ mod tests {
         let cold =
             evaluate_candidates(train, test, &[], &[], &candidates, &Default::default()).unwrap();
         let champion = cold.champion().unwrap().clone();
-        let mut repo = ModelRepository::new();
-        repo.store(ModelRecord {
+        let stored = ModelRecord {
             workload: workload.to_string(),
             champion: champion.candidate.config.describe(),
             granularity: Granularity::Hourly,
@@ -884,15 +857,8 @@ mod tests {
             champion_config: Some(champion.candidate.config.clone()),
             warm_params: champion.warm_params.clone(),
             warm_beta: champion.warm_beta.clone(),
-        });
-        let dir = std::env::temp_dir().join("dwcp_repo_family_roundtrip");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("{}.json", workload.replace('/', "_")));
-        repo.save(&path).unwrap();
-        let back = ModelRepository::load(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let loaded = back.get(workload).unwrap();
-        assert_eq!(loaded, repo.get(workload).unwrap());
+        };
+        let loaded = roundtrip_through_shard_log(&workload.replace('/', "_"), &stored);
         let (config, params, beta) = loaded.champion_seed().unwrap();
         assert_eq!(config, &champion.candidate.config);
         // Frozen re-score from the loaded seed reproduces the stored RMSE.
@@ -936,125 +902,75 @@ mod tests {
     }
 
     #[test]
-    fn missing_model_needs_relearn() {
-        let repo = ModelRepository::new();
+    fn retention_policy_applies_figure4_rules() {
+        let policy = RetentionPolicy::default();
+        let stored = record("cdbm011/CPU", 10.0, 1_000_000);
+        let hour_later = 1_000_000 + 3600;
         assert_eq!(
-            repo.needs_relearn("cdbm011/CPU", 0, None),
+            policy.relearn_reason(None, 0, None),
             Some(RelearnReason::Missing)
         );
-    }
-
-    #[test]
-    fn fresh_accurate_model_is_kept() {
-        let mut repo = ModelRepository::new();
-        repo.store(record("cdbm011/CPU", 10.0, 1_000_000));
+        // Fresh and accurate: kept.
         assert_eq!(
-            repo.needs_relearn("cdbm011/CPU", 1_000_000 + 86_400, Some(12.0)),
+            policy.relearn_reason(Some(&stored), 1_000_000 + 86_400, Some(12.0)),
             None
         );
-    }
-
-    #[test]
-    fn week_old_model_is_stale() {
-        let mut repo = ModelRepository::new();
-        repo.store(record("cdbm011/CPU", 10.0, 1_000_000));
-        let now = 1_000_000 + ONE_WEEK_SECONDS + 1;
+        // Exactly a week old: kept; a second older: stale.
+        let week = 1_000_000 + ONE_WEEK_SECONDS;
+        assert_eq!(policy.relearn_reason(Some(&stored), week, Some(10.0)), None);
         assert_eq!(
-            repo.needs_relearn("cdbm011/CPU", now, Some(10.0)),
+            policy.relearn_reason(Some(&stored), week + 1, Some(10.0)),
             Some(RelearnReason::Stale)
         );
-    }
-
-    #[test]
-    fn degraded_rmse_triggers_relearn() {
-        let mut repo = ModelRepository::new();
-        repo.store(record("cdbm011/CPU", 10.0, 1_000_000));
+        // Past baseline × factor: degraded; exactly at the factor: kept.
         assert_eq!(
-            repo.needs_relearn("cdbm011/CPU", 1_000_000 + 3600, Some(25.0)),
+            policy.relearn_reason(Some(&stored), hour_later, Some(25.0)),
             Some(RelearnReason::Degraded)
         );
-        // Exactly at the boundary: kept.
         assert_eq!(
-            repo.needs_relearn("cdbm011/CPU", 1_000_000 + 3600, Some(20.0)),
+            policy.relearn_reason(Some(&stored), hour_later, Some(20.0)),
             None
         );
+        // No live reading: only the age rule applies.
+        assert_eq!(policy.relearn_reason(Some(&stored), hour_later, None), None);
     }
 
     #[test]
-    fn save_load_roundtrip() {
-        let mut repo = ModelRepository::new();
-        repo.store(record("cdbm011/CPU", 8.42, 1_700_000_000));
-        repo.store(record("cdbm012/Memory", 61.3, 1_700_000_000));
-        let dir = std::env::temp_dir().join("dwcp_repo_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("models.json");
-        repo.save(&path).unwrap();
-        let back = ModelRepository::load(&path).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.get("cdbm011/CPU"), repo.get("cdbm011/CPU"));
-        std::fs::remove_file(&path).ok();
-    }
+    fn in_memory_repository_keeps_one_record_per_key_and_touches_no_file() {
+        let mut repo = ShardedRepository::in_memory();
+        for night in 0..50u64 {
+            repo.store(record("w/CPU", 1.0 + night as f64, night))
+                .unwrap();
+        }
+        repo.store(record("v/CPU", 2.0, 7)).unwrap();
+        let queued = |repo: &ShardedRepository| -> (usize, usize) {
+            let shard = repo.shards.first().and_then(Option::as_ref).unwrap();
+            (shard.records.len(), shard.pending.len())
+        };
+        assert_eq!(queued(&repo), (2, 0), "one record per key, nothing queued");
 
-    #[test]
-    fn truncated_repository_file_degrades_to_full_relearn() {
-        // Simulate an interrupted write: persist a real repository, then
-        // chop the JSON mid-record. The lenient load must hand back an
-        // empty repository (every workload relearns from scratch) and
-        // surface the parse error — never abort.
-        let mut repo = ModelRepository::new();
-        repo.store(record("cdbm011/CPU", 8.42, 1_700_000_000));
-        let dir = std::env::temp_dir().join("dwcp_repo_truncated_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("models.json");
-        repo.save(&path).unwrap();
-        let full = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, &full[..full.len() / 2]).unwrap();
-
-        assert!(ModelRepository::load(&path).is_err(), "strict load fails");
-        let (recovered, warning) = ModelRepository::load_lenient(&path);
-        assert!(recovered.is_empty(), "corrupt file yields an empty repo");
-        assert!(warning.is_some(), "the parse error is surfaced, not eaten");
+        repo.flush().unwrap();
+        repo.evict_clean();
+        assert_eq!(repo.resident_shards(), 1, "the one shard is never evicted");
+        let keys: Vec<String> = ["w/CPU", "v/CPU", "absent/CPU"]
+            .iter()
+            .map(|k| k.to_string())
+            .collect();
+        let fetched = repo.fetch_many(&keys).unwrap();
+        assert_eq!(fetched.len(), 2);
+        assert_eq!(fetched.get("w/CPU").unwrap().fitted_at, 49);
         assert_eq!(
-            recovered.needs_relearn("cdbm011/CPU", 0, None),
-            Some(RelearnReason::Missing),
-            "every workload takes the full-relearn path"
+            repo.fitted_at_many(&keys).unwrap(),
+            vec![Some(49), Some(7), None]
         );
-        std::fs::remove_file(&path).ok();
-    }
+        assert_eq!(repo.count_records().unwrap(), 2);
+        assert_eq!(repo.resident_shards(), 1);
 
-    #[test]
-    fn garbage_repository_file_degrades_to_full_relearn() {
-        let dir = std::env::temp_dir().join("dwcp_repo_garbage_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("models.json");
-        std::fs::write(&path, "not json at all {{{").unwrap();
-        let (recovered, warning) = ModelRepository::load_lenient(&path);
-        assert!(recovered.is_empty());
-        assert!(warning.is_some());
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn missing_repository_file_is_first_boot_not_degradation() {
-        let path = std::env::temp_dir().join("dwcp_repo_never_written.json");
-        std::fs::remove_file(&path).ok();
-        let (repo, warning) = ModelRepository::load_lenient(&path);
-        assert!(repo.is_empty());
-        assert!(warning.is_none(), "a missing file is not a warning");
-    }
-
-    #[test]
-    fn intact_repository_file_loads_leniently_without_warning() {
-        let mut repo = ModelRepository::new();
-        repo.store(record("cdbm011/CPU", 8.42, 1_700_000_000));
-        let dir = std::env::temp_dir().join("dwcp_repo_lenient_ok_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("models.json");
-        repo.save(&path).unwrap();
-        let (back, warning) = ModelRepository::load_lenient(&path);
-        assert!(warning.is_none());
-        assert_eq!(back.get("cdbm011/CPU"), repo.get("cdbm011/CPU"));
-        std::fs::remove_file(&path).ok();
+        assert!(repo.remove("v/CPU").unwrap());
+        assert_eq!(queued(&repo), (1, 0), "a removal queues no tombstone");
+        assert_eq!(repo.count_records().unwrap(), 1);
+        assert_eq!(repo.io_stats(), ShardIoStats::default());
+        assert!(repo.take_warnings().is_empty());
     }
 
     #[test]
@@ -1309,7 +1225,7 @@ mod tests {
     fn champion_store_trait_matches_direct_access() {
         let dir = estate_dir("trait");
         let mut sharded = ShardedRepository::create(&dir, 4).unwrap();
-        let mut in_memory = ModelRepository::new();
+        let mut in_memory = ShardedRepository::in_memory();
         let r = record("w/CPU", 3.0, 100);
         ChampionStore::put(&mut sharded, r.clone());
         ChampionStore::put(&mut in_memory, r.clone());
@@ -1341,6 +1257,11 @@ mod tests {
         assert_eq!(
             repo.needs_relearn("fresh/CPU", now, Some(25.0)).unwrap(),
             Some(RelearnReason::Degraded)
+        );
+        assert_eq!(
+            repo.needs_relearn("fresh/CPU", now, Some(20.0)).unwrap(),
+            None,
+            "exactly at the degradation factor: kept"
         );
         assert_eq!(
             repo.needs_relearn("fresh/CPU", 1_000_000 + ONE_WEEK_SECONDS + 1, None)

@@ -20,11 +20,11 @@
 #      stay within 25% of the checked-in results/BENCH_grid.json, with
 #      the 1-thread walls reported beside them (the run also
 #      re-asserts champion parity and the auto-order RMSE guard), then
-#      bench_fleet smoke on the reduced (DWCP_QUICK=1) batch and a schema
-#      check of the written snapshots so downstream tooling can rely on
-#      their keys, then bench_estate smoke (reduced estate through the
-#      sharded wave scheduler: RSS flatness ≤2× across wave sizes,
-#      wave/legacy champion parity at 1/2/4/8 threads, checkpoint resume)
+#      bench_estate smoke (reduced estate through the sharded wave
+#      scheduler: RSS flatness ≤2× across wave sizes, one-wave vs
+#      waves-of-5 champion parity at 1/2/4/8 threads, checkpoint resume)
+#      with a schema check of the written snapshot so downstream tooling
+#      can rely on its keys
 #   6. CLI smoke: `dwcp forecast --method auto` on a simulated OLAP series
 #      must race the families and report the chosen champion family in the
 #      `# summary:` JSON line
@@ -205,24 +205,9 @@ PY
 rm -f "$ref_grid"
 git checkout -- results/BENCH_grid.json 2>/dev/null || true
 
-echo "== bench smoke: bench_fleet (DWCP_QUICK=1) =="
-DWCP_QUICK=1 cargo run -q --release -p dwcp-bench --bin bench_fleet
-
-echo "== snapshot schema: results/BENCH_fleet.json =="
-for key in batch n_jobs threads sequential_wall_ms fleet_cold_wall_ms \
-           fleet_relearn_wall_ms speedup_relearn_vs_sequential jobs_per_second \
-           reuse_hits reuse_misses reuse_fallbacks reuse_hit_rate \
-           sequential_objective_evals relearn_objective_evals jobs; do
-  grep -q "\"$key\"" results/BENCH_fleet.json \
-    || { echo "BENCH_fleet.json missing key: $key"; exit 1; }
-done
-echo "snapshot schema OK"
-# The QUICK run overwrote the checked-in snapshot; restore it.
-git checkout -- results/BENCH_fleet.json 2>/dev/null || true
-
 echo "== bench smoke: bench_estate (DWCP_QUICK=1) =="
-# The estate path's live contracts (wave/legacy champion parity at
-# 1/2/4/8 threads, checkpoint resume, ~100% relearn reuse) are asserted
+# The estate path's live contracts (one-wave vs waves-of-5 champion parity
+# at 1/2/4/8 threads, checkpoint resume, ~100% relearn reuse) are asserted
 # inside the binary, which exits non-zero on any violation.
 DWCP_QUICK=1 cargo run -q --release -p dwcp-bench --bin bench_estate
 
@@ -239,7 +224,7 @@ import json
 snap = json.load(open("results/BENCH_estate.json"))
 ratio = snap["rss_flatness_ratio"]
 assert ratio <= 2.0, f"peak RSS not flat across wave sizes: {ratio:.2f}x > 2x"
-assert snap["parity"]["bit_identical"], "wave/legacy champion parity broken"
+assert snap["parity"]["bit_identical"], "one-wave vs waves-of-5 champion parity broken"
 assert snap["resume"]["refit_only_unfinished"], "resume refit more than the unfinished jobs"
 print(f"estate snapshot OK (RSS flatness {ratio:.2f}x, parity bit-identical)")'
 git checkout -- results/BENCH_estate.json 2>/dev/null || true

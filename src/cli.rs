@@ -13,9 +13,9 @@
 //! are skipped.
 
 use crate::planner::{
-    AlertRule, Checkpoint, Engine, EngineConfig, EstateScheduler, FleetOptions, FleetScheduler,
-    GridStrategy, LockstepStats, MethodChoice, ModelRepository, Pipeline, PipelineConfig,
-    SeriesJob, ShardedRepository, SliceJobSource, ThresholdAdvisor, WaveOptions,
+    AlertRule, Checkpoint, Engine, EngineConfig, EstateScheduler, FleetOptions, GridStrategy,
+    LockstepStats, MethodChoice, Pipeline, PipelineConfig, SeriesJob, ShardedRepository,
+    SliceJobSource, ThresholdAdvisor, WaveOptions,
 };
 use crate::series::{Frequency, Granularity, TimeSeries};
 use crate::workload::{olap_scenario, oltp_scenario, Metric, Scenario};
@@ -62,10 +62,8 @@ pub enum Command {
         threads: usize,
         /// Champion-neighbourhood radius for seeded relearning.
         radius: usize,
-        /// Optional model-repository JSON for champion reuse across runs.
-        repo: Option<String>,
-        /// Optional sharded-repository directory; selects the estate wave
-        /// scheduler instead of the all-at-once batch.
+        /// Optional sharded-repository directory that persists champions
+        /// across runs; without it the champions live in memory.
         repo_dir: Option<String>,
         /// Jobs per wave (0 = the scheduler's default wave size).
         wave: usize,
@@ -120,13 +118,48 @@ fn err(msg: impl Into<String>) -> CliError {
     CliError(msg.into())
 }
 
-/// Parse an argument vector (without the program name).
+/// The flags a subcommand takes: those with a value, then the bare ones.
+/// `None` for an unknown subcommand.
+fn flags_of(sub: &str) -> Option<(&'static [&'static str], &'static [&'static str])> {
+    Some(match sub {
+        "simulate" => (&["scenario", "instance", "metric", "seed", "out"], &[]),
+        "forecast" => (
+            &["input", "method", "granularity", "grid"],
+            &["detect-shocks"],
+        ),
+        "fleet" => (
+            &[
+                "inputs",
+                "method",
+                "granularity",
+                "threads",
+                "radius",
+                "repo-dir",
+                "wave",
+                "shards",
+                "checkpoint",
+            ],
+            &["cancel-checkpoint"],
+        ),
+        "advise" => (&["input", "threshold", "method"], &[]),
+        "serve" => (
+            &["addr", "threads", "method", "granularity", "threshold"],
+            &[],
+        ),
+        "help" | "--help" | "-h" => (&[], &[]),
+        _ => return None,
+    })
+}
+
+/// Parse an argument vector (without the program name). A flag the
+/// subcommand does not take is an error, never silently ignored.
 pub fn parse(args: &[String]) -> Result<Command, CliError> {
     let mut it = args.iter();
     let sub = match it.next() {
         None => return Ok(Command::Help),
         Some(s) => s.as_str(),
     };
+    let (valued, bare) = flags_of(sub).ok_or_else(|| err(format!("unknown subcommand `{sub}`")))?;
     let mut flags: std::collections::BTreeMap<String, String> = Default::default();
     let rest: Vec<&String> = it.collect();
     let mut i = 0;
@@ -134,10 +167,13 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
         let key = rest[i]
             .strip_prefix("--")
             .ok_or_else(|| err(format!("expected --flag, got `{}`", rest[i])))?;
-        if key == "detect-shocks" || key == "cancel-checkpoint" {
+        if bare.contains(&key) {
             flags.insert(key.to_string(), "true".to_string());
             i += 1;
             continue;
+        }
+        if !valued.contains(&key) {
+            return Err(err(format!("`dwcp {sub}` does not take --{key}")));
         }
         let value = rest
             .get(i + 1)
@@ -219,7 +255,6 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 radius: get("radius", Some("1"))?
                     .parse()
                     .map_err(|_| err("--radius must be an integer"))?,
-                repo: flags.get("repo").cloned(),
                 repo_dir: flags.get("repo-dir").cloned(),
                 wave: get("wave", Some("0"))?
                     .parse()
@@ -266,8 +301,7 @@ USAGE:
                 [--grid full|auto-order]
   dwcp fleet    --inputs A.csv,B.csv,... [--method sarimax|hes|tbats|auto]
                 [--granularity hourly|daily|weekly] [--threads N] [--radius N]
-                [--repo FILE | --repo-dir DIR [--wave N] [--shards N]
-                 [--checkpoint FILE]]
+                [--wave N] [--repo-dir DIR [--shards N] [--checkpoint FILE]]
   dwcp fleet    --checkpoint FILE --cancel-checkpoint
   dwcp advise   --input FILE --threshold X [--method sarimax|hes|tbats|auto]
   dwcp serve    [--addr HOST:PORT] [--threads N] [--method sarimax|hes|tbats|auto]
@@ -278,13 +312,14 @@ CSV input: one observation per line, `value` or `timestamp,value`.
 held-out RMSE. `--grid auto-order` replaces the SARIMAX sweep with an
 ACF/PACF-seeded neighbourhood grid (ADF/KPSS pick the differencing) and
 falls back to the full sweep if the seeded champion cannot beat a naive
-benchmark forecast. `fleet` schedules every input through one shared
-worker pool; with --repo it persists champions (any family) and seeds
-relearning from them on the next run. With --repo-dir it runs the
-estate path instead: stalest-first waves of --wave jobs over a sharded
-on-disk repository (created with --shards shards), optionally recording
-finished jobs in --checkpoint so a killed scan resumes where it stopped;
---cancel-checkpoint deletes that file and exits.
+benchmark forecast. `fleet` schedules its inputs through one shared
+worker pool in stalest-first waves of --wave jobs (default 1024).
+--repo-dir keeps the champions (any family) in a sharded on-disk
+repository (created with --shards shards) that seeds relearning on the
+next run; without it they live in memory for the one run. --checkpoint
+records finished jobs so a killed scan resumes where it stopped;
+--cancel-checkpoint deletes that file and exits. A flag a subcommand
+does not take is an error.
 
 `serve` runs the resident ingest→score→alert daemon (default address
 127.0.0.1:7878) until `POST /shutdown`. Agents push raw points with
@@ -478,7 +513,6 @@ pub fn execute(
             granularity,
             threads,
             radius,
-            repo,
             repo_dir,
             wave,
             shards,
@@ -497,11 +531,8 @@ pub fn execute(
                 )?;
                 return Ok(());
             }
-            if repo.is_some() && repo_dir.is_some() {
-                return Err(err("--repo and --repo-dir are mutually exclusive").into());
-            }
-            if (wave > 0 || checkpoint.is_some()) && repo_dir.is_none() {
-                return Err(err("--wave/--checkpoint need --repo-dir DIR").into());
+            if checkpoint.is_some() && repo_dir.is_none() {
+                return Err(err("--checkpoint needs --repo-dir DIR").into());
             }
             let mut jobs = Vec::with_capacity(inputs.len());
             for input in &inputs {
@@ -523,87 +554,16 @@ pub fn execute(
                 threads,
                 neighbourhood_radius: radius,
                 now,
-                ..Default::default()
             };
-            if let Some(dir) = &repo_dir {
-                return execute_fleet_waves(
-                    stdout,
-                    &jobs,
-                    options,
-                    dir,
-                    wave,
-                    shards,
-                    checkpoint.as_deref(),
-                );
-            }
-            let mut scheduler = match &repo {
-                Some(path) => {
-                    // Lenient by design: a corrupt or truncated repository
-                    // file degrades to a full relearn of every workload
-                    // (first-boot behaviour) rather than aborting the run.
-                    let (repository, warning) =
-                        ModelRepository::load_lenient(std::path::Path::new(path));
-                    if let Some(err) = warning {
-                        writeln!(
-                            stdout,
-                            "# warning: model repository {path} is unreadable ({err}); \
-                             relearning every workload from scratch"
-                        )?;
-                    }
-                    FleetScheduler::with_repository(options, repository)
-                }
-                None => FleetScheduler::new(options),
-            };
-            let report = scheduler.run_batch(&jobs);
-            writeln!(
+            execute_fleet_waves(
                 stdout,
-                "workload,champion,rmse,mape,reused,fell_back,family"
-            )?;
-            for job in &report.jobs {
-                match &job.outcome {
-                    Ok(outcome) => writeln!(
-                        stdout,
-                        "{},{},{:.4},{:.2},{},{},{}",
-                        job.key,
-                        outcome.champion,
-                        outcome.accuracy.rmse,
-                        outcome.accuracy.mape,
-                        job.reused,
-                        job.fell_back,
-                        outcome.family.map(|f| f.label()).unwrap_or("unknown")
-                    )?,
-                    Err(e) => writeln!(stdout, "{},ERROR: {e},,,,,", job.key)?,
-                }
-            }
-            writeln!(
-                stdout,
-                "# batch: {} jobs in {:.0} ms ({:.2} jobs/s), {} objective evals",
-                report.jobs.len(),
-                report.stats.wall_time.as_secs_f64() * 1e3,
-                report.jobs_per_second(),
-                report.stats.objective_evals
-            )?;
-            write_lockstep_line(stdout, &report.stats.lockstep)?;
-            writeln!(
-                stdout,
-                "# champion reuse: {} hits, {} misses, {} fallbacks{}",
-                report.stats.reuse_hits,
-                report.stats.reuse_misses,
-                report.stats.reuse_fallbacks,
-                match report.stats.reuse_rate() {
-                    Some(rate) => format!(" (hit rate {:.0}%)", rate * 100.0),
-                    None => String::new(),
-                }
-            )?;
-            if let Some(path) = &repo {
-                scheduler.repository.save(std::path::Path::new(path))?;
-                writeln!(
-                    stdout,
-                    "# repository: {} champions saved to {path}",
-                    scheduler.repository.len()
-                )?;
-            }
-            Ok(())
+                &jobs,
+                options,
+                repo_dir.as_deref(),
+                wave,
+                shards,
+                checkpoint.as_deref(),
+            )
         }
         Command::Advise {
             input,
@@ -679,19 +639,23 @@ fn write_lockstep_line(
     )
 }
 
-/// The `fleet --repo-dir` path: stream the jobs through the estate wave
-/// scheduler over a sharded on-disk repository, printing per-job rows as
-/// each wave retires plus `# wave i/n:` progress lines.
+/// `dwcp fleet`: stream the jobs through the wave scheduler over a
+/// sharded repository — on disk at `repo_dir`, or in memory without one —
+/// printing per-job rows as each wave retires plus `# wave i/n:` progress
+/// lines.
 fn execute_fleet_waves(
     stdout: &mut impl std::io::Write,
     jobs: &[SeriesJob],
     options: FleetOptions,
-    repo_dir: &str,
+    repo_dir: Option<&str>,
     wave: usize,
     shards: usize,
     checkpoint: Option<&str>,
 ) -> Result<(), Box<dyn std::error::Error>> {
-    let mut repository = ShardedRepository::open_or_create(std::path::Path::new(repo_dir), shards)?;
+    let mut repository = match repo_dir {
+        Some(dir) => ShardedRepository::open_or_create(std::path::Path::new(dir), shards)?,
+        None => ShardedRepository::in_memory(),
+    };
     for warning in repository.take_warnings() {
         writeln!(stdout, "# warning: {warning}")?;
     }
@@ -758,18 +722,20 @@ fn execute_fleet_waves(
             None => String::new(),
         }
     )?;
-    let champions = scheduler.repository.count_records()?;
-    let io = scheduler.repository.io_stats();
-    writeln!(
-        stdout,
-        "# repository: {champions} champions in {} shard(s) at {repo_dir} \
-         ({} shard loads, {} appends, {} compactions, {} evictions)",
-        scheduler.repository.n_shards(),
-        io.shard_loads,
-        io.entries_appended,
-        io.compactions,
-        io.evictions
-    )?;
+    if let Some(repo_dir) = repo_dir {
+        let champions = scheduler.repository.count_records()?;
+        let io = scheduler.repository.io_stats();
+        writeln!(
+            stdout,
+            "# repository: {champions} champions in {} shard(s) at {repo_dir} \
+             ({} shard loads, {} appends, {} compactions, {} evictions)",
+            scheduler.repository.n_shards(),
+            io.shard_loads,
+            io.entries_appended,
+            io.compactions,
+            io.evictions
+        )?;
+    }
     for warning in scheduler.repository.take_warnings() {
         writeln!(stdout, "# warning: {warning}")?;
     }
@@ -873,7 +839,7 @@ mod tests {
     #[test]
     fn parse_fleet_splits_inputs_and_reads_flags() {
         let cmd = parse(&args(
-            "fleet --inputs a.csv,b.csv,c.csv --threads 4 --radius 2 --repo models.json",
+            "fleet --inputs a.csv,b.csv,c.csv --threads 4 --radius 2 --wave 2",
         ))
         .unwrap();
         assert_eq!(
@@ -884,9 +850,8 @@ mod tests {
                 granularity: Granularity::Hourly,
                 threads: 4,
                 radius: 2,
-                repo: Some("models.json".into()),
                 repo_dir: None,
-                wave: 0,
+                wave: 2,
                 shards: 16,
                 checkpoint: None,
                 cancel_checkpoint: false,
@@ -902,7 +867,6 @@ mod tests {
                 inputs,
                 threads,
                 radius,
-                repo,
                 repo_dir,
                 wave,
                 shards,
@@ -913,7 +877,6 @@ mod tests {
                 assert_eq!(inputs, vec!["one.csv".to_string()]);
                 assert_eq!(threads, 0);
                 assert_eq!(radius, 1);
-                assert_eq!(repo, None);
                 assert_eq!(repo_dir, None);
                 assert_eq!(wave, 0);
                 assert_eq!(shards, 16);
@@ -977,22 +940,24 @@ mod tests {
 
     #[test]
     fn execute_fleet_flag_combinations_are_validated() {
-        let fleet = |repo: Option<&str>, repo_dir: Option<&str>, wave: usize| Command::Fleet {
-            inputs: vec!["x.csv".into()],
+        // A checkpoint records keys whose champions are on disk, so it
+        // needs a repository directory; the error names the missing flag
+        // before any input is read.
+        let fleet = Command::Fleet {
+            inputs: vec!["/nonexistent/x.csv".into()],
             method: MethodChoice::Hes,
             granularity: Granularity::Hourly,
             threads: 1,
             radius: 1,
-            repo: repo.map(str::to_string),
-            repo_dir: repo_dir.map(str::to_string),
-            wave,
+            repo_dir: None,
+            wave: 8,
             shards: 4,
-            checkpoint: None,
+            checkpoint: Some("scan.ckpt".into()),
             cancel_checkpoint: false,
         };
         let mut out = Vec::new();
-        assert!(execute(fleet(Some("m.json"), Some("dir"), 0), &mut out).is_err());
-        assert!(execute(fleet(None, None, 8), &mut out).is_err());
+        let error = execute(fleet, &mut out).unwrap_err().to_string();
+        assert!(error.contains("--repo-dir"), "{error}");
     }
 
     #[test]
@@ -1006,7 +971,6 @@ mod tests {
             granularity: Granularity::Hourly,
             threads: 1,
             radius: 1,
-            repo: None,
             repo_dir: None,
             wave: 0,
             shards: 16,
@@ -1060,6 +1024,65 @@ mod tests {
         assert!(USAGE.contains("cursor"));
         assert!(USAGE.contains("next_cursor"));
         assert!(USAGE.contains("/shutdown"));
+    }
+
+    /// The error `parse` returns for `line`.
+    fn parse_error(line: &str) -> String {
+        parse(&args(line)).unwrap_err().to_string()
+    }
+
+    #[test]
+    fn parse_simulate_rejects_flags_it_does_not_take() {
+        let error = parse_error("simulate --metric cpu --method hes");
+        assert!(error.ends_with("does not take --method"), "{error}");
+        assert!(parse_error("simulate --detect-shocks").ends_with("does not take --detect-shocks"));
+    }
+
+    #[test]
+    fn parse_forecast_rejects_flags_it_does_not_take() {
+        // The command line the forecast benchmark passes still parses.
+        assert!(parse(&args("forecast --input x.csv --method auto")).is_ok());
+        let error = parse_error("forecast --input x.csv --threads 4");
+        assert!(error.ends_with("does not take --threads"), "{error}");
+        let error = parse_error("forecast --input x.csv --cancel-checkpoint");
+        assert!(
+            error.ends_with("does not take --cancel-checkpoint"),
+            "{error}"
+        );
+    }
+
+    #[test]
+    fn parse_fleet_rejects_flags_it_does_not_take() {
+        // A misspelt --threads must not silently run on every core, and a
+        // --repo FILE must not silently persist nothing.
+        let error = parse_error("fleet --inputs a.csv --thread 4");
+        assert!(error.ends_with("does not take --thread"), "{error}");
+        let error = parse_error("fleet --inputs a.csv --repo models.json");
+        assert!(error.ends_with("does not take --repo"), "{error}");
+        let error = parse_error("fleet --inputs a.csv --detect-shocks");
+        assert!(error.ends_with("does not take --detect-shocks"), "{error}");
+    }
+
+    #[test]
+    fn parse_advise_rejects_flags_it_does_not_take() {
+        let error = parse_error("advise --input x.csv --threshold 70 --granularity daily");
+        assert!(error.ends_with("does not take --granularity"), "{error}");
+    }
+
+    #[test]
+    fn parse_serve_rejects_flags_it_does_not_take() {
+        // The command line the serve benchmark passes still parses.
+        assert!(parse(&args(
+            "serve --addr 127.0.0.1:0 --threads 2 --method hes --threshold 85"
+        ))
+        .is_ok());
+        let error = parse_error("serve --repo-dir estate");
+        assert!(error.ends_with("does not take --repo-dir"), "{error}");
+        let error = parse_error("serve --cancel-checkpoint");
+        assert!(
+            error.ends_with("does not take --cancel-checkpoint"),
+            "{error}"
+        );
     }
 
     #[test]

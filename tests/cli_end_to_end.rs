@@ -81,8 +81,8 @@ fn simulate_forecast_advise_loop() {
 
 #[test]
 fn fleet_batches_csvs_and_persists_the_repository() {
-    // Two simulated workloads, batched through one pool, with the model
-    // repository persisted between runs.
+    // Two simulated workloads, batched through one pool, with the sharded
+    // model repository persisted between runs.
     let mut inputs = Vec::new();
     for instance in ["cdbm011", "cdbm012"] {
         let path = tmp(&format!("fleet_{instance}"));
@@ -95,7 +95,8 @@ fn fleet_batches_csvs_and_persists_the_repository() {
         });
         inputs.push(path);
     }
-    let repo_path = tmp("fleet_repo");
+    let repo_dir = tmp("fleet_repo");
+    std::fs::remove_dir_all(&repo_dir).ok();
     let cmd = parse(&[
         "fleet".to_string(),
         "--inputs".to_string(),
@@ -106,29 +107,49 @@ fn fleet_batches_csvs_and_persists_the_repository() {
             .join(","),
         "--method".to_string(),
         "hes".to_string(),
-        "--repo".to_string(),
-        repo_path.to_string_lossy().into_owned(),
+        "--repo-dir".to_string(),
+        repo_dir.to_string_lossy().into_owned(),
     ])
     .unwrap();
+    // The rows of a run, split after the workload and before the
+    // champion (whose descriptor may contain commas) on the trailing
+    // `rmse,mape,reused,fell_back,family` fields.
+    let rows = |out: &str| -> Vec<(String, bool)> {
+        out.lines()
+            .filter(|l| !l.starts_with('#') && !l.starts_with("workload,"))
+            .map(|l| {
+                let tail: Vec<&str> = l.rsplitn(6, ',').collect();
+                let workload = l.split(',').next().unwrap().to_string();
+                (workload, tail[2] == "true")
+            })
+            .collect()
+    };
     let out = run(cmd.clone());
     assert!(
         out.contains("workload,champion,rmse,mape,reused,fell_back"),
         "{out}"
     );
     assert!(out.contains("Holt-Winters"), "{out}");
-    assert!(out.contains("# batch: 2 jobs"), "{out}");
-    assert!(out.contains("# champion reuse:"), "{out}");
-    assert!(out.contains("# repository: 2 champions saved"), "{out}");
-    assert!(repo_path.exists());
+    assert!(out.contains("# scan: 2 fitted"), "{out}");
+    assert!(out.contains("# champion reuse: 0 hits"), "{out}");
+    assert!(out.contains("# repository: 2 champions"), "{out}");
+    assert!(repo_dir.join("MANIFEST.json").exists());
+    let first = rows(&out);
+    assert_eq!(first.len(), 2, "{out}");
+    assert!(first.iter().all(|(_, reused)| !reused), "{out}");
 
-    // Second run loads the saved repository without error.
+    // The second run seeds every job from the champions on disk.
     let out = run(cmd);
-    assert!(out.contains("# batch: 2 jobs"), "{out}");
+    assert!(out.contains("# scan: 2 fitted"), "{out}");
+    assert!(out.contains("# champion reuse: 2 hits"), "{out}");
+    let second = rows(&out);
+    assert_eq!(second.len(), 2, "{out}");
+    assert!(second.iter().all(|(_, reused)| *reused), "{out}");
 
     for p in inputs {
         std::fs::remove_file(p).ok();
     }
-    std::fs::remove_file(&repo_path).ok();
+    std::fs::remove_dir_all(&repo_dir).ok();
 }
 
 /// The `# lockstep:` summary line's `(groups, rounds, lanes per round, ETS
@@ -155,8 +176,8 @@ fn lockstep_line(out: &str) -> (usize, usize, f64, f64) {
 
 #[test]
 fn fleet_summaries_report_lockstep_lanes() {
-    // Both fleet paths — the in-memory batch and the estate waves over a
-    // sharded repository — print how wide their lockstep rounds ran.
+    // A fleet run prints how wide its lockstep rounds ran, whether its
+    // champions live in memory or in a sharded repository directory.
     let mut inputs = Vec::new();
     for (instance, metric) in [("cdbm011", "cpu"), ("cdbm012", "cpu"), ("cdbm011", "iops")] {
         let path = tmp(&format!("lockstep_{instance}_{metric}"));
@@ -180,9 +201,12 @@ fn fleet_summaries_report_lockstep_lanes() {
     };
 
     let out = fleet(&[]);
-    assert!(out.contains("# batch: 3 jobs"), "{out}");
+    assert!(out.contains("# scan: 3 fitted"), "{out}");
+    assert!(out.contains("in 1 wave(s)"), "{out}");
+    assert!(!out.contains("# repository:"), "nothing persisted: {out}");
     let (groups, rounds, lanes, per_chunk) = lockstep_line(&out);
-    // Three HES grids' chains on two workers: one group per worker.
+    // Three HES grids' chains in one wave on two workers: one group per
+    // worker.
     assert_eq!(groups, 2, "{out}");
     assert!(rounds > 0, "{out}");
     assert!(lanes > 1.0, "{out}");

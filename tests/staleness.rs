@@ -2,7 +2,7 @@
 //! staleness rule, the RMSE-degradation trigger and the shock policy, as a
 //! sliding-window simulation rather than isolated unit checks.
 
-use dwcp::planner::{ModelRecord, ModelRepository, RetentionPolicy, ShockTracker};
+use dwcp::planner::{ModelRecord, RetentionPolicy, ShardedRepository, ShockTracker};
 use dwcp::series::Granularity;
 
 const DAY: u64 = 86_400;
@@ -22,16 +22,16 @@ fn record(workload: &str, rmse: f64, fitted_at: u64) -> ModelRecord {
 
 #[test]
 fn weekly_replay_relearns_exactly_on_schedule() {
-    let mut repo = ModelRepository::new();
+    let mut repo = ShardedRepository::in_memory();
     let key = "cdbm011/CPU";
     let mut relearn_days: Vec<u64> = Vec::new();
 
     // 30-day replay with stable accuracy: the only relearn trigger is age.
     for day in 0..30u64 {
         let now = day * DAY;
-        if repo.needs_relearn(key, now, Some(10.0)).is_some() {
+        if repo.needs_relearn(key, now, Some(10.0)).unwrap().is_some() {
             relearn_days.push(day);
-            repo.store(record(key, 10.0, now));
+            repo.store(record(key, 10.0, now)).unwrap();
         }
     }
     // Day 0 (missing), then every 8th day after (age crosses 7 days).
@@ -40,48 +40,54 @@ fn weekly_replay_relearns_exactly_on_schedule() {
 
 #[test]
 fn degradation_preempts_the_weekly_schedule() {
-    let mut repo = ModelRepository::new();
+    let mut repo = ShardedRepository::in_memory();
     let key = "cdbm011/IOPS";
-    repo.store(record(key, 100.0, 0));
+    repo.store(record(key, 100.0, 0)).unwrap();
 
     // Day 2: live RMSE spikes to 5× baseline — relearn immediately.
-    let verdict = repo.needs_relearn(key, 2 * DAY, Some(500.0));
+    let verdict = repo.needs_relearn(key, 2 * DAY, Some(500.0)).unwrap();
     assert!(verdict.is_some());
-    repo.store(record(key, 480.0, 2 * DAY));
+    repo.store(record(key, 480.0, 2 * DAY)).unwrap();
 
     // The refreshed baseline absorbs the new level: no further trigger.
-    assert!(repo.needs_relearn(key, 3 * DAY, Some(500.0)).is_none());
+    let verdict = repo.needs_relearn(key, 3 * DAY, Some(500.0)).unwrap();
+    assert!(verdict.is_none());
 }
 
 #[test]
 fn custom_policy_changes_both_rules() {
-    let mut repo = ModelRepository::new();
+    let mut repo = ShardedRepository::in_memory();
     repo.policy = RetentionPolicy {
         max_age_seconds: 2 * DAY,
         rmse_degradation_factor: 1.2,
     };
     let key = "w";
-    repo.store(record(key, 10.0, 0));
-    assert!(repo.needs_relearn(key, DAY, Some(11.0)).is_none());
-    assert!(repo.needs_relearn(key, DAY, Some(13.0)).is_some()); // > 12
-    assert!(repo.needs_relearn(key, 2 * DAY + 1, Some(10.0)).is_some()); // age
+    repo.store(record(key, 10.0, 0)).unwrap();
+    let mut verdict = |now, rmse| repo.needs_relearn(key, now, Some(rmse)).unwrap();
+    assert!(verdict(DAY, 11.0).is_none());
+    assert!(verdict(DAY, 13.0).is_some()); // > 12
+    assert!(verdict(2 * DAY + 1, 10.0).is_some()); // age
 }
 
 #[test]
 fn repository_round_trips_through_disk() {
-    let mut repo = ModelRepository::new();
+    let dir = std::env::temp_dir().join(format!("dwcp_staleness_roundtrip_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut repo = ShardedRepository::create(&dir, 4).unwrap();
     for i in 0..10 {
         repo.store(record(
             &format!("cdbm01{}/CPU", i % 2 + 1),
             i as f64,
             i * DAY,
-        ));
+        ))
+        .unwrap();
     }
-    let path = std::env::temp_dir().join("dwcp_staleness_roundtrip.json");
-    repo.save(&path).unwrap();
-    let loaded = ModelRepository::load(&path).unwrap();
-    assert_eq!(loaded.len(), 2); // keyed by workload: last write wins
-    std::fs::remove_file(&path).ok();
+    repo.flush().unwrap();
+    let mut loaded = ShardedRepository::open(&dir).unwrap();
+    assert_eq!(loaded.count_records().unwrap(), 2); // keyed by workload: last write wins
+    let latest = loaded.get("cdbm011/CPU").unwrap().unwrap();
+    assert_eq!((latest.baseline_rmse, latest.fitted_at), (8.0, 8 * DAY));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -108,18 +114,19 @@ fn crash_storm_becomes_behaviour_single_crash_does_not() {
 
 #[test]
 fn per_workload_isolation() {
-    let mut repo = ModelRepository::new();
-    repo.store(record("cdbm011/CPU", 10.0, 0));
+    let mut repo = ShardedRepository::in_memory();
+    repo.store(record("cdbm011/CPU", 10.0, 0)).unwrap();
+    let mut verdict = |key| repo.needs_relearn(key, 0, Some(10.0)).unwrap();
     // A different workload key is independent — still missing.
-    assert!(repo.needs_relearn("cdbm012/CPU", 0, Some(10.0)).is_some());
-    assert!(repo.needs_relearn("cdbm011/CPU", 0, Some(10.0)).is_none());
+    assert!(verdict("cdbm012/CPU").is_some());
+    assert!(verdict("cdbm011/CPU").is_none());
 }
 
 // ---------------------------------------------------------------------------
-// Champion-seeded relearning (fleet scheduler × repository life-cycle).
+// Champion-seeded relearning (fleet batch × repository life-cycle).
 // ---------------------------------------------------------------------------
 
-use dwcp::planner::{FleetOptions, FleetScheduler, MethodChoice, PipelineConfig, SeriesJob};
+use dwcp::planner::{run_batch_on, FleetOptions, MethodChoice, PipelineConfig, SeriesJob};
 use dwcp::series::{Frequency, TimeSeries};
 
 fn fleet_series() -> TimeSeries {
@@ -146,19 +153,16 @@ fn fleet_job(key: &str) -> SeriesJob {
 #[test]
 fn fresh_stored_champion_relearns_without_full_grid_fallback() {
     let jobs = vec![fleet_job("cdbm011/CPU/hourly")];
-    let mut scheduler = FleetScheduler::new(FleetOptions {
+    let options = FleetOptions {
         threads: 2,
         ..Default::default()
-    });
-    scheduler.run_batch(&jobs); // cold learn populates the repository
-    assert!(scheduler
-        .repository
-        .get("cdbm011/CPU/hourly")
-        .unwrap()
-        .champion_seed()
-        .is_some());
+    };
+    let mut repo = ShardedRepository::in_memory();
+    run_batch_on(&options, &mut repo, &jobs); // cold learn populates the repository
+    let stored = repo.get("cdbm011/CPU/hourly").unwrap().unwrap();
+    assert!(stored.champion_seed().is_some());
 
-    let relearn = scheduler.run_batch(&jobs);
+    let relearn = run_batch_on(&options, &mut repo, &jobs);
     assert_eq!(relearn.stats.reuse_hits, 1);
     assert_eq!(relearn.stats.reuse_fallbacks, 0);
     assert!(relearn.jobs[0].reused);
@@ -171,24 +175,21 @@ fn fresh_stored_champion_relearns_without_full_grid_fallback() {
 #[test]
 fn degraded_stored_champion_triggers_full_grid_fallback() {
     let jobs = vec![fleet_job("cdbm011/IOPS/hourly")];
-    let mut scheduler = FleetScheduler::new(FleetOptions {
+    let options = FleetOptions {
         threads: 2,
         ..Default::default()
-    });
-    scheduler.run_batch(&jobs);
+    };
+    let mut repo = ShardedRepository::in_memory();
+    run_batch_on(&options, &mut repo, &jobs);
 
     // Sabotage the stored baseline: any relearn RMSE now exceeds
     // baseline × rmse_degradation_factor, i.e. the champion is "rendered
     // useless" in the paper's terms.
-    let mut record = scheduler
-        .repository
-        .get("cdbm011/IOPS/hourly")
-        .unwrap()
-        .clone();
+    let mut record = repo.get("cdbm011/IOPS/hourly").unwrap().unwrap().clone();
     record.baseline_rmse /= 1e6;
-    scheduler.repository.store(record);
+    repo.store(record).unwrap();
 
-    let relearn = scheduler.run_batch(&jobs);
+    let relearn = run_batch_on(&options, &mut repo, &jobs);
     assert_eq!(relearn.stats.reuse_hits, 1);
     assert_eq!(relearn.stats.reuse_fallbacks, 1);
     assert!(relearn.jobs[0].reused);
@@ -198,7 +199,7 @@ fn degraded_stored_champion_triggers_full_grid_fallback() {
     );
     // The fallback refreshed the baseline, so the next batch reuses again
     // without falling back.
-    let after = scheduler.run_batch(&jobs);
+    let after = run_batch_on(&options, &mut repo, &jobs);
     assert_eq!(after.stats.reuse_fallbacks, 0);
     assert!(after.jobs[0].reused && !after.jobs[0].fell_back);
 }
