@@ -9,7 +9,8 @@
 //!    large as the slice; the bytes-per-job slope is extrapolated to a
 //!    million jobs,
 //! 3. `relearn`: a second scan over the persisted champions — the reuse
-//!    hit rate of champion-seeded relearning at estate scale,
+//!    hit rate of §5.1's champion reuse (frozen re-score, search only
+//!    when degraded) at estate scale,
 //! 4. `resume`: a checkpointed scan killed part-way, then resumed; only
 //!    unfinished jobs may refit,
 //! 5. `parity`: the OLTP fleet batch as one wave and as waves of 5 at
@@ -546,7 +547,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         extrapolated_1m_bytes / (1024.0 * 1024.0 * 1024.0)
     );
 
-    // 3. Relearn over the kept repository: champion-seeded reuse at scale.
+    // 3. Relearn over the kept repository: champion reuse at scale.
     let relearn_jobs = n_jobs.min(100_000);
     let kept = kept_repo.ok_or("no repository kept for relearn")?;
     println!("  relearn {relearn_jobs} jobs over persisted champions ...");

@@ -12,8 +12,8 @@
 //! [`evaluate_auto_order`] evaluates it with the same engine, champion
 //! selection and determinism guarantees as the full sweep.
 //!
-//! Pruning is a bet, so it carries the same insurance as champion-seeded
-//! relearning ([`crate::fleet`]): the pruned champion's held-out RMSE must
+//! Pruning is a bet, so it carries the same insurance as a degraded
+//! champion's neighbourhood search ([`crate::fleet`]): the pruned champion's held-out RMSE must
 //! beat a naive benchmark forecast (random walk, with drift when the
 //! series was differenced, or the seasonal-naive repeat when the caller
 //! names a period) scaled by a degradation factor — otherwise the full
@@ -294,7 +294,8 @@ pub struct AutoOrderReport {
 /// benchmark, and fall back to `full_grid` on degradation — the
 /// `--grid auto-order` mode.
 ///
-/// The fallback mirrors champion-seeded relearning: the seeded pass is a
+/// The fallback mirrors a degraded champion's neighbourhood search: the
+/// seeded pass is a
 /// bet, the benchmark threshold decides whether it paid off, and a missed
 /// bet costs one full sweep (both passes' work is counted in the report's
 /// stats; the champion is the best model either pass found).

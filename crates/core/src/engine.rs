@@ -9,9 +9,9 @@
 //!
 //! * **ingest** — [`IngestStage`]: out-of-order 15-minute points folded
 //!   into hourly buckets in place ([`dwcp_series::ingest`]),
-//! * **aggregate** — [`AggregateStage`]: interpolation, shock discovery,
-//!   the Table 1 split and the profiled candidate grid (what
-//!   `Pipeline::plan` used to do inline),
+//! * **aggregate** — [`AggregateStage`]: interpolation, shock discovery
+//!   and the Table 1 split (its split half), then the profiled candidate
+//!   grid (its grid half, planned only for a grid search),
 //! * **score** — [`ScoreStage`]: grid evaluation with the auto-order
 //!   benchmark fallback and the §6.3 Fourier stage (the former body of
 //!   `Pipeline::run` / `finish`),
@@ -25,18 +25,18 @@
 //! the stages are the single implementation, not a parallel one.
 //!
 //! The resident [`Engine`] adds the incremental contract on top: each
-//! appended hour re-scores the stored champion **frozen**
-//! (`freeze_warm_start`: the stored parameters are evaluated verbatim, one
-//! objective evaluation, no optimiser) and only a
-//! [`RelearnReason`] — missing, one-week stale, or RMSE degraded past the
-//! policy factor — triggers a grid search, which runs through the same
-//! champion-seeded fleet machinery as the weekly batch relearn.
+//! appended hour runs the workload through the same §5.1 decision as the
+//! nightly estate relearn ([`run_batch_on`] on a batch of one). A fresh
+//! stored champion is re-scored **frozen** (`freeze_warm_start`: the
+//! stored parameters are evaluated verbatim, one objective evaluation, no
+//! optimiser) and kept; only a [`RelearnReason`] — missing, one-week
+//! stale, or RMSE degraded past the policy factor — triggers a grid
+//! search.
 
 use crate::alerts::{AlertEngine, AlertRule, CapacityAlert};
 use crate::auto_order::{naive_benchmark_rmse, AutoOrderOptions, AutoOrderPlan};
 use crate::candidates::{CandidateSet, DataProfile};
-use crate::evaluate::{evaluate_candidates, evaluate_fleet, EvalTask, EvaluationOptions};
-use crate::evaluate::{EvaluationReport, ModelScore};
+use crate::evaluate::{evaluate_candidates, EvalTask, EvaluationOptions, EvaluationReport};
 use crate::fleet::{run_batch_on, FleetOptions, SeriesJob};
 use crate::grid::{CandidateModel, ModelConfig, ModelGrid};
 use crate::pipeline::{ForecastOutcome, GridStrategy, PipelineConfig};
@@ -52,20 +52,43 @@ use dwcp_series::interpolate::interpolate_series;
 use dwcp_series::{TimeSeries, TrainTestSplit};
 use std::collections::BTreeMap;
 
-/// Everything the aggregate stage prepares before any model is fitted:
-/// the split, its aligned exogenous columns, the profiled candidate set
-/// for the configured method and the evaluation options. Produced by
-/// [`AggregateStage::prepare`] and consumed by [`ScoreStage`] / the fleet
-/// scheduler.
-pub(crate) struct EvalPlan {
+/// The split half of the aggregate stage, everything a scoring pass reads
+/// besides its candidates: the Table 1 split, its aligned exogenous
+/// columns and the evaluation options. Produced by
+/// `AggregateStage::split`.
+pub(crate) struct SplitPlan {
     pub split: TrainTestSplit,
     pub exog_train: Vec<Vec<f64>>,
     pub exog_test: Vec<Vec<f64>>,
-    #[allow(dead_code)]
-    pub offset: usize,
     pub gaps_filled: usize,
-    pub set: CandidateSet,
     pub eval_opts: EvaluationOptions,
+}
+
+impl SplitPlan {
+    /// One evaluation task over this split: `candidates`, seeded when a
+    /// stored champion seed is given.
+    pub(crate) fn task<'a>(
+        &'a self,
+        candidates: &'a [CandidateModel],
+        seed: Option<(ModelConfig, Vec<f64>, Vec<f64>)>,
+    ) -> EvalTask<'a> {
+        EvalTask {
+            train: self.split.train.values(),
+            test: self.split.test.values(),
+            exog_train: &self.exog_train,
+            exog_test: &self.exog_test,
+            candidates,
+            opts: self.eval_opts.clone(),
+            seed,
+        }
+    }
+}
+
+/// The grid half of the aggregate stage: the data profile and the
+/// candidate grid for the configured method. Produced by
+/// `AggregateStage::grid`; only a job that searches needs one.
+pub(crate) struct GridPlan {
+    pub set: CandidateSet,
     /// Present only under [`GridStrategy::AutoOrder`]: the differencing
     /// order the seeded grid was built with (for the drift benchmark) and
     /// the full-strategy SARIMAX models to fall back to when the seeded
@@ -73,7 +96,14 @@ pub(crate) struct EvalPlan {
     pub auto_fallback: Option<AutoFallback>,
 }
 
-/// The insurance attached to an auto-order plan (see [`EvalPlan`]).
+/// Both halves of the aggregate stage: what a full grid search needs.
+/// Produced by `AggregateStage::prepare` and consumed by [`ScoreStage`].
+pub(crate) struct EvalPlan {
+    pub data: SplitPlan,
+    pub grid: GridPlan,
+}
+
+/// The insurance attached to an auto-order plan (see `GridPlan`).
 pub(crate) struct AutoFallback {
     /// Differencing order the auto plan diagnosed.
     pub d: usize,
@@ -82,21 +112,34 @@ pub(crate) struct AutoFallback {
 }
 
 /// The **aggregate** stage: everything between raw observations and a
-/// ready-to-fit evaluation plan — interpolation, optional shock discovery,
-/// the Table 1 split with aligned exogenous columns, profiling, and the
-/// candidate grid for the configured method.
+/// ready-to-fit evaluation plan, in two halves. The split half
+/// (`AggregateStage::split`) interpolates, discovers shocks, makes the
+/// Table 1 split and cuts the exogenous window; the grid half
+/// (`AggregateStage::grid`) profiles the training segment and builds
+/// the candidate grid for the configured method. A re-score of a stored
+/// champion needs the split half only.
 pub struct AggregateStage;
 
 impl AggregateStage {
-    /// Prepare an [`EvalPlan`] for one series under one configuration.
-    /// This is the former body of `Pipeline::plan`, moved verbatim so the
-    /// batch pipeline, the fleet scheduler and the resident engine share
-    /// one implementation.
+    /// Both halves for one series under one configuration: the plan a
+    /// full grid search runs.
     pub(crate) fn prepare(
         config: &PipelineConfig,
         series: &TimeSeries,
         exog_full: &[Vec<f64>],
     ) -> Result<EvalPlan> {
+        let data = Self::split(config, series, exog_full)?;
+        let grid = Self::grid(config, &data)?;
+        Ok(EvalPlan { data, grid })
+    }
+
+    /// The split half: interpolation, optional shock discovery, the
+    /// Table 1 split and the exogenous columns sliced to its window.
+    pub(crate) fn split(
+        config: &PipelineConfig,
+        series: &TimeSeries,
+        exog_full: &[Vec<f64>],
+    ) -> Result<SplitPlan> {
         let method = config.method;
         // 1. Gather + missing-value check + interpolation (§5.1).
         let mut working = series.clone();
@@ -143,9 +186,22 @@ impl AggregateStage {
         let offset = working.len() - window;
         let train_len = split.train.len();
         let (exog_train, exog_test) = split_exog_window(exog_full, offset, window, train_len)?;
+        let mut eval_opts = config.eval.clone();
+        eval_opts.start_index = offset;
+        Ok(SplitPlan {
+            split,
+            exog_train,
+            exog_test,
+            gaps_filled,
+            eval_opts,
+        })
+    }
 
-        // 3. Profile + the candidate grid for the chosen families.
-        let train = split.train.values();
+    /// The grid half: profile the training segment and build the
+    /// candidate grid for the chosen families.
+    pub(crate) fn grid(config: &PipelineConfig, data: &SplitPlan) -> Result<GridPlan> {
+        let method = config.method;
+        let train = data.split.train.values();
         let profile = DataProfile::analyze(train)?;
         let fallback_period = config.granularity.seasonal_period();
         let mut models: Vec<CandidateModel> = Vec::new();
@@ -154,7 +210,7 @@ impl AggregateStage {
             let set = CandidateSet::sarimax(
                 profile.clone(),
                 fallback_period,
-                exog_train.len(),
+                data.exog_train.len(),
                 config.max_candidates,
             );
             match config.grid {
@@ -197,17 +253,8 @@ impl AggregateStage {
         // degenerate Holt-Winters candidate collapsing onto plain Holt);
         // canonicalise and drop them before they reach the work queue.
         crate::grid::dedupe_candidates(&mut models);
-        let set = CandidateSet { models, profile };
-        let mut eval_opts = config.eval.clone();
-        eval_opts.start_index = offset;
-        Ok(EvalPlan {
-            split,
-            exog_train,
-            exog_test,
-            offset,
-            gaps_filled,
-            set,
-            eval_opts,
+        Ok(GridPlan {
+            set: CandidateSet { models, profile },
             auto_fallback,
         })
     }
@@ -228,26 +275,24 @@ impl ScoreStage {
         config: &PipelineConfig,
         plan: &mut EvalPlan,
     ) -> Result<EvaluationReport> {
+        let data = &plan.data;
+        let (train, test) = (data.split.train.values(), data.split.test.values());
         let mut report = evaluate_candidates(
-            plan.split.train.values(),
-            plan.split.test.values(),
-            &plan.exog_train,
-            &plan.exog_test,
-            &plan.set.models,
-            &plan.eval_opts,
+            train,
+            test,
+            &data.exog_train,
+            &data.exog_test,
+            &plan.grid.set.models,
+            &data.eval_opts,
         )?;
-        if let Some(fallback) = plan.auto_fallback.take() {
+        if let Some(fallback) = plan.grid.auto_fallback.take() {
             let auto_opts = AutoOrderOptions::default();
             let period = plan
+                .grid
                 .set
                 .profile
                 .primary_period(config.granularity.seasonal_period());
-            let benchmark = naive_benchmark_rmse(
-                plan.split.train.values(),
-                plan.split.test.values(),
-                fallback.d,
-                Some(period),
-            );
+            let benchmark = naive_benchmark_rmse(train, test, fallback.d, Some(period));
             let threshold = benchmark * auto_opts.degradation_factor;
             // NaN-greatest ordering: a NaN champion RMSE counts as degraded.
             let degraded = report
@@ -256,12 +301,12 @@ impl ScoreStage {
                 .unwrap_or(true);
             if degraded {
                 let full = evaluate_candidates(
-                    plan.split.train.values(),
-                    plan.split.test.values(),
-                    &plan.exog_train,
-                    &plan.exog_test,
+                    train,
+                    test,
+                    &data.exog_train,
+                    &data.exog_test,
                     &fallback.models,
-                    &plan.eval_opts,
+                    &data.eval_opts,
                 )?;
                 report.absorb(full);
             }
@@ -270,12 +315,12 @@ impl ScoreStage {
     }
 
     /// The §6.3 Fourier stage's candidate list: the six Fourier variants of
-    /// the current champion. Empty when the stage is disabled or the
-    /// champion is not a SARIMAX-family member (the smoothing families
-    /// carry no exogenous regressors).
+    /// the current champion at the profiled periods. Empty when the stage
+    /// is disabled or the champion is not a SARIMAX-family member (the
+    /// smoothing families carry no exogenous regressors).
     pub(crate) fn fourier_candidates(
         config: &PipelineConfig,
-        plan: &EvalPlan,
+        profile: &DataProfile,
         report: &EvaluationReport,
     ) -> Vec<CandidateModel> {
         if !config.fourier_stage {
@@ -288,7 +333,7 @@ impl ScoreStage {
             return Vec::new();
         };
         let fallback_period = config.granularity.seasonal_period();
-        let periods = plan.set.profile.fourier_periods(fallback_period);
+        let periods = profile.fourier_periods(fallback_period);
         ModelGrid::fourier_variants(sarimax, &periods)
     }
 
@@ -302,20 +347,21 @@ impl ScoreStage {
     ) -> Result<ForecastOutcome> {
         // §6.3 Fourier stage: take the champion and try the six Fourier
         // variants; keep whichever wins.
-        let variants = Self::fourier_candidates(config, &plan, &report);
+        let EvalPlan { data, grid } = plan;
+        let variants = Self::fourier_candidates(config, &grid.set.profile, &report);
         if !variants.is_empty() {
             if let Ok(fourier_report) = evaluate_candidates(
-                plan.split.train.values(),
-                plan.split.test.values(),
-                &plan.exog_train,
-                &plan.exog_test,
+                data.split.train.values(),
+                data.split.test.values(),
+                &data.exog_train,
+                &data.exog_test,
                 &variants,
-                &plan.eval_opts,
+                &data.eval_opts,
             ) {
                 report.absorb(fourier_report);
             }
         }
-        Self::outcome_from_report(plan, report)
+        Self::outcome_from_report(data, Some(grid.set.profile), report)
     }
 
     /// Run the whole score stage on a prepared plan: primary grid +
@@ -325,32 +371,40 @@ impl ScoreStage {
         Self::finish(config, plan, report)
     }
 
-    /// Assemble a [`ForecastOutcome`] from a finished evaluation. A report
-    /// with no champion (every candidate failed) is `NoViableModel`.
+    /// Assemble a [`ForecastOutcome`] from a finished evaluation over
+    /// `data`; `profile` is the grid half's profile, `None` for a frozen
+    /// re-score that planned no grid. A report with no champion (every
+    /// candidate failed) is `NoViableModel`.
     pub(crate) fn outcome_from_report(
-        plan: EvalPlan,
+        data: SplitPlan,
+        profile: Option<DataProfile>,
         report: EvaluationReport,
     ) -> Result<ForecastOutcome> {
-        let Some(champion_score) = report.champion() else {
-            return Err(PlannerError::NoViableModel {
-                attempted: report.attempted,
-            });
+        let EvaluationReport {
+            scores,
+            failures,
+            attempted,
+            stats,
+        } = report;
+        // The champion is the first score; the outcome takes it by value.
+        let Some(champion) = scores.into_iter().next() else {
+            return Err(PlannerError::NoViableModel { attempted });
         };
         Ok(ForecastOutcome {
-            champion: champion_score.candidate.config.describe(),
-            family: Some(champion_score.candidate.family),
-            accuracy: champion_score.accuracy,
-            test_forecast: champion_score.forecast.clone(),
-            warm_seed: champion_score.warm_params.clone(),
-            warm_beta: champion_score.warm_beta.clone(),
-            champion_spec: champion_score.candidate.config.clone(),
-            test: plan.split.test,
-            train: plan.split.train,
-            evaluated: report.attempted - report.failures,
-            failures: report.failures,
-            gaps_filled: plan.gaps_filled,
-            profile: Some(plan.set.profile),
-            stats: report.stats,
+            champion: champion.candidate.config.describe(),
+            family: Some(champion.candidate.family),
+            accuracy: champion.accuracy,
+            test_forecast: champion.forecast,
+            warm_seed: champion.warm_params,
+            warm_beta: champion.warm_beta,
+            champion_spec: champion.candidate.config,
+            test: data.split.test,
+            train: data.split.train,
+            evaluated: attempted - failures,
+            failures,
+            gaps_filled: data.gaps_filled,
+            profile,
+            stats,
         })
     }
 }
@@ -484,13 +538,13 @@ pub struct EngineConfig {
     pub rules: Vec<AlertRule>,
     /// Future-forecast horizon in aggregation steps (hours).
     pub horizon: usize,
-    /// Neighbourhood radius for champion-seeded relearns.
+    /// Neighbourhood radius searched when a stored champion degrades.
     pub neighbourhood_radius: usize,
 }
 
 impl EngineConfig {
     /// Hourly defaults over a pipeline configuration: 24-hour horizon,
-    /// radius-1 relearn neighbourhood, no rules.
+    /// radius-1 neighbourhood, no rules.
     pub fn new(pipeline: PipelineConfig) -> EngineConfig {
         EngineConfig {
             pipeline,
@@ -504,13 +558,15 @@ impl EngineConfig {
 /// How a [`StepOutcome::Scored`] step obtained its champion.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ScoreAction {
-    /// First fit for this workload: the full configured grid.
+    /// No usable stored champion (the workload's first fit): the full
+    /// configured grid.
     Learned,
     /// The stored champion was re-scored frozen — one objective
     /// evaluation, no optimiser, no grid.
     Rescored,
-    /// The retention rules fired and a grid search ran (champion-seeded
-    /// neighbourhood with full-grid fallback, or full grid when stale).
+    /// The retention rules fired and a grid search ran: the degraded
+    /// champion's seeded neighbourhood with full-grid fallback, or the
+    /// full grid when stale.
     Relearned(RelearnReason),
 }
 
@@ -721,7 +777,10 @@ impl Engine {
     }
 
     /// Run one engine step for a workload: score when a new complete hour
-    /// is available and the protocol's observation count is met.
+    /// is available and the protocol's observation count is met. The step
+    /// is the fleet's §5.1 decision on a batch of one ([`run_batch_on`]):
+    /// a fresh stored champion is re-scored frozen and kept; a missing,
+    /// stale or degraded one is searched for and the result stored.
     pub fn step(&mut self, workload: &str) -> Result<StepOutcome> {
         self.step_inner(workload, false)
     }
@@ -748,28 +807,26 @@ impl Engine {
         let now = series.next_timestamp();
         let step_seconds = state.ingest.buffer().bucket_seconds();
 
-        // Frozen re-score when the repository holds a scoreable champion;
-        // otherwise (first sight, legacy record, or an exogenous champion
-        // whose columns the stream cannot supply) a grid search.
-        let seed = self.repository.get(workload)?.and_then(scoreable_seed);
-        let (action, score) = match seed {
-            Some(seed) => {
-                let live = rescore_frozen(&self.config.pipeline, &seed, &series)?;
-                let verdict = self
-                    .repository
-                    .needs_relearn(workload, now, Some(live.rmse))?;
-                match verdict {
-                    None => (ScoreAction::Rescored, live),
-                    Some(reason) => {
-                        let outcome = self.learn(workload, &series, now)?;
-                        (ScoreAction::Relearned(reason), score_of_outcome(&outcome))
-                    }
-                }
-            }
-            None => {
-                let outcome = self.learn(workload, &series, now)?;
-                (ScoreAction::Learned, score_of_outcome(&outcome))
-            }
+        // The fleet's §5.1 decision on a batch of one: a fresh, scoreable
+        // stored champion is re-scored frozen and kept unless its RMSE
+        // degraded; anything else runs a grid search and is stored.
+        let options = FleetOptions {
+            threads: self.config.pipeline.eval.threads,
+            neighbourhood_radius: self.config.neighbourhood_radius,
+            now,
+        };
+        let job = SeriesJob::new(workload, series, self.config.pipeline.clone());
+        let mut report = run_batch_on(&options, &mut self.repository, std::slice::from_ref(&job));
+        let Some(result) = report.jobs.pop() else {
+            return Err(PlannerError::Internal {
+                context: "single-job fleet batch returned no job result",
+            });
+        };
+        let outcome = result.outcome?;
+        let action = match result.relearn {
+            None => ScoreAction::Rescored,
+            Some(RelearnReason::Missing) => ScoreAction::Learned,
+            Some(reason) => ScoreAction::Relearned(reason),
         };
 
         // Forecast beyond the data with the (possibly refreshed) stored
@@ -779,10 +836,14 @@ impl Engine {
             .get(workload)?
             .ok_or(PlannerError::Internal {
                 context: "engine scored a workload but the repository holds no record for it",
-            })?
-            .clone();
-        let future =
-            frozen_future_forecast(&self.config.pipeline, &record, &series, self.config.horizon);
+            })?;
+        let baseline_rmse = record.baseline_rmse;
+        let future = frozen_future_forecast(
+            &self.config.pipeline,
+            record,
+            &job.series,
+            self.config.horizon,
+        );
 
         let Some(state) = self.workloads.get_mut(workload) else {
             return Err(PlannerError::Internal {
@@ -790,12 +851,12 @@ impl Engine {
             });
         };
         // The record is stored even when the forecast below fails.
-        state.baseline_rmse = Some(record.baseline_rmse);
+        state.baseline_rmse = Some(baseline_rmse);
         let future = future?;
         let fired = self.alert_stage.scan(workload, &future, now, step_seconds);
         state.scored_hours = have;
-        state.live_rmse = Some(score.rmse);
-        state.champion = Some(score.champion.clone());
+        state.live_rmse = Some(outcome.accuracy.rmse);
+        state.champion = Some(outcome.champion.clone());
         state.future = Some(LiveForecast {
             start: now,
             step_seconds,
@@ -812,123 +873,11 @@ impl Engine {
         }
         Ok(StepOutcome::Scored(ScoreSummary {
             action,
-            champion: score.champion,
-            live_rmse: score.rmse,
-            baseline_rmse: record.baseline_rmse,
+            champion: outcome.champion,
+            live_rmse: outcome.accuracy.rmse,
+            baseline_rmse,
             alerts: fired,
         }))
-    }
-
-    /// A grid search for one workload, through the same champion-seeded
-    /// fleet machinery as the batch relearn: cold workloads run the full
-    /// configured grid (bit-identical to
-    /// [`crate::pipeline::Pipeline::run`]); workloads
-    /// with a fresh stored champion relearn on its neighbourhood with the
-    /// full-grid degradation fallback. The repository is updated.
-    fn learn(&mut self, workload: &str, series: &TimeSeries, now: u64) -> Result<ForecastOutcome> {
-        let options = FleetOptions {
-            threads: self.config.pipeline.eval.threads,
-            neighbourhood_radius: self.config.neighbourhood_radius,
-            now,
-        };
-        let job = SeriesJob::new(workload, series.clone(), self.config.pipeline.clone());
-        let mut report = run_batch_on(&options, &mut self.repository, &[job]);
-        let Some(result) = report.jobs.pop() else {
-            return Err(PlannerError::Internal {
-                context: "single-job fleet batch returned no job result",
-            });
-        };
-        result.outcome
-    }
-}
-
-/// The frozen re-score inputs extracted from a stored record, when the
-/// record can actually be re-scored on an exogenous-free stream: the
-/// configuration plus its converged parameters. `None` sends the workload
-/// down the grid-search path instead.
-struct FrozenSeed {
-    config: ModelConfig,
-    params: Vec<f64>,
-    beta: Vec<f64>,
-}
-
-fn scoreable_seed(record: &ModelRecord) -> Option<FrozenSeed> {
-    let (config, params, beta) = record.champion_seed()?;
-    if params.is_empty() {
-        return None;
-    }
-    // An exogenous champion needs its indicator columns to re-score; the
-    // streaming path carries none, so such a record is relearned instead.
-    if config.as_sarimax().is_some_and(|c| c.n_exog > 0) {
-        return None;
-    }
-    Some(FrozenSeed {
-        config: config.clone(),
-        params: params.to_vec(),
-        beta: beta.to_vec(),
-    })
-}
-
-fn score_of_outcome(outcome: &ForecastOutcome) -> LiveScore {
-    LiveScore {
-        champion: outcome.champion.clone(),
-        rmse: outcome.accuracy.rmse,
-    }
-}
-
-/// The champion identity + held-out accuracy one scoring path produced.
-struct LiveScore {
-    champion: String,
-    rmse: f64,
-}
-
-/// Re-score a stored champion on the current aggregates, **frozen**: the
-/// stored parameters are evaluated verbatim through the shared evaluation
-/// engine (`EvalTask.seed` + a single candidate equal to the stored
-/// configuration), producing the same held-out RMSE a batch fit of that
-/// configuration would report — one objective evaluation, no optimiser.
-fn rescore_frozen(
-    config: &PipelineConfig,
-    seed: &FrozenSeed,
-    series: &TimeSeries,
-) -> Result<LiveScore> {
-    let mut working = series.clone();
-    if working.has_gaps() {
-        interpolate_series(&mut working)?;
-    }
-    let split = TrainTestSplit::from_series(&working, config.granularity)?;
-    let offset = working.len() - config.granularity.observations();
-    let candidates = [CandidateModel::new(seed.config.clone())];
-    let mut eval_opts = config.eval.clone();
-    eval_opts.start_index = offset;
-    let task = EvalTask {
-        train: split.train.values(),
-        test: split.test.values(),
-        exog_train: &[],
-        exog_test: &[],
-        candidates: &candidates,
-        opts: eval_opts,
-        seed: Some((seed.config.clone(), seed.params.clone(), seed.beta.clone())),
-    };
-    let mut reports = evaluate_fleet(&[task], 1);
-    let Some(report) = reports.pop() else {
-        return Err(PlannerError::Internal {
-            context: "single-task fleet evaluation returned no report",
-        });
-    };
-    let report = report?;
-    let Some(champion) = report.champion() else {
-        return Err(PlannerError::NoViableModel {
-            attempted: report.attempted,
-        });
-    };
-    Ok(score_of_model(champion))
-}
-
-fn score_of_model(score: &ModelScore) -> LiveScore {
-    LiveScore {
-        champion: score.candidate.config.describe(),
-        rmse: score.accuracy.rmse,
     }
 }
 
@@ -1139,6 +1088,60 @@ mod tests {
         };
         assert_eq!(summary.action, ScoreAction::Rescored);
         assert_eq!(summary.live_rmse, batch.accuracy.rmse);
+    }
+
+    #[test]
+    fn engine_and_fleet_give_one_verdict_and_rmse() {
+        // The same stored record and the same aggregates get the same
+        // §5.1 verdict and the same RMSE bits from an engine step and a
+        // fleet batch: kept, degraded, and a week stale.
+        let config = fast_config();
+        let pts = quarter_hour_points(1010 + 170);
+        let cases = [
+            (2, false, ScoreAction::Rescored),
+            (2, true, ScoreAction::Relearned(RelearnReason::Degraded)),
+            (170, false, ScoreAction::Relearned(RelearnReason::Stale)),
+        ];
+        for (extra_hours, sabotage, expected) in cases {
+            let mut engine = Engine::new(EngineConfig::new(config.clone()));
+            engine.push_batch("db/CPU", &pts[..1010 * 4]).unwrap();
+            let mut record = engine.repository.get("db/CPU").unwrap().unwrap().clone();
+            if sabotage {
+                record.baseline_rmse = 1e-12;
+                engine.repository.store(record.clone()).unwrap();
+            }
+            let mut repository = ShardedRepository::in_memory();
+            repository.store(record).unwrap();
+
+            let next = &pts[1010 * 4..(1010 + extra_hours) * 4];
+            let StepOutcome::Scored(summary) = engine.push_batch("db/CPU", next).unwrap() else {
+                panic!("expected a scored step");
+            };
+            assert_eq!(summary.action, expected);
+
+            let series = engine.workloads["db/CPU"].ingest.aggregated();
+            let options = FleetOptions {
+                threads: config.eval.threads,
+                neighbourhood_radius: 1,
+                now: series.next_timestamp(),
+            };
+            let job = SeriesJob::new("db/CPU", series, config.clone());
+            let report = run_batch_on(&options, &mut repository, &[job]);
+            let result = &report.jobs[0];
+            let verdict = match summary.action {
+                ScoreAction::Rescored => None,
+                ScoreAction::Learned => Some(RelearnReason::Missing),
+                ScoreAction::Relearned(reason) => Some(reason),
+            };
+            assert_eq!(result.relearn, verdict, "{expected:?}");
+            let outcome = result.outcome.as_ref().unwrap();
+            assert_eq!(outcome.champion, summary.champion, "{expected:?}");
+            assert_eq!(
+                outcome.accuracy.rmse.to_bits(),
+                summary.live_rmse.to_bits(),
+                "{expected:?}"
+            );
+        }
     }
 
     #[test]

@@ -276,14 +276,15 @@ pub struct EvalStats {
     pub objective_evals: usize,
     /// Per-family breakdown, indexed by position in [`ModelFamily::ALL`].
     pub families: [FamilyStats; ModelFamily::COUNT],
-    /// Fleet jobs whose stored champion seeded a pruned neighbourhood
-    /// relearn (always 0 for single-grid runs).
+    /// Fleet jobs with a fresh stored champion to re-score frozen: kept,
+    /// or degraded and searched from its seed (always 0 for single-grid
+    /// runs).
     pub reuse_hits: usize,
-    /// Fleet jobs that had no usable stored champion and ran the full grid
-    /// cold (always 0 for single-grid runs).
+    /// Fleet jobs with no usable stored champion, or a stale one, that ran
+    /// the full grid (always 0 for single-grid runs).
     pub reuse_misses: usize,
-    /// Reused fleet jobs whose pruned champion degraded past the staleness
-    /// threshold and fell back to the full grid.
+    /// Reused fleet jobs whose seeded neighbourhood champion degraded too
+    /// and fell back to the full grid.
     pub reuse_fallbacks: usize,
     /// Lockstep (batched-kernel) phase timing.
     pub lockstep: LockstepStats,
@@ -552,7 +553,7 @@ fn chain_batches(task: &EvalTask, cache: &BTreeMap<DiffKey, Differenced>, chain:
 fn build_units(
     tasks: &[EvalTask],
     states: &[TaskState],
-    workers: usize,
+    threads: usize,
 ) -> (Vec<WorkUnit>, Vec<(usize, usize)>) {
     let mut units = Vec::new();
     let mut pairs = Vec::new();
@@ -566,6 +567,7 @@ fn build_units(
         }
     }
     if pairs.len() > 1 {
+        let workers = pool_size(threads, pairs.len());
         let (groups, width) = crate::protocol::lockstep_shape(workers, pairs.len(), LOCKSTEP_WIDTH);
         units.extend((0..groups).map(|_| WorkUnit::Group(width)));
     } else {
@@ -682,16 +684,40 @@ struct LockstepBatch<'b> {
     next_pair: AtomicUsize,
 }
 
-/// The worker count for a pool: `threads`, or one per available core when
-/// it is 0.
-fn pool_size(threads: usize) -> usize {
-    if threads == 0 {
+/// The worker count for `work` items on a pool of `threads` workers, or
+/// of one per available core when it is 0: never more workers than items,
+/// and at least one. A lone item never asks how many cores there are —
+/// on Linux that reads the cgroup CPU quota from files, more than a
+/// frozen re-score costs.
+fn pool_size(threads: usize, work: usize) -> usize {
+    if work <= 1 {
+        return 1;
+    }
+    let threads = if threads == 0 {
         std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
     } else {
         threads
+    };
+    threads.min(work)
+}
+
+/// Run `work` on `n_workers` pool workers and collect each one's output.
+/// A single worker runs on the calling thread: a pool of one would only
+/// add a spawn and a join. A worker that panics yields `None`, and the
+/// panic goes no further.
+fn run_workers<W: Send>(n_workers: usize, work: impl Fn() -> W + Sync) -> Vec<Option<W>> {
+    if n_workers <= 1 {
+        return vec![std::panic::catch_unwind(std::panic::AssertUnwindSafe(&work)).ok()];
     }
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..n_workers).map(|_| scope.spawn(&work)).collect();
+        handles
+            .into_iter()
+            .map(|handle| handle.join().ok())
+            .collect()
+    })
 }
 
 /// Map `f` over `items` on a pool of `threads` workers (0 = one per core)
@@ -706,41 +732,28 @@ pub(crate) fn map_on_pool<T: Sync, R: Send>(
     threads: usize,
     f: impl Fn(&T) -> R + Sync,
 ) -> Vec<Option<R>> {
-    let next_item = AtomicUsize::new(0);
-    let n_workers = pool_size(threads).min(items.len()).max(1);
+    let n_workers = pool_size(threads, items.len());
     if n_workers == 1 {
-        let run = std::panic::AssertUnwindSafe(|| items.iter().map(&f).collect::<Vec<R>>());
-        return match std::panic::catch_unwind(run) {
-            Ok(done) => done.into_iter().map(Some).collect(),
-            Err(_) => (0..items.len()).map(|_| None).collect(),
-        };
+        let run = std::panic::AssertUnwindSafe(|| items.iter().map(|item| Some(f(item))).collect());
+        return std::panic::catch_unwind(run)
+            .unwrap_or_else(|_| (0..items.len()).map(|_| None).collect());
     }
+    let next_item = AtomicUsize::new(0);
     let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut done = Vec::new();
-                    while let Some(i) = crate::protocol::claim_ticket(&next_item, items.len()) {
-                        if let Some(item) = items.get(i) {
-                            done.push((i, f(item)));
-                        }
-                    }
-                    done
-                })
-            })
-            .collect();
-        for handle in handles {
-            let Ok(done) = handle.join() else {
-                continue;
-            };
-            for (i, result) in done {
-                if let Some(slot) = results.get_mut(i) {
-                    *slot = Some(result);
-                }
+    let outputs = run_workers(n_workers, || {
+        let mut done = Vec::new();
+        while let Some(i) = crate::protocol::claim_ticket(&next_item, items.len()) {
+            if let Some(item) = items.get(i) {
+                done.push((i, f(item)));
             }
         }
+        done
     });
+    for (i, result) in outputs.into_iter().flatten().flatten() {
+        if let Some(slot) = results.get_mut(i) {
+            *slot = Some(result);
+        }
+    }
     results
 }
 
@@ -766,7 +779,6 @@ pub(crate) fn map_on_pool<T: Sync, R: Send>(
 /// separable per task.
 pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<EvaluationReport>> {
     let started = Instant::now();
-    let threads = pool_size(threads);
     let states: Vec<TaskState> = tasks
         .iter()
         .map(|task| TaskState {
@@ -784,53 +796,37 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
     };
     let next_unit = AtomicUsize::new(0);
 
-    let n_workers = threads.min(units.len()).max(1);
-    // Worker outputs are per task so the merge below is per task.
-    let outputs: (Vec<Vec<WorkerOutput>>, bool) = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out: Vec<WorkerOutput> =
-                        (0..tasks.len()).map(|_| WorkerOutput::default()).collect();
-                    while let Some(item) = crate::protocol::claim_ticket(&next_unit, units.len()) {
-                        match units.get(item) {
-                            Some(&WorkUnit::Single { task, chain }) => {
-                                // The units are built from `states` (same
-                                // length as `tasks`), so these lookups only
-                                // miss if that construction is broken —
-                                // skip rather than panic.
-                                let (Some(t), Some(state), Some(slot)) =
-                                    (tasks.get(task), states.get(task), out.get_mut(task))
-                                else {
-                                    continue;
-                                };
-                                let Some(chain) = state.chains.get(chain) else {
-                                    continue;
-                                };
-                                run_chain(chain, t, &state.cache, slot);
-                            }
-                            Some(&WorkUnit::Group(width)) => {
-                                run_chain_group(&batch, width, &mut out);
-                            }
-                            None => continue,
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        let mut outs = Vec::with_capacity(handles.len());
-        let mut panicked = false;
-        for handle in handles {
-            match handle.join() {
-                Ok(out) => outs.push(out),
-                Err(_) => panicked = true,
+    // Worker outputs are per task so the merge below is per task. One
+    // worker (a lone frozen re-score, say) runs on the calling thread.
+    let n_workers = pool_size(threads, units.len());
+    let outputs = run_workers(n_workers, || {
+        let mut out: Vec<WorkerOutput> =
+            (0..tasks.len()).map(|_| WorkerOutput::default()).collect();
+        while let Some(item) = crate::protocol::claim_ticket(&next_unit, units.len()) {
+            match units.get(item) {
+                Some(&WorkUnit::Single { task, chain }) => {
+                    // The units are built from `states` (same length as
+                    // `tasks`), so these lookups only miss if that
+                    // construction is broken — skip rather than panic.
+                    let (Some(t), Some(state), Some(slot)) =
+                        (tasks.get(task), states.get(task), out.get_mut(task))
+                    else {
+                        continue;
+                    };
+                    let Some(chain) = state.chains.get(chain) else {
+                        continue;
+                    };
+                    run_chain(chain, t, &state.cache, slot);
+                }
+                Some(&WorkUnit::Group(width)) => {
+                    run_chain_group(&batch, width, &mut out);
+                }
+                None => continue,
             }
         }
-        (outs, panicked)
+        out
     });
-    let (mut outputs, worker_panicked) = outputs;
-    if worker_panicked {
+    let Some(mut outputs) = outputs.into_iter().collect::<Option<Vec<_>>>() else {
         // A worker died mid-batch; its partial scores are gone, so every
         // task's report would under-count. Fail all of them typed instead.
         return tasks
@@ -841,7 +837,7 @@ pub fn evaluate_fleet(tasks: &[EvalTask], threads: usize) -> Vec<Result<Evaluati
                 })
             })
             .collect();
-    }
+    };
 
     let wall_time = started.elapsed();
     let mut reports = Vec::with_capacity(tasks.len());
@@ -2376,6 +2372,30 @@ mod tests {
             assert_eq!(squares, expected, "threads={threads}");
         }
         assert!(map_on_pool(&[] as &[usize], 2, |&i| i).is_empty());
+    }
+
+    #[test]
+    fn a_lone_worker_runs_on_the_calling_thread_and_panics_stay_contained() {
+        let caller = std::thread::current().id();
+        assert_eq!(
+            run_workers(1, || std::thread::current().id()),
+            vec![Some(caller)]
+        );
+        // A lone worker that panics yields nothing, so `evaluate_fleet`
+        // fails every task typed; the panic goes no further.
+        let lost: Vec<Option<()>> = run_workers(1, || panic!("seeded worker failure"));
+        assert_eq!(lost, vec![None]);
+        // In a pool of two, only the panicking worker's output is lost,
+        // and both ran off the calling thread.
+        let claimed = AtomicUsize::new(0);
+        let outputs = run_workers(2, || {
+            let i = claimed.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+            assert_ne!(i, 0, "seeded worker failure");
+            std::thread::current().id()
+        });
+        assert_eq!(outputs.len(), 2);
+        assert_eq!(outputs.iter().filter(|o| o.is_none()).count(), 1);
+        assert!(outputs.iter().flatten().all(|&id| id != caller));
     }
 
     #[test]

@@ -486,9 +486,9 @@ impl ModelGrid {
     /// **first**, so an exact RMSE tie against a neighbour resolves to the
     /// stored champion (candidate-index tie-break).
     ///
-    /// This is the champion-seeded relearning grid: ~`(2r+1)²` candidates
-    /// instead of the full 180/660, warm-started from the stored
-    /// parameters by the fleet scheduler.
+    /// This is the grid a degraded champion searches first: ~`(2r+1)²`
+    /// candidates instead of the full 180/660, warm-started from the
+    /// stored parameters by the fleet scheduler.
     pub fn neighbourhood(base: &SarimaxConfig, radius: usize) -> ModelGrid {
         let family = sarimax_family_of(base);
         let spec = &base.spec;

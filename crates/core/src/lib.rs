@@ -23,8 +23,9 @@
 //!   gather → interpolate → split → fit → score → forecast,
 //! * [`fleet`] — batch scheduling of many (instance, metric, granularity)
 //!   series on one shared worker pool, in bounded-memory waves, with
-//!   repository-backed champion-seeded relearning (§5.1's weekly relearn
-//!   as a local refinement),
+//!   repository-backed champion reuse (§5.1: a fresh champion is
+//!   re-scored frozen and kept; a degraded, stale or missing one is
+//!   searched for),
 //! * [`repository`] — the sharded champion repository (on disk or in
 //!   memory) with the one-week staleness rule, the RMSE-degradation
 //!   relearn trigger and the >3-occurrence shock-acceptance policy (§5.1,
@@ -78,8 +79,8 @@ pub use pipeline::{
     ChampionSpec, ForecastOutcome, GridStrategy, MethodChoice, Pipeline, PipelineConfig,
 };
 pub use repository::{
-    shard_of, ChampionStore, CompactionPolicy, ModelRecord, RetentionPolicy, ShardIoStats,
-    ShardedRepository, ShockTracker,
+    shard_of, ChampionStore, CompactionPolicy, ModelRecord, RelearnReason, RetentionPolicy,
+    ShardIoStats, ShardedRepository, ShockTracker,
 };
 pub use shocks::{DetectedShock, ShockDetector};
 

@@ -12,8 +12,8 @@
 //! method choice only decides which candidate configurations enter the
 //! grid ([`ModelGrid::ets`], [`ModelGrid::tbats`], the pruned SARIMAX set,
 //! or all of them for [`MethodChoice::Auto`]); evaluation, champion
-//! selection, persistence and champion-seeded relearning are one
-//! family-agnostic plane.
+//! selection, persistence and champion reuse are one family-agnostic
+//! plane.
 
 use crate::candidates::{CandidateSet, DataProfile};
 use crate::engine::{split_exog_window, tbats_periods, AggregateStage, ScoreStage};
@@ -23,8 +23,6 @@ use crate::{PlannerError, Result};
 use dwcp_models::Forecast;
 use dwcp_series::interpolate::interpolate_series;
 use dwcp_series::{Accuracy, Granularity, TimeSeries, TrainTestSplit};
-
-pub(crate) use crate::engine::EvalPlan;
 
 /// The user's model-family choice (Figure 8 lets the user "select between
 /// SARIMAX or HES").
@@ -136,7 +134,8 @@ pub struct ForecastOutcome {
     pub failures: usize,
     /// How many gaps interpolation filled.
     pub gaps_filled: usize,
-    /// The data profile the candidate grid was derived from.
+    /// The data profile the candidate grid was derived from; `None` when
+    /// the stored champion was re-scored frozen and no grid was planned.
     pub profile: Option<DataProfile>,
     /// The champion's machine-readable specification, for refitting.
     pub champion_spec: ChampionSpec,
@@ -144,8 +143,8 @@ pub struct ForecastOutcome {
     /// evaluations, per-family timing).
     pub stats: EvalStats,
     /// The champion's converged unconstrained optimiser parameters — what
-    /// the model repository stores as the warm seed for champion-seeded
-    /// relearning, whichever family the champion belongs to.
+    /// the model repository stores for frozen re-scores and seeded
+    /// searches, whichever family the champion belongs to.
     pub warm_seed: Vec<f64>,
     /// The champion's regression coefficients (empty for every family
     /// except regression SARIMAX) — stored with the warm seed so a
@@ -183,36 +182,6 @@ impl Pipeline {
     pub fn run(&self, series: &TimeSeries, exog_full: &[Vec<f64>]) -> Result<ForecastOutcome> {
         let plan = AggregateStage::prepare(&self.config, series, exog_full)?;
         ScoreStage::score(&self.config, plan)
-    }
-
-    /// Everything the pipeline does before any model is fitted:
-    /// interpolation, optional shock discovery, the Table 1 split with
-    /// aligned exogenous columns, profiling, and the candidate grid for
-    /// the configured method. Delegates to [`AggregateStage::prepare`];
-    /// kept as a method so the fleet scheduler can prepare every job up
-    /// front and feed all grids through one shared worker pool.
-    pub(crate) fn plan(&self, series: &TimeSeries, exog_full: &[Vec<f64>]) -> Result<EvalPlan> {
-        AggregateStage::prepare(&self.config, series, exog_full)
-    }
-
-    /// The §6.3 Fourier stage's candidate list (see
-    /// [`ScoreStage::fourier_candidates`]).
-    pub(crate) fn fourier_candidates(
-        &self,
-        plan: &EvalPlan,
-        report: &EvaluationReport,
-    ) -> Vec<CandidateModel> {
-        ScoreStage::fourier_candidates(&self.config, plan, report)
-    }
-
-    /// Assemble a [`ForecastOutcome`] from a finished evaluation (see
-    /// [`ScoreStage::outcome_from_report`]).
-    pub(crate) fn outcome_from_report(
-        &self,
-        plan: EvalPlan,
-        report: EvaluationReport,
-    ) -> Result<ForecastOutcome> {
-        ScoreStage::outcome_from_report(plan, report)
     }
 
     /// Run the pipeline, then refit the champion on the **full** series
@@ -617,7 +586,7 @@ mod tests {
         let (series, _) = synthetic_hourly(1100);
         let config = fast_config(MethodChoice::Auto);
         let plan = crate::engine::AggregateStage::prepare(&config, &series, &[]).unwrap();
-        let prepared = plan.set.models.clone();
+        let prepared = plan.grid.set.models.clone();
         assert!(!prepared.is_empty());
         let mut again = prepared.clone();
         crate::grid::dedupe_candidates(&mut again);

@@ -26,11 +26,10 @@ pub const ONE_WEEK_SECONDS: u64 = 7 * 86_400;
 
 /// A stored champion model descriptor.
 ///
-/// The repository stores descriptors plus a *warm seed*, not a serving
-/// model: re-fitting a known-good configuration on fresh data is exactly
-/// what the weekly relearn does, so persisted coefficients are never used
-/// to forecast — they only let the relearn's optimiser start from last
-/// week's optimum instead of from cold (champion-seeded relearning).
+/// The repository stores the champion's configuration plus its converged
+/// parameters: a fresh champion is re-scored (and, in the resident
+/// engine, forecast) at those parameters verbatim, and a degraded one
+/// searches its neighbourhood warm-started from them.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelRecord {
     /// Workload key, e.g. `cdbm011/CPU`.
@@ -49,7 +48,8 @@ pub struct ModelRecord {
     /// persistence).
     pub champion_config: Option<ModelConfig>,
     /// The champion's converged unconstrained optimiser parameters at fit
-    /// time — the warm seed for the next relearn. Empty when unknown.
+    /// time — what a frozen re-score evaluates and a seeded search starts
+    /// from. Empty when unknown.
     pub warm_params: Vec<f64>,
     /// The champion's regression coefficients at fit time (empty for
     /// plain champions), so a regression champion is re-scored verbatim.
@@ -76,10 +76,10 @@ impl ModelRecord {
         }
     }
 
-    /// The champion-seeded relearning inputs: the stored configuration to
-    /// centre the neighbourhood grid on, the converged parameters to
-    /// warm-start from, and the regression coefficients (both empty when
-    /// only the configuration is known). `None` only for legacy records
+    /// The champion reuse inputs: the stored configuration to re-score
+    /// and to centre a neighbourhood grid on, the converged parameters to
+    /// score it at or warm-start from, and the regression coefficients
+    /// (both empty when only the configuration is known). `None` only for legacy records
     /// with no stored configuration.
     pub fn champion_seed(&self) -> Option<(&ModelConfig, &[f64], &[f64])> {
         self.champion_config.as_ref().map(|config| {
@@ -95,7 +95,10 @@ impl ModelRecord {
 /// Why a stored model needs relearning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RelearnReason {
-    /// No model stored for this workload yet.
+    /// No usable model stored for this workload: none yet, or one the
+    /// job cannot re-score (another granularity, a family its method does
+    /// not search, exogenous columns it lacks, or parameters that do not
+    /// fit the stored configuration).
     Missing,
     /// Older than the retention window (one week by default).
     Stale,

@@ -27,7 +27,10 @@
 #      can rely on its keys
 #   6. CLI smoke: `dwcp forecast --method auto` on a simulated OLAP series
 #      must race the families and report the chosen champion family in the
-#      `# summary:` JSON line
+#      `# summary:` JSON line; `dwcp fleet --repo-dir` run twice on six
+#      simulated series must keep every champion on the second run (same
+#      champions, six frozen re-scores, no appended record); and the
+#      `dwcp serve` daemon must score, page, forecast, alert and shut down
 #   7. cargo doc --no-deps must build warning-free
 #
 # Correctness tooling (see DESIGN.md §10):
@@ -256,7 +259,7 @@ git checkout -- results/BENCH_serve.json 2>/dev/null || true
 echo "== cli smoke: dwcp forecast --method auto =="
 auto_csv="$(mktemp /tmp/dwcp_ci_auto_XXXXXX.csv)"
 auto_out="$(mktemp /tmp/dwcp_ci_auto_out_XXXXXX.txt)"
-trap 'rm -f "$auto_csv" "$auto_out" "${serve_log:-}"' EXIT
+trap 'rm -f "$auto_csv" "$auto_out" "${serve_log:-}"; rm -rf "${fleet_dir:-}"' EXIT
 cargo run -q --release -- simulate --scenario olap --instance cdbm011 \
   --metric cpu --seed 11 --out "$auto_csv"
 cargo run -q --release -- forecast --input "$auto_csv" --method auto \
@@ -269,6 +272,47 @@ case "$family" in
     echo "auto picked champion family: $family" ;;
   *) echo "forecast --method auto: unexpected family '$family'"; exit 1 ;;
 esac
+
+echo "== cli smoke: dwcp fleet --repo-dir, a second night keeps every champion =="
+# Six simulated series (two instances x three metrics) fitted cold on the
+# daily protocol into a repository directory, then run again against it:
+# every stored champion is fresh, so §5.1's reuse policy re-scores each
+# one frozen and keeps it. The second run must print the same champions
+# and RMSEs, six frozen re-scores and no appended record.
+fleet_dir="$(mktemp -d /tmp/dwcp_ci_fleet_XXXXXX)"
+fleet_inputs=""
+for metric in cpu memory iops; do
+  for instance in cdbm011 cdbm012; do
+    csv="$fleet_dir/$instance-$metric.csv"
+    cargo run -q --release -- simulate --scenario oltp --instance "$instance" \
+      --metric "$metric" --seed 3 --out "$csv" > /dev/null
+    fleet_inputs="$fleet_inputs${fleet_inputs:+,}$csv"
+  done
+done
+for night in 1 2; do
+  cargo run -q --release -- fleet --inputs "$fleet_inputs" --method hes \
+    --granularity daily --repo-dir "$fleet_dir/repo" > "$fleet_dir/night$night.txt"
+done
+python3 - "$fleet_dir" <<'PY' || { echo "fleet --repo-dir smoke failed"; exit 1; }
+import re, sys
+d = sys.argv[1]
+def night(n):
+    text = open(f"{d}/night{n}.txt").read()
+    # workload,champion,rmse,mape,reused,fell_back,family: the champion
+    # may hold commas, so split the four trailing fields off the right.
+    rows = [l.rsplit(",", 4)[0] for l in text.splitlines()
+            if l and not l.startswith("#") and not l.startswith("workload,")]
+    return text, rows
+first, cold = night(1)
+second, kept = night(2)
+assert len(cold) == 6 and kept == cold, f"champions changed:\n{cold}\n{kept}"
+frozen = re.search(r"^# champion reuse: 6 hits \((\d+) frozen re-scores", second, re.M)
+assert frozen and frozen.group(1) == "6", f"expected 6 frozen re-scores:\n{second}"
+appends = re.search(r"^# repository: .* (\d+) appends,", second, re.M)
+assert appends and appends.group(1) == "0", f"expected 0 appends:\n{second}"
+print("fleet smoke OK: second night kept all 6 champions, 6 frozen re-scores, 0 appends")
+PY
+rm -rf "$fleet_dir"
 
 echo "== serve smoke: dwcp serve push/page/forecast/alert/shutdown =="
 # Boot the resident daemon on an ephemeral port, push 1010 hours of raw

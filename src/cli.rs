@@ -14,8 +14,8 @@
 
 use crate::planner::{
     AlertRule, Checkpoint, Engine, EngineConfig, EstateScheduler, FleetOptions, GridStrategy,
-    LockstepStats, MethodChoice, Pipeline, PipelineConfig, SeriesJob, ShardedRepository,
-    SliceJobSource, ThresholdAdvisor, WaveOptions,
+    LockstepStats, MethodChoice, Pipeline, PipelineConfig, RelearnReason, SeriesJob,
+    ShardedRepository, SliceJobSource, ThresholdAdvisor, WaveOptions,
 };
 use crate::series::{Frequency, Granularity, TimeSeries};
 use crate::workload::{olap_scenario, oltp_scenario, Metric, Scenario};
@@ -60,7 +60,7 @@ pub enum Command {
         granularity: Granularity,
         /// Worker threads (0 = all cores).
         threads: usize,
-        /// Champion-neighbourhood radius for seeded relearning.
+        /// Neighbourhood radius a degraded champion searches.
         radius: usize,
         /// Optional sharded-repository directory that persists champions
         /// across runs; without it the champions live in memory.
@@ -315,11 +315,14 @@ falls back to the full sweep if the seeded champion cannot beat a naive
 benchmark forecast. `fleet` schedules its inputs through one shared
 worker pool in stalest-first waves of --wave jobs (default 1024).
 --repo-dir keeps the champions (any family) in a sharded on-disk
-repository (created with --shards shards) that seeds relearning on the
-next run; without it they live in memory for the one run. --checkpoint
-records finished jobs so a killed scan resumes where it stopped;
---cancel-checkpoint deletes that file and exits. A flag a subcommand
-does not take is an error.
+repository (created with --shards shards); without it they live in
+memory for the one run. On a later run a stored champion under a week
+old is re-scored frozen and kept unless its RMSE more than doubled;
+then its --radius neighbourhood is searched, and the full grid if that
+degrades too. A week-old or missing champion runs the full grid.
+--checkpoint records finished jobs so a killed scan resumes where it
+stopped; --cancel-checkpoint deletes that file and exits. A flag a
+subcommand does not take is an error.
 
 `serve` runs the resident ingest→score→alert daemon (default address
 127.0.0.1:7878) until `POST /shutdown`. Agents push raw points with
@@ -673,8 +676,15 @@ fn execute_fleet_waves(
         stdout,
         "workload,champion,rmse,mape,reused,fell_back,family"
     )?;
+    // Kept champions, and fresh ones whose frozen re-score degraded.
+    let (mut frozen, mut degraded) = (0usize, 0usize);
     let report = scheduler.run_with_progress(&source, &mut |progress, results| {
         for job in results {
+            match (job.reused, job.relearn) {
+                (true, None) => frozen += 1,
+                (true, Some(RelearnReason::Degraded)) => degraded += 1,
+                _ => {}
+            }
             let _ = match &job.outcome {
                 Ok(outcome) => writeln!(
                     stdout,
@@ -713,7 +723,8 @@ fn execute_fleet_waves(
     write_lockstep_line(stdout, &report.stats.lockstep)?;
     writeln!(
         stdout,
-        "# champion reuse: {} hits, {} misses, {} fallbacks{}",
+        "# champion reuse: {} hits ({frozen} frozen re-scores, {degraded} degraded), \
+         {} misses, {} fallbacks{}",
         report.stats.reuse_hits,
         report.stats.reuse_misses,
         report.stats.reuse_fallbacks,
@@ -723,8 +734,10 @@ fn execute_fleet_waves(
         }
     )?;
     if let Some(repo_dir) = repo_dir {
-        let champions = scheduler.repository.count_records()?;
+        // The scan's own traffic, read before counting the champions
+        // replays every shard once more.
         let io = scheduler.repository.io_stats();
+        let champions = scheduler.repository.count_records()?;
         writeln!(
             stdout,
             "# repository: {champions} champions in {} shard(s) at {repo_dir} \

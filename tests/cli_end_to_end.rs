@@ -138,13 +138,26 @@ fn fleet_batches_csvs_and_persists_the_repository() {
     assert_eq!(first.len(), 2, "{out}");
     assert!(first.iter().all(|(_, reused)| !reused), "{out}");
 
-    // The second run seeds every job from the champions on disk.
+    // The second run re-scores every champion on disk frozen and keeps
+    // it: same champions, same RMSEs, nothing appended.
+    let champions = |out: &str| -> Vec<String> {
+        out.lines()
+            .filter(|l| !l.starts_with('#') && !l.starts_with("workload,"))
+            .map(|l| l.rsplitn(5, ',').last().unwrap().to_string())
+            .collect()
+    };
+    let first_champions = champions(&out);
     let out = run(cmd);
     assert!(out.contains("# scan: 2 fitted"), "{out}");
-    assert!(out.contains("# champion reuse: 2 hits"), "{out}");
+    assert!(
+        out.contains("# champion reuse: 2 hits (2 frozen re-scores, 0 degraded)"),
+        "{out}"
+    );
+    assert!(out.contains(", 0 appends,"), "{out}");
     let second = rows(&out);
     assert_eq!(second.len(), 2, "{out}");
     assert!(second.iter().all(|(_, reused)| *reused), "{out}");
+    assert_eq!(champions(&out), first_champions, "{out}");
 
     for p in inputs {
         std::fs::remove_file(p).ok();
@@ -317,4 +330,89 @@ fn forecast_on_external_csv_with_gaps() {
     let forecast: f64 = last_line.split(',').nth(2).unwrap().parse().unwrap();
     assert!((forecast - 312.0).abs() < 40.0, "{last_line}");
     std::fs::remove_file(&csv_path).ok();
+}
+
+/// The `(shard loads, evictions)` of a fleet run's `# repository:` line.
+fn repository_traffic(out: &str) -> (usize, usize) {
+    let line = out
+        .lines()
+        .find(|l| l.starts_with("# repository:"))
+        .unwrap_or_else(|| panic!("no repository line in {out}"));
+    let count = |unit: &str| -> usize {
+        let head = line.split(unit).next().unwrap();
+        head.rsplit(['(', ' '])
+            .find(|w| !w.is_empty())
+            .unwrap()
+            .parse()
+            .unwrap_or_else(|_| panic!("no {unit:?} count in {line:?}"))
+    };
+    (count(" shard loads"), count(" evictions"))
+}
+
+#[test]
+fn fleet_repository_line_counts_the_scans_own_traffic() {
+    // The `# repository:` line reports what the scan itself loaded and
+    // evicted: the same counters a scheduler over the same jobs and
+    // shards reports, before anything else reads the repository.
+    use dwcp::planner::{
+        EstateScheduler, FleetOptions, MethodChoice, PipelineConfig, SeriesJob, ShardedRepository,
+        SliceJobSource, WaveOptions,
+    };
+    let mut inputs = Vec::new();
+    let mut jobs = Vec::new();
+    for (instance, metric) in [("cdbm011", "cpu"), ("cdbm012", "cpu"), ("cdbm011", "iops")] {
+        let path = tmp(&format!("traffic_{instance}_{metric}"));
+        run(Command::Simulate {
+            scenario: "oltp".into(),
+            instance: instance.into(),
+            metric: metric.into(),
+            seed: 5,
+            out: path.to_string_lossy().into_owned(),
+        });
+        let series = dwcp::cli::read_csv(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let key = path.file_stem().unwrap().to_string_lossy().into_owned();
+        jobs.push(SeriesJob::new(
+            key,
+            series,
+            PipelineConfig::hourly(MethodChoice::Hes),
+        ));
+        inputs.push(path.to_string_lossy().into_owned());
+    }
+    let printed_dir = tmp("traffic_printed");
+    let counted_dir = tmp("traffic_counted");
+    for dir in [&printed_dir, &counted_dir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
+    let args: Vec<String> = [
+        "fleet",
+        "--inputs",
+        &inputs.join(","),
+        "--method",
+        "hes",
+        "--shards",
+        "16",
+        "--repo-dir",
+        &printed_dir.to_string_lossy(),
+    ]
+    .iter()
+    .map(|a| a.to_string())
+    .collect();
+    // A cold night, then a night that keeps every champion.
+    for night in ["cold", "kept"] {
+        let printed = repository_traffic(&run(parse(&args).unwrap()));
+        let mut scheduler = EstateScheduler::new(
+            FleetOptions::default(),
+            WaveOptions::default(),
+            ShardedRepository::open_or_create(&counted_dir, 16).unwrap(),
+        );
+        scheduler.run(&SliceJobSource::new(&jobs)).unwrap();
+        let io = scheduler.repository.io_stats();
+        assert_eq!(printed, (io.shard_loads, io.evictions), "{night} night");
+    }
+    for p in inputs {
+        std::fs::remove_file(p).ok();
+    }
+    for dir in [&printed_dir, &counted_dir] {
+        std::fs::remove_dir_all(dir).ok();
+    }
 }

@@ -123,10 +123,12 @@ fn per_workload_isolation() {
 }
 
 // ---------------------------------------------------------------------------
-// Champion-seeded relearning (fleet batch × repository life-cycle).
+// Champion reuse across nights (fleet batch × repository life-cycle).
 // ---------------------------------------------------------------------------
 
-use dwcp::planner::{run_batch_on, FleetOptions, MethodChoice, PipelineConfig, SeriesJob};
+use dwcp::planner::{
+    run_batch_on, FleetOptions, MethodChoice, PipelineConfig, RelearnReason, SeriesJob,
+};
 use dwcp::series::{Frequency, TimeSeries};
 
 fn fleet_series() -> TimeSeries {
@@ -151,25 +153,36 @@ fn fleet_job(key: &str) -> SeriesJob {
 }
 
 #[test]
-fn fresh_stored_champion_relearns_without_full_grid_fallback() {
+fn fresh_stored_champion_is_kept_by_one_frozen_rescore() {
     let jobs = vec![fleet_job("cdbm011/CPU/hourly")];
     let options = FleetOptions {
         threads: 2,
         ..Default::default()
     };
     let mut repo = ShardedRepository::in_memory();
-    run_batch_on(&options, &mut repo, &jobs); // cold learn populates the repository
-    let stored = repo.get("cdbm011/CPU/hourly").unwrap().unwrap();
+    let cold = run_batch_on(&options, &mut repo, &jobs); // cold learn populates the repository
+    let stored = repo.get("cdbm011/CPU/hourly").unwrap().unwrap().clone();
     assert!(stored.champion_seed().is_some());
 
-    let relearn = run_batch_on(&options, &mut repo, &jobs);
+    // A day later on unchanged data: the stored champion is re-scored
+    // frozen — one objective evaluation reproducing the cold RMSE bit for
+    // bit — and kept, without a search or a new record.
+    let next_day = FleetOptions {
+        now: options.now + DAY,
+        ..options
+    };
+    let relearn = run_batch_on(&next_day, &mut repo, &jobs);
     assert_eq!(relearn.stats.reuse_hits, 1);
     assert_eq!(relearn.stats.reuse_fallbacks, 0);
-    assert!(relearn.jobs[0].reused);
-    assert!(
-        !relearn.jobs[0].fell_back,
-        "a fresh, accurate champion must not trigger the full-grid fallback"
-    );
+    assert_eq!(relearn.stats.objective_evals, 1);
+    let (c, r) = (&cold.jobs[0], &relearn.jobs[0]);
+    assert!(r.reused && !r.fell_back);
+    assert_eq!(r.relearn, None, "a fresh, accurate champion is kept");
+    let (c, r) = (c.outcome.as_ref().unwrap(), r.outcome.as_ref().unwrap());
+    assert_eq!(r.champion, c.champion);
+    assert_eq!(r.accuracy.rmse.to_bits(), c.accuracy.rmse.to_bits());
+    assert_eq!(r.evaluated, 1);
+    assert_eq!(repo.get("cdbm011/CPU/hourly").unwrap().unwrap(), &stored);
 }
 
 #[test]
@@ -180,26 +193,37 @@ fn degraded_stored_champion_triggers_full_grid_fallback() {
         ..Default::default()
     };
     let mut repo = ShardedRepository::in_memory();
-    run_batch_on(&options, &mut repo, &jobs);
+    let cold = run_batch_on(&options, &mut repo, &jobs);
 
-    // Sabotage the stored baseline: any relearn RMSE now exceeds
-    // baseline × rmse_degradation_factor, i.e. the champion is "rendered
-    // useless" in the paper's terms.
+    // Sabotage the stored baseline: any re-score or relearn RMSE now
+    // exceeds baseline × rmse_degradation_factor, i.e. the champion is
+    // "rendered useless" in the paper's terms.
     let mut record = repo.get("cdbm011/IOPS/hourly").unwrap().unwrap().clone();
     record.baseline_rmse /= 1e6;
     repo.store(record).unwrap();
 
+    // Frozen re-score degraded → seeded neighbourhood degraded too → the
+    // full grid, which is the cold search again.
     let relearn = run_batch_on(&options, &mut repo, &jobs);
     assert_eq!(relearn.stats.reuse_hits, 1);
     assert_eq!(relearn.stats.reuse_fallbacks, 1);
     assert!(relearn.jobs[0].reused);
+    assert_eq!(relearn.jobs[0].relearn, Some(RelearnReason::Degraded));
     assert!(
         relearn.jobs[0].fell_back,
         "a degraded champion must fall back to the full grid"
     );
-    // The fallback refreshed the baseline, so the next batch reuses again
-    // without falling back.
+    let (c, r) = (
+        cold.jobs[0].outcome.as_ref().unwrap(),
+        relearn.jobs[0].outcome.as_ref().unwrap(),
+    );
+    assert_eq!(r.champion, c.champion);
+    assert_eq!(r.accuracy.rmse.to_bits(), c.accuracy.rmse.to_bits());
+    // The fallback refreshed the baseline, so the next batch keeps the
+    // champion after one frozen re-score.
     let after = run_batch_on(&options, &mut repo, &jobs);
     assert_eq!(after.stats.reuse_fallbacks, 0);
+    assert_eq!(after.stats.objective_evals, 1);
     assert!(after.jobs[0].reused && !after.jobs[0].fell_back);
+    assert_eq!(after.jobs[0].relearn, None);
 }
