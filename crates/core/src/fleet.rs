@@ -1493,6 +1493,67 @@ mod tests {
     }
 
     #[test]
+    fn a_relearn_night_appends_exactly_its_searched_champions() {
+        // A cold night, then a night on which two of four stored
+        // champions have degraded: those two search and are stored, one
+        // append each, and the other two are kept as they were.
+        let jobs = batch(4);
+        let keys: Vec<String> = jobs.iter().map(|j| j.key.clone()).collect();
+        let dir = estate_dir("night_appends");
+        let waves = WaveOptions {
+            wave_size: 2,
+            ..Default::default()
+        };
+        scan(&mut estate_scheduler(&dir, 2, waves.clone()), &jobs);
+        let mut repo = ShardedRepository::open(&dir).unwrap();
+        for job in &jobs[..2] {
+            let mut record = repo.get(&job.key).unwrap().unwrap().clone();
+            record.baseline_rmse = 1e-12;
+            repo.store(record).unwrap();
+        }
+        repo.flush().unwrap();
+        let before = repo.fetch_many(&keys).unwrap();
+
+        let mut night = estate_scheduler(&dir, 2, waves);
+        let now = night.fleet.now;
+        let mut expected = BTreeMap::new();
+        let mut stored = 0;
+        night
+            .run_with_progress(&SliceJobSource::new(&jobs), &mut |_, results| {
+                for r in results {
+                    let outcome = r.outcome.as_ref().unwrap();
+                    let record = match r.relearn {
+                        Some(_) => {
+                            stored += 1;
+                            ModelRecord::from_outcome(&r.key, outcome, Granularity::Hourly, now)
+                        }
+                        None => before[&r.key].clone(),
+                    };
+                    expected.insert(r.key.clone(), record);
+                }
+            })
+            .unwrap();
+        assert_eq!(stored, 2, "the two degraded champions are stored");
+        assert_eq!(night.repository.io_stats().entries_appended, stored);
+
+        // Reopened, the repository holds exactly those records.
+        let back = ShardedRepository::open(&dir)
+            .unwrap()
+            .fetch_many(&keys)
+            .unwrap();
+        assert_eq!(back, expected);
+        let bits = |records: &BTreeMap<String, ModelRecord>| -> Vec<u64> {
+            records
+                .values()
+                .flat_map(|r| std::iter::once(r.baseline_rmse).chain(r.warm_params.clone()))
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(bits(&back), bits(&expected));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn killed_scan_resumes_from_checkpoint_without_refitting() {
         let jobs = batch(4);
         let dir = estate_dir("resume");

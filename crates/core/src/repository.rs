@@ -243,10 +243,6 @@ struct ShardState {
     log_entries: usize,
     /// Mutations not yet appended to the log.
     pending: Vec<LogEntry>,
-    /// The on-disk log ends without a trailing newline (torn tail); the
-    /// next append must start with one so the first new entry is not
-    /// swallowed by the torn line.
-    needs_newline: bool,
 }
 
 impl ShardState {
@@ -255,7 +251,6 @@ impl ShardState {
             records: BTreeMap::new(),
             log_entries: 0,
             pending: Vec::new(),
-            needs_newline: false,
         }
     }
 }
@@ -446,24 +441,27 @@ impl ShardedRepository {
                 if tmp.exists() {
                     std::fs::remove_file(&tmp).ok();
                 }
-                match std::fs::read_to_string(&path) {
+                match std::fs::read(&path) {
                     Ok(content) => {
                         self.io.shard_loads += 1;
-                        state.needs_newline = !content.is_empty() && !content.ends_with('\n');
                         let mut skipped = 0usize;
-                        for line in content.lines() {
-                            if line.trim().is_empty() {
+                        // Lines are checked for UTF-8 one at a time, so a
+                        // tail torn inside a multi-byte character costs
+                        // only its own line, like any other torn line.
+                        for line in content.split(|&b| b == b'\n') {
+                            let line = std::str::from_utf8(line);
+                            if line.is_ok_and(|line| line.trim().is_empty()) {
                                 continue;
                             }
                             state.log_entries += 1;
-                            match serde_json::from_str::<LogEntry>(line) {
-                                Ok(LogEntry::Put(record)) => {
+                            match line.map(serde_json::from_str::<LogEntry>) {
+                                Ok(Ok(LogEntry::Put(record))) => {
                                     state.records.insert(record.workload.clone(), record);
                                 }
-                                Ok(LogEntry::Del(workload)) => {
+                                Ok(Ok(LogEntry::Del(workload))) => {
                                     state.records.remove(&workload);
                                 }
-                                Err(_) => skipped += 1,
+                                Ok(Err(_)) | Err(_) => skipped += 1,
                             }
                         }
                         if skipped > 0 {
@@ -534,7 +532,8 @@ impl ShardedRepository {
     }
 
     /// Append every pending mutation to its shard log (one write per
-    /// dirty shard), then compact any log that crossed the dead-entry
+    /// dirty shard, starting on a new line if the log ends in a torn
+    /// line), then compact any log that crossed the dead-entry
     /// threshold. Nothing is rewritten unless compaction triggers.
     pub fn flush(&mut self) -> Result<()> {
         let Some(root) = &self.root else {
@@ -548,21 +547,21 @@ impl ShardedRepository {
                 continue;
             }
             let path = shard_log_path(root, idx);
+            use std::io::Write;
+            let mut file = std::fs::OpenOptions::new()
+                .create(true)
+                .read(true)
+                .append(true)
+                .open(&path)
+                .map_err(persistence)?;
             let mut batch = String::new();
-            if shard.needs_newline {
+            if ends_torn(&mut file).map_err(persistence)? {
                 batch.push('\n');
-                shard.needs_newline = false;
             }
             for entry in &shard.pending {
                 batch.push_str(&serde_json::to_string(entry).map_err(persistence)?);
                 batch.push('\n');
             }
-            use std::io::Write;
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)
-                .map_err(persistence)?;
             file.write_all(batch.as_bytes()).map_err(persistence)?;
             let appended = shard.pending.len();
             shard.log_entries += appended;
@@ -709,6 +708,22 @@ fn write_atomic(path: &Path, bytes: &[u8]) -> Result<()> {
     });
     std::fs::write(&tmp, bytes).map_err(persistence)?;
     std::fs::rename(&tmp, path).map_err(persistence)
+}
+
+/// Whether an open shard log ends without a trailing newline: a torn
+/// tail from a crash or a failed write mid-append. The next append must
+/// then start with one, so its first entry is not swallowed by the torn
+/// line. Read from the file itself, never cached, so it holds after any
+/// earlier write, failed or not; an empty log is not torn.
+fn ends_torn(file: &mut std::fs::File) -> std::io::Result<bool> {
+    use std::io::{Read, Seek, SeekFrom};
+    if file.metadata()?.len() == 0 {
+        return Ok(false);
+    }
+    file.seek(SeekFrom::End(-1))?;
+    let mut last = [0u8; 1];
+    file.read_exact(&mut last)?;
+    Ok(last != [b'\n'])
 }
 
 /// The >3-occurrence shock policy (§9): an anomalous event is discarded
@@ -1104,32 +1119,87 @@ mod tests {
 
     #[test]
     fn torn_tail_keeps_parseable_prefix_and_later_appends_survive() {
+        // A small flushed log, cut at every byte offset, as a crash
+        // mid-append leaves it: on a line boundary, inside a line, right
+        // before a newline and inside a multi-byte character of a key.
+        // After one more store and flush, the reopened shard holds the
+        // parseable prefix plus the new record, with at most the torn
+        // line skipped: the append never merges into the torn line.
         let dir = estate_dir("torn");
         let mut repo = ShardedRepository::create(&dir, 1).unwrap();
-        repo.store(record("a/CPU", 1.0, 100)).unwrap();
-        repo.store(record("b/CPU", 2.0, 100)).unwrap();
+        let stored = [
+            record("a/CPU", 1.0, 100),
+            record("cdbm\u{e9}\u{20ac}\u{1f600}/CPU", 2.5, 101),
+            record("b/CPU", 3.0, 102),
+        ];
+        for r in &stored {
+            repo.store(r.clone()).unwrap();
+        }
         repo.flush().unwrap();
-
-        // Simulate a crash mid-append: chop the log mid-line.
         let log = dir.join("shards").join("shard-0000.log");
         let bytes = std::fs::read(&log).unwrap();
-        std::fs::write(&log, &bytes[..bytes.len() - 30]).unwrap();
+        // Each stored line's body, as the byte range before its newline.
+        let mut lines = Vec::new();
+        let mut start = 0;
+        for (end, &b) in bytes.iter().enumerate() {
+            if b == b'\n' {
+                lines.push(start..end);
+                start = end + 1;
+            }
+        }
+        assert_eq!(lines.len(), stored.len());
+        let fresh = record("new/CPU", 4.0, 200);
+        for cut in 0..=bytes.len() {
+            std::fs::write(&log, &bytes[..cut]).unwrap();
+            let mut again = ShardedRepository::open(&dir).unwrap();
+            again.store(fresh.clone()).unwrap();
+            again.flush().unwrap();
 
-        // Appending after the torn tail must not merge into the torn line.
+            let mut back = ShardedRepository::open(&dir).unwrap();
+            for (r, line) in stored.iter().zip(&lines) {
+                let kept = line.end <= cut;
+                assert_eq!(
+                    back.get(&r.workload).unwrap().cloned(),
+                    kept.then(|| r.clone()),
+                    "cut {cut}: {}",
+                    r.workload
+                );
+            }
+            assert_eq!(back.get("new/CPU").unwrap(), Some(&fresh), "cut {cut}");
+            let torn = lines.iter().any(|l| l.start < cut && cut < l.end);
+            assert_eq!(
+                back.io_stats().lenient_skips,
+                usize::from(torn),
+                "cut {cut}"
+            );
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flush_retried_after_a_failure_still_starts_on_a_new_line() {
+        let dir = estate_dir("flush_retry");
+        let mut repo = ShardedRepository::create(&dir, 1).unwrap();
+        repo.store(record("a/CPU", 1.0, 100)).unwrap();
+        repo.flush().unwrap();
+        let log = dir.join("shards").join("shard-0000.log");
+        let bytes = std::fs::read(&log).unwrap();
+        std::fs::write(&log, &bytes[..bytes.len() - 10]).unwrap();
+
         let mut again = ShardedRepository::open(&dir).unwrap();
-        again.store(record("c/CPU", 3.0, 100)).unwrap();
+        again.store(record("b/CPU", 2.0, 200)).unwrap();
+        // The first flush cannot open the log, and keeps its entry queued.
+        let aside = log.with_extension("aside");
+        std::fs::rename(&log, &aside).unwrap();
+        std::fs::create_dir(&log).unwrap();
+        assert!(again.flush().is_err());
+        std::fs::remove_dir(&log).unwrap();
+        std::fs::rename(&aside, &log).unwrap();
         again.flush().unwrap();
 
         let mut back = ShardedRepository::open(&dir).unwrap();
-        assert!(
-            back.get("a/CPU").unwrap().is_some(),
-            "parseable prefix kept"
-        );
-        assert!(back.get("b/CPU").unwrap().is_none(), "torn record lost");
-        assert!(
-            back.get("c/CPU").unwrap().is_some(),
-            "post-tear append intact"
-        );
+        assert!(back.get("a/CPU").unwrap().is_none(), "torn record lost");
+        assert_eq!(back.get("b/CPU").unwrap().unwrap().fitted_at, 200);
         assert_eq!(back.io_stats().lenient_skips, 1);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -7,8 +7,9 @@
 #   1. release build of the whole workspace
 #   2. rustfmt check + clippy with warnings denied on every target
 #      (tests, benches and bins as well as the libraries)
-#   3. full workspace test suite, then the benchmark package's own unit
-#      and smoke tests (it sits outside the workspace)
+#   3. full workspace test suite, the vendored model checker's and JSON
+#      stand-in's own tests, then the benchmark package's own unit and
+#      smoke tests (it sits outside the workspace)
 #   4. benchmark count gate: short traced runs of estate-scan,
 #      estate-relearn and forecast-auto must reproduce the work counts
 #      checked in at results/benchmark_counts.json exactly
@@ -103,6 +104,9 @@ cargo test --workspace -q --features strict-invariants
 
 echo "== vendored model-checker self-tests =="
 cargo test -q -p interleave --release
+
+echo "== vendored JSON stand-in tests (debug: the string scan must stay linear) =="
+cargo test -q -p serde -p serde_json
 
 echo "== benchmark package: unit tests + every-workload smoke =="
 # benchmark/ is a package of its own outside the workspace, so the
