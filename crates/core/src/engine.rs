@@ -945,6 +945,7 @@ mod tests {
     use super::*;
     use crate::pipeline::{MethodChoice, Pipeline};
     use dwcp_series::{Frequency, Granularity};
+    use std::time::{Duration, Instant};
 
     fn fast_config() -> PipelineConfig {
         PipelineConfig {
@@ -1032,6 +1033,73 @@ mod tests {
             engine.step("db/CPU").unwrap(),
             StepOutcome::Unchanged
         ));
+    }
+
+    /// Fit a workload on 1,010 hours, then append `hours` on-pattern hours
+    /// one push at a time. Returns the first fit's wall time and each
+    /// appended hour's score action and wall time; every appended hour
+    /// must score, and the status counters must agree with the steps.
+    fn append_hours(hours: usize) -> (Duration, Vec<(ScoreAction, Duration)>) {
+        let mut engine = Engine::new(EngineConfig::new(fast_config()));
+        let points = quarter_hour_points(1010 + hours);
+        let (warmup, appended) = points.split_at(1010 * 4);
+        let started = Instant::now();
+        let out = engine.push_batch("db/CPU", warmup).unwrap();
+        let first_fit = started.elapsed();
+        assert!(matches!(out, StepOutcome::Scored(ref s) if s.action == ScoreAction::Learned));
+        let mut steps = Vec::with_capacity(hours);
+        for hour in appended.chunks(4) {
+            let started = Instant::now();
+            let out = engine.push_batch("db/CPU", hour).unwrap();
+            let elapsed = started.elapsed();
+            let StepOutcome::Scored(summary) = out else {
+                panic!("an appended hour did not score: {out:?}");
+            };
+            steps.push((summary.action, elapsed));
+        }
+        let rescored = steps
+            .iter()
+            .filter(|(action, _)| *action == ScoreAction::Rescored)
+            .count() as u64;
+        let status = engine.status("db/CPU").unwrap();
+        assert_eq!(status.rescores, rescored);
+        assert_eq!(status.relearns, 1 + hours as u64 - rescored);
+        (first_fit, steps)
+    }
+
+    #[test]
+    fn frozen_rescores_dominate_the_appended_hours() {
+        // A grid search runs only on a relearn reason, so at least three
+        // in four appended on-pattern hours are frozen re-scores.
+        let (_, steps) = append_hours(12);
+        let rescored = steps
+            .iter()
+            .filter(|(action, _)| *action == ScoreAction::Rescored)
+            .count();
+        assert!(
+            rescored * 4 >= steps.len() * 3,
+            "{rescored} of {} appended hours were frozen re-scores",
+            steps.len()
+        );
+    }
+
+    #[test]
+    fn a_rescore_is_cheaper_than_the_first_fit() {
+        // The engine exposes no work count per step, so this compares wall
+        // times: the median re-score against the first grid fit, with a
+        // 4x margin (the ratio measures in the hundreds, debug or release).
+        let (first_fit, steps) = append_hours(12);
+        let mut rescores: Vec<Duration> = steps
+            .iter()
+            .filter(|(action, _)| *action == ScoreAction::Rescored)
+            .map(|&(_, wall)| wall)
+            .collect();
+        rescores.sort();
+        let median = rescores[rescores.len() / 2];
+        assert!(
+            median * 4 < first_fit,
+            "median re-score {median:?} against a first fit of {first_fit:?}"
+        );
     }
 
     #[test]

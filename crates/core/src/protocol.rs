@@ -16,10 +16,11 @@
 //!    the estate scheduler's record-then-publish checkpoint discipline: a
 //!    kill between (or during) waves can force refits but can never
 //!    publish a job whose champion is not durable;
-//! 3. the **shutdown drain gate** ([`request_shutdown`] / [`accept_one`]
-//!    over [`DrainFlag`]) — the serve daemon's flag-then-wake trigger and
-//!    enqueue-then-check acceptor, so a request that wins the accept race
-//!    against shutdown is served, never dropped;
+//! 3. the **shutdown drain gate** ([`request_shutdown`] / [`serve_one`]
+//!    over [`DrainFlag`]) — the serve daemon's flag-then-wake trigger, one
+//!    wake per worker, and serve-then-check workers, so a request that
+//!    wins the accept race against shutdown is served, never dropped, and
+//!    no worker is left parked in `accept`;
 //! 4. the **alert re-fire hysteresis** ([`alert_refire`]) — the
 //!    de-duplication decision of the alert engine, taken under the engine
 //!    mutex;
@@ -85,7 +86,7 @@ pub fn resume_split(total: usize, committed: usize) -> (usize, usize) {
 
 // --- Protocol 3: the shutdown drain gate ---
 
-/// The stop flag shared by the serve daemon's acceptor and its shutdown
+/// The stop flag shared by the serve daemon's workers and its shutdown
 /// trigger. Production uses a plain [`AtomicBool`]; the model checker an
 /// instrumented one.
 pub trait DrainFlag {
@@ -105,27 +106,30 @@ impl DrainFlag for AtomicBool {
     }
 }
 
-/// Trigger side of the drain gate: set the flag **before** running `wake`
-/// (the self-connect that unblocks the acceptor). An acceptor woken by
-/// the wake connection is therefore guaranteed to observe the stop — the
-/// inverted order could wake an acceptor that then parks in `accept`
-/// again and never exits.
-pub fn request_shutdown<F: DrainFlag>(flag: &F, wake: impl FnOnce()) {
+/// Trigger side of the drain gate: set the flag **before** any wake, then
+/// run `wake` (the self-connect that unblocks one worker parked in
+/// `accept`) once for each of the `workers` workers. A worker woken by a
+/// wake connection is therefore guaranteed to observe the stop, and every
+/// worker still parked gets a wake of its own: a worker consumes at most
+/// one wake, since it stops after it. The inverted order could wake a
+/// worker that parks in `accept` again; fewer wakes than workers can leave
+/// a worker parked for good (one wake for two workers is seeded and
+/// caught in `tests/model_check.rs`).
+pub fn request_shutdown<F: DrainFlag>(flag: &F, workers: usize, mut wake: impl FnMut()) {
     flag.set();
-    wake();
+    for _ in 0..workers {
+        wake();
+    }
 }
 
-/// Acceptor side of the drain gate, one accepted connection: hand the
-/// stream to the worker pool **before** consulting the flag, then report
-/// whether the acceptor should stop. `enqueue` returns whether the pool
-/// is still there; a dead pool stops the acceptor too. Enqueue-then-check
-/// means a real request that won the accept race against shutdown is
-/// served (the workers drain the channel before exiting), never dropped —
-/// the check-then-drop shape this replaces is re-seeded and caught in
-/// `tests/model_check.rs`.
-pub fn accept_one<F: DrainFlag>(flag: &F, enqueue: impl FnOnce() -> bool) -> bool {
-    let pool_alive = enqueue();
-    !pool_alive || flag.is_set()
+/// Worker side of the drain gate, one accepted connection: `serve` it
+/// **before** consulting the flag, then report whether the worker should
+/// stop. Serve-then-check means a real request that won the accept race
+/// against shutdown is answered, never dropped — the check-then-drop shape
+/// is re-seeded and caught in `tests/model_check.rs`.
+pub fn serve_one<F: DrainFlag>(flag: &F, serve: impl FnOnce()) -> bool {
+    serve();
+    flag.is_set()
 }
 
 // --- Protocol 4: alert re-fire hysteresis ---
@@ -260,28 +264,24 @@ mod tests {
     }
 
     #[test]
-    fn drain_gate_orders_flag_before_wake_and_enqueue_before_check() {
+    fn drain_gate_orders_flag_before_wakes_and_serve_before_check() {
         let flag = AtomicBool::new(false);
-        let mut woke_with_flag_set = false;
-        request_shutdown(&flag, || woke_with_flag_set = flag.is_set());
-        assert!(woke_with_flag_set, "wake ran before the flag was set");
-
-        // Enqueue happens even when the flag is already up (the stream was
-        // accepted; dropping it now would lose a request) — the gate just
-        // tells the acceptor to stop afterwards.
-        let mut enqueued = false;
-        let stop = accept_one(&flag, || {
-            enqueued = true;
-            true
+        let mut wakes_with_flag_set = 0;
+        request_shutdown(&flag, 3, || {
+            wakes_with_flag_set += usize::from(flag.is_set())
         });
-        assert!(enqueued);
-        assert!(stop);
+        assert_eq!(wakes_with_flag_set, 3, "a wake ran before the flag was set");
 
-        // Flag down, pool alive: keep accepting.
+        // The accepted connection is served even when the flag is already
+        // up (dropping it now would lose a request); the gate just tells
+        // the worker to stop afterwards.
+        let mut served = false;
+        assert!(serve_one(&flag, || served = true));
+        assert!(served);
+
+        // Flag down: serve and keep accepting.
         let open = AtomicBool::new(false);
-        assert!(!accept_one(&open, || true));
-        // Dead pool stops the acceptor regardless of the flag.
-        assert!(accept_one(&open, || false));
+        assert!(!serve_one(&open, || {}));
     }
 
     #[test]

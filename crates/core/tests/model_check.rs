@@ -21,14 +21,15 @@
 //! * the estate scheduler's wave checkpoint (`commit_wave`) never
 //!   publishes a slot whose record is not durable, at every kill point —
 //!   and the inverted publish-first variant is *caught* by exploration;
-//! * the serve daemon's shutdown drain gate never drops a request that
-//!   won the accept race, and an acceptor woken by the shutdown
-//!   self-connect always observes the stop flag — while the old
-//!   check-then-drop acceptor shape is caught.
+//! * the serve daemon's shutdown drain gate, over two accepting workers,
+//!   never drops a request that won the accept race, a worker woken by a
+//!   shutdown self-connect always observes the stop flag, and no worker
+//!   is left parked in `accept` — while a check-then-drop worker and a
+//!   trigger that makes one wake for two workers are caught.
 
 use dwcp_core::protocol::{
-    accept_one, claim_ticket, commit_wave, lockstep_claims, lockstep_shape, request_shutdown,
-    resume_split, DrainFlag, TicketCounter, WaveLedger,
+    claim_ticket, commit_wave, lockstep_claims, lockstep_shape, request_shutdown, resume_split,
+    serve_one, DrainFlag, TicketCounter, WaveLedger,
 };
 use std::sync::Arc;
 
@@ -350,7 +351,7 @@ fn torn_wave_commit_is_caught_by_exploration() {
     );
 }
 
-// --- Shutdown drain gate (serve daemon acceptor / worker pool) ---
+// --- Shutdown drain gate (serve daemon's accepting workers) ---
 
 /// The instrumented stop flag: `interleave::AtomicBool` behind the same
 /// trait the daemon's `std` flag implements.
@@ -367,103 +368,153 @@ impl DrainFlag for CheckedFlag {
     }
 }
 
+/// The daemon's worker count in these scenarios.
+const WORKERS: usize = 2;
+
+/// How a model worker treats a connection it accepted.
+#[derive(Clone, Copy)]
+enum Gate {
+    /// As `worker_loop` does: `serve_one`, serve then check the flag.
+    ServeThenCheck,
+    /// The seeded bug: consult the flag first and drop the accepted
+    /// connection if it is up.
+    CheckThenDrop,
+}
+
+impl Gate {
+    /// Handle one accepted connection; returns whether the worker stops.
+    fn handle(self, flag: &CheckedFlag, serve: impl FnOnce()) -> bool {
+        match self {
+            Gate::ServeThenCheck => serve_one(flag, serve),
+            Gate::CheckThenDrop => {
+                if flag.is_set() {
+                    return true; // drops the accepted stream on the floor
+                }
+                serve();
+                false
+            }
+        }
+    }
+}
+
+/// One model worker. With `in_flight` it has just accepted the real
+/// request as shutdown triggers and handles it first; then it accepts
+/// from the backlog, which holds only the trigger's wake connections. A
+/// worker that finds the backlog empty stays parked in `accept` (blocking
+/// is not modelled: it is counted in `parked` and its thread ends).
+fn model_worker(
+    flag: &CheckedFlag,
+    backlog: &interleave::AtomicU64,
+    in_flight: bool,
+    gate: Gate,
+    served: &std::sync::atomic::AtomicU64,
+    parked: &std::sync::atomic::AtomicU64,
+) {
+    use std::sync::atomic::Ordering::Relaxed;
+    let serve_request = || {
+        served.fetch_add(1, Relaxed);
+    };
+    if in_flight && gate.handle(flag, serve_request) {
+        return;
+    }
+    loop {
+        let queued = backlog.load();
+        if queued == 0 {
+            parked.fetch_add(1, Relaxed);
+            return;
+        }
+        if backlog.compare_exchange(queued, queued - 1).is_ok() {
+            assert!(
+                gate.handle(flag, || {}),
+                "worker woken by a wake connection did not observe the stop flag"
+            );
+            return;
+        }
+    }
+}
+
+/// Two workers and a shutdown trigger making `wakes` self-connects; with
+/// `in_flight` the first worker holds a real request accepted just as
+/// shutdown triggers. Checked after every schedule: the real request was
+/// served, and the workers parked in `accept` number no more than the
+/// wake connections left unaccepted — each of those wakes one parked
+/// worker, which then observes the flag, so the daemon drains.
+fn explore_drain(in_flight: bool, gate: Gate, wakes: usize) -> interleave::Report {
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+    interleave::explore(BUDGET, |sch| {
+        let flag = Arc::new(CheckedFlag::default());
+        let backlog = Arc::new(interleave::AtomicU64::new(0));
+        let served = Arc::new(AtomicU64::new(0));
+        let parked = Arc::new(AtomicU64::new(0));
+
+        let (trigger_flag, trigger_backlog) = (Arc::clone(&flag), Arc::clone(&backlog));
+        sch.thread(move || {
+            request_shutdown(&*trigger_flag, wakes, || {
+                trigger_backlog.fetch_add(1);
+            })
+        });
+        for worker in 0..WORKERS {
+            let (flag, backlog) = (Arc::clone(&flag), Arc::clone(&backlog));
+            let (served, parked) = (Arc::clone(&served), Arc::clone(&parked));
+            let in_flight = in_flight && worker == 0;
+            sch.thread(move || model_worker(&flag, &backlog, in_flight, gate, &served, &parked));
+        }
+        sch.check(move || {
+            let want = u64::from(in_flight);
+            assert_eq!(served.load(Relaxed), want, "accepted request was dropped");
+            let (parked, left) = (parked.load(Relaxed), backlog.load());
+            assert!(
+                parked <= left,
+                "{parked} worker(s) left parked in accept with {left} wake(s) queued"
+            );
+        });
+    })
+}
+
 #[test]
 fn drain_gate_never_drops_a_request_that_won_the_accept_race() {
-    // One real request has been accepted just as shutdown triggers. Under
-    // every interleaving of the flag store, the wake, and the acceptor's
-    // enqueue-then-check, the request reaches the worker queue (the pool
-    // drains the queue before exiting, so enqueued means served).
-    let report = interleave::explore(BUDGET, |sch| {
-        let flag = Arc::new(CheckedFlag::default());
-        let queue = Arc::new(interleave::AtomicU64::new(0));
-        let wake = Arc::new(interleave::AtomicU64::new(0));
-
-        let trigger_flag = Arc::clone(&flag);
-        let trigger_wake = Arc::clone(&wake);
-        sch.thread(move || request_shutdown(&*trigger_flag, || trigger_wake.store(1)));
-
-        let acceptor_flag = Arc::clone(&flag);
-        let acceptor_queue = Arc::clone(&queue);
-        sch.thread(move || {
-            // The stream is already accepted; the gate decides its fate.
-            let _stop = accept_one(&*acceptor_flag, || {
-                acceptor_queue.fetch_add(1);
-                true
-            });
-        });
-
-        let queue = Arc::clone(&queue);
-        sch.check(move || {
-            assert_eq!(queue.load(), 1, "accepted request was dropped");
-        });
-    });
+    // One real request has been accepted by a worker just as shutdown
+    // triggers, while the other worker waits in `accept`. Under every
+    // interleaving of the flag store, the wakes and both workers'
+    // serve-then-check, the request is served and both workers exit.
+    let report = explore_drain(true, Gate::ServeThenCheck, WORKERS);
     assert!(report.complete, "state space exceeded the budget");
     assert!(report.schedules_explored >= 2);
 }
 
 #[test]
 fn drain_wake_always_observes_the_stop_flag() {
-    // The trigger's flag-before-wake ordering: an acceptor unblocked by
-    // the self-connect must see the flag already set, else it would park
-    // in `accept` again and the daemon would never drain.
-    let report = interleave::explore(BUDGET, |sch| {
-        let flag = Arc::new(CheckedFlag::default());
-        let wake = Arc::new(interleave::AtomicU64::new(0));
-
-        let trigger_flag = Arc::clone(&flag);
-        let trigger_wake = Arc::clone(&wake);
-        sch.thread(move || request_shutdown(&*trigger_flag, || trigger_wake.store(1)));
-
-        let acceptor_flag = Arc::clone(&flag);
-        let acceptor_wake = Arc::clone(&wake);
-        sch.thread(move || {
-            if acceptor_wake.load() == 1 {
-                // Woken by the shutdown connect: enqueue it, then the
-                // gate must say stop.
-                assert!(
-                    accept_one(&*acceptor_flag, || true),
-                    "woken acceptor did not observe the stop flag"
-                );
-            }
-        });
-    });
+    // Two idle workers: the trigger's flag-before-wake ordering means a
+    // worker unblocked by a self-connect sees the flag already set (else
+    // it would park in `accept` again), and one wake per worker leaves
+    // none of them parked.
+    let report = explore_drain(false, Gate::ServeThenCheck, WORKERS);
     assert!(report.complete, "state space exceeded the budget");
+    assert!(report.schedules_explored >= 2);
 }
 
 #[test]
 fn check_then_drop_acceptor_shape_is_caught_by_exploration() {
-    // The seeded regression: the acceptor shape this PR replaced — consult
-    // the flag first, drop the accepted stream if it is up. Exploration
-    // must find the schedule where the trigger's store lands between the
-    // accept and the check, losing the request.
-    fn racy_accept(flag: &CheckedFlag, queue: &interleave::AtomicU64) {
-        if flag.is_set() {
-            return; // drops the accepted stream on the floor
-        }
-        queue.fetch_add(1);
-    }
-    let caught = std::panic::catch_unwind(|| {
-        interleave::explore(BUDGET, |sch| {
-            let flag = Arc::new(CheckedFlag::default());
-            let queue = Arc::new(interleave::AtomicU64::new(0));
-            let wake = Arc::new(interleave::AtomicU64::new(0));
-
-            let trigger_flag = Arc::clone(&flag);
-            let trigger_wake = Arc::clone(&wake);
-            sch.thread(move || request_shutdown(&*trigger_flag, || trigger_wake.store(1)));
-
-            let acceptor_flag = Arc::clone(&flag);
-            let acceptor_queue = Arc::clone(&queue);
-            sch.thread(move || racy_accept(&acceptor_flag, &acceptor_queue));
-
-            let queue = Arc::clone(&queue);
-            sch.check(move || {
-                assert_eq!(queue.load(), 1, "accepted request was dropped");
-            });
-        })
-    });
+    // The seeded regression: consult the flag first, drop the accepted
+    // stream if it is up. Exploration must find the schedule where the
+    // trigger's store lands between the accept and the check, losing the
+    // request.
+    let caught = std::panic::catch_unwind(|| explore_drain(true, Gate::CheckThenDrop, WORKERS));
     assert!(
         caught.is_err(),
-        "exploration failed to catch the check-then-drop acceptor"
+        "exploration failed to catch the check-then-drop worker"
+    );
+}
+
+#[test]
+fn one_wake_for_two_workers_is_caught_by_exploration() {
+    // The seeded regression: a trigger that self-connects once whatever
+    // the worker count. Exploration must find the schedule where both
+    // workers park in `accept` before the trigger runs, so the one wake
+    // frees one and strands the other.
+    let caught = std::panic::catch_unwind(|| explore_drain(false, Gate::ServeThenCheck, 1));
+    assert!(
+        caught.is_err(),
+        "exploration failed to catch one wake for two workers"
     );
 }

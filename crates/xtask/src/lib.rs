@@ -95,7 +95,7 @@ pub const ATOMIC_PROTOCOLS: &[(&str, &str, &str)] = &[
     ),
     (
         "src/serve.rs",
-        "acceptor/worker-pool shutdown drain (self-connect wake)",
+        "accepting-worker shutdown drain (one self-connect wake per worker)",
         "drain",
     ),
 ];

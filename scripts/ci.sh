@@ -236,30 +236,6 @@ assert snap["resume"]["refit_only_unfinished"], "resume refit more than the unfi
 print(f"estate snapshot OK (RSS flatness {ratio:.2f}x, parity bit-identical)")'
 git checkout -- results/BENCH_estate.json 2>/dev/null || true
 
-echo "== bench smoke: bench_serve (DWCP_QUICK=1) =="
-# The resident-engine contracts (every appended hour scores, frozen
-# re-scores dominate, mean re-score cheaper than the first grid fit) are
-# asserted inside the binary, which exits non-zero on any violation.
-DWCP_QUICK=1 cargo run -q --release -p dwcp-bench --bin bench_serve
-
-echo "== snapshot schema: results/BENCH_serve.json =="
-for key in quick method ingest points_per_second complete_hours engine \
-           first_fit_ms appended_hours rescored_hours relearned_hours \
-           rescore_ms_mean rescore_ms_p95 rescore_speedup_vs_fit \
-           serve_http push_points_per_second forecast_get_ms_mean; do
-  grep -q "\"$key\"" results/BENCH_serve.json \
-    || { echo "BENCH_serve.json missing key: $key"; exit 1; }
-done
-python3 -c '
-import json
-snap = json.load(open("results/BENCH_serve.json"))
-eng = snap["engine"]
-assert eng["rescore_ms_mean"] < eng["first_fit_ms"], "re-score not cheaper than first fit"
-assert eng["rescored_hours"] * 4 >= eng["appended_hours"] * 3, "frozen re-scores not dominant"
-spd = eng["rescore_speedup_vs_fit"]
-print(f"serve snapshot OK (re-score {spd:.0f}x cheaper than the first fit)")'
-git checkout -- results/BENCH_serve.json 2>/dev/null || true
-
 echo "== cli smoke: dwcp forecast --method auto =="
 auto_csv="$(mktemp /tmp/dwcp_ci_auto_XXXXXX.csv)"
 auto_out="$(mktemp /tmp/dwcp_ci_auto_out_XXXXXX.txt)"

@@ -6,11 +6,14 @@
 //! champion **frozen** as data arrives, and raises threshold alerts from
 //! each fresh forecast. This module is that service — a hand-rolled
 //! HTTP/1.1 front end over [`Engine`], built on `std` alone because the
-//! build environment has no registry access: one acceptor thread feeds a
-//! fixed worker pool through an mpsc channel, and the engine sits behind a
-//! mutex (scoring is CPU-bound and already parallel inside the evaluator,
-//! so serialising requests at the engine is the right concurrency
-//! boundary).
+//! build environment has no registry access. Each of a fixed pool of
+//! workers owns a connection's whole life: it blocks in `accept` on the
+//! shared listener, reads the request, routes it, sends the response in
+//! one write and closes, so a request wakes one thread and changes no
+//! hands. Connections waiting for a free worker queue in the kernel's
+//! accept backlog, which bounds them. The engine sits behind a mutex
+//! (scoring is CPU-bound and already parallel inside the evaluator, so
+//! serialising requests at the engine is the right concurrency boundary).
 //!
 //! Endpoints (all responses are `application/json`):
 //!
@@ -28,17 +31,17 @@
 //! them in query strings (`cdbm012%2FCPU`).
 
 use crate::planner::advisor::BreachSeverity;
-use crate::planner::protocol::{accept_one, request_shutdown};
+use crate::planner::protocol::{request_shutdown, serve_one};
 use crate::planner::repository::RelearnReason;
 use crate::planner::{
     CapacityAlert, Engine, LiveForecast, ScoreAction, ScoreSummary, StepOutcome, WorkloadStatus,
 };
 use crate::series::SeriesPage;
 use serde::Value;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::AtomicBool;
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -61,7 +64,6 @@ const DEFAULT_WORKERS: usize = 4;
 pub struct ServerHandle {
     addr: SocketAddr,
     signal: ShutdownSignal,
-    acceptor: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
 
@@ -76,32 +78,31 @@ impl ServerHandle {
         self.signal.trigger();
     }
 
-    /// Block until the acceptor and every worker have exited.
-    pub fn wait(mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        for worker in self.workers.drain(..) {
+    /// Block until every worker has exited.
+    pub fn wait(self) {
+        for worker in self.workers {
             let _ = worker.join();
         }
     }
 }
 
-/// How a shutdown reaches the blocking acceptor: set the flag, then
-/// self-connect once so `accept` returns and observes it. The
-/// flag-before-wake ordering is the drain-gate protocol
-/// ([`crate::planner::protocol::request_shutdown`]), model-checked in
-/// dwcp-core's `model_check` suite.
+/// How a shutdown reaches the workers blocked in `accept`: set the flag,
+/// then self-connect once per worker so each parked worker's `accept`
+/// returns, serves the empty wake request a 400, and observes the flag.
+/// The flag-before-wake ordering and the wake count are the drain-gate
+/// protocol ([`crate::planner::protocol::request_shutdown`]),
+/// model-checked in dwcp-core's `model_check` suite.
 #[derive(Debug, Clone)]
 struct ShutdownSignal {
     flag: Arc<AtomicBool>,
     addr: SocketAddr,
+    workers: usize,
 }
 
 impl ShutdownSignal {
     fn trigger(&self) {
-        request_shutdown(self.flag.as_ref(), || {
-            // The connect may fail if the acceptor is already gone — fine.
+        request_shutdown(self.flag.as_ref(), self.workers, || {
+            // The connect may fail once every worker is gone — fine.
             let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         });
     }
@@ -112,29 +113,25 @@ impl ShutdownSignal {
 /// Returns once the listener is bound; the daemon runs on background
 /// threads until `/shutdown` is posted or [`ServerHandle::shutdown`] runs.
 pub fn start(engine: Engine, addr: &str, threads: usize) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
+    let listener = Arc::new(TcpListener::bind(addr)?);
     let addr = listener.local_addr()?;
-    let flag = Arc::new(AtomicBool::new(false));
     let signal = ShutdownSignal {
-        flag: Arc::clone(&flag),
+        flag: Arc::new(AtomicBool::new(false)),
         addr,
+        workers: worker_count(threads),
     };
     let engine = Arc::new(Mutex::new(engine));
-    let (tx, rx) = mpsc::channel::<TcpStream>();
-    let rx = Arc::new(Mutex::new(rx));
-    let workers = (0..worker_count(threads))
+    let workers = (0..signal.workers)
         .map(|_| {
+            let listener = Arc::clone(&listener);
             let engine = Arc::clone(&engine);
-            let rx = Arc::clone(&rx);
             let signal = signal.clone();
-            std::thread::spawn(move || worker_loop(&engine, &rx, &signal))
+            std::thread::spawn(move || worker_loop(&listener, &engine, &signal))
         })
         .collect();
-    let acceptor = std::thread::spawn(move || acceptor_loop(&listener, &tx, &flag));
     Ok(ServerHandle {
         addr,
         signal,
-        acceptor: Some(acceptor),
         workers,
     })
 }
@@ -147,55 +144,38 @@ fn worker_count(threads: usize) -> usize {
     }
 }
 
-/// Accept connections and hand them to the workers. Exits when the
-/// shutdown flag is set (the signal's self-connect unblocks `accept`) or
-/// every worker is gone; dropping `tx` then drains the pool.
-///
-/// Every accepted stream is enqueued *before* the flag is consulted
-/// ([`crate::planner::protocol::accept_one`]): a real request racing the
-/// shutdown trigger is handed to the pool — which drains the channel
-/// before exiting — rather than silently dropped. The wake connection the
-/// trigger makes takes the same path; a worker answers its empty request
-/// with a 400 and moves on.
-fn acceptor_loop(listener: &TcpListener, tx: &mpsc::Sender<TcpStream>, flag: &AtomicBool) {
-    for stream in listener.incoming() {
-        let Ok(stream) = stream else { continue };
-        if accept_one(flag, || tx.send(stream).is_ok()) {
+/// Accept and serve connections until the shutdown flag is set. Every
+/// accepted connection is served *before* the flag is consulted
+/// ([`crate::planner::protocol::serve_one`]): a real request racing the
+/// shutdown trigger is answered rather than dropped, and the wake
+/// connection the trigger makes for this worker takes the same path.
+fn worker_loop(listener: &TcpListener, engine: &Mutex<Engine>, signal: &ShutdownSignal) {
+    loop {
+        let Ok((stream, _)) = listener.accept() else {
+            continue;
+        };
+        if serve_one(signal.flag.as_ref(), || {
+            handle_connection(&stream, engine, signal)
+        }) {
             break;
         }
     }
 }
 
-/// Pull connections off the shared channel until it closes.
-fn worker_loop(
-    engine: &Mutex<Engine>,
-    rx: &Mutex<mpsc::Receiver<TcpStream>>,
-    signal: &ShutdownSignal,
-) {
-    loop {
-        // Take the receiver lock only for the handoff, not the request.
-        let stream = {
-            let receiver = rx.lock().unwrap_or_else(|e| e.into_inner());
-            receiver.recv()
-        };
-        let Ok(mut stream) = stream else { break };
-        let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
-        let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
-        let Ok(read_half) = stream.try_clone() else {
-            continue;
-        };
-        let mut reader = BufReader::new(read_half);
-        let (status, body, shutdown) = match parse_request(&mut reader) {
-            Ok(request) => match route(engine, &request) {
-                Action::Respond(status, value) => (status, value, false),
-                Action::Shutdown(value) => (200, value, true),
-            },
-            Err(message) => (400, error_value(&message), false),
-        };
-        respond(&mut stream, status, &body);
-        if shutdown {
-            signal.trigger();
-        }
+/// One connection's whole exchange: read the request, route it, answer.
+fn handle_connection(mut stream: &TcpStream, engine: &Mutex<Engine>, signal: &ShutdownSignal) {
+    let _ = stream.set_read_timeout(Some(SOCKET_TIMEOUT));
+    let _ = stream.set_write_timeout(Some(SOCKET_TIMEOUT));
+    let (status, body, shutdown) = match parse_request(&mut BufReader::new(stream)) {
+        Ok(request) => match route(engine, &request) {
+            Action::Respond(status, value) => (status, value, false),
+            Action::Shutdown(value) => (200, value, true),
+        },
+        Err(message) => (400, error_value(&message), false),
+    };
+    let _ = write_response(&mut stream, status, &body);
+    if shutdown {
+        signal.trigger();
     }
 }
 
@@ -220,10 +200,8 @@ impl Request {
 /// Read one HTTP/1.1 request off the wire. Only the request line,
 /// `Content-Length` and the body matter to this server.
 fn parse_request<R: BufRead>(reader: &mut R) -> Result<Request, String> {
-    let mut line = String::new();
-    reader
-        .read_line(&mut line)
-        .map_err(|e| format!("read error: {e}"))?;
+    let mut header_bytes = 0usize;
+    let line = read_header_line(reader, &mut header_bytes, "read error")?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
@@ -237,18 +215,10 @@ fn parse_request<R: BufRead>(reader: &mut R) -> Result<Request, String> {
         None => (target.to_string(), Vec::new()),
     };
     let mut content_length = 0usize;
-    let mut header_bytes = line.len();
     loop {
-        let mut header = String::new();
-        let n = reader
-            .read_line(&mut header)
-            .map_err(|e| format!("read error in headers: {e}"))?;
-        if n == 0 {
+        let header = read_header_line(reader, &mut header_bytes, "read error in headers")?;
+        if header.is_empty() {
             return Err("connection closed mid-headers".to_string());
-        }
-        header_bytes += n;
-        if header_bytes > MAX_HEADER_BYTES {
-            return Err("headers too large".to_string());
         }
         let header = header.trim();
         if header.is_empty() {
@@ -276,6 +246,28 @@ fn parse_request<R: BufRead>(reader: &mut R) -> Result<Request, String> {
         query,
         body: String::from_utf8_lossy(&body).into_owned(),
     })
+}
+
+/// Read the request line or one header line. The request line and the
+/// headers share one `MAX_HEADER_BYTES` budget, `used` so far; the read
+/// stops one byte past it, so a line that never ends costs bounded memory
+/// before it is rejected.
+fn read_header_line<R: BufRead>(
+    reader: &mut R,
+    used: &mut usize,
+    context: &str,
+) -> Result<String, String> {
+    let mut line = String::new();
+    let budget = (MAX_HEADER_BYTES + 1).saturating_sub(*used) as u64;
+    *used += reader
+        .by_ref()
+        .take(budget)
+        .read_line(&mut line)
+        .map_err(|e| format!("{context}: {e}"))?;
+    if *used > MAX_HEADER_BYTES {
+        return Err("headers too large".to_string());
+    }
+    Ok(line)
 }
 
 /// Split `a=1&b=2` into decoded pairs.
@@ -646,7 +638,9 @@ fn status_value(status: &WorkloadStatus) -> Value {
     ])
 }
 
-fn respond(stream: &mut TcpStream, status: u16, body: &Value) {
+/// Send one response — status line, headers and body rendered into one
+/// buffer — with a single `write_all`.
+fn write_response(out: &mut impl Write, status: u16, body: &Value) -> std::io::Result<()> {
     let text = body.to_json();
     let reason = match status {
         200 => "OK",
@@ -656,20 +650,25 @@ fn respond(stream: &mut TcpStream, status: u16, body: &Value) {
         413 => "Payload Too Large",
         _ => "Internal Server Error",
     };
-    let _ = write!(
-        stream,
+    let mut response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{text}",
+         Content-Length: {}\r\nConnection: close\r\n\r\n",
         text.len()
     );
-    let _ = stream.flush();
+    response.push_str(&text);
+    out.write_all(response.as_bytes())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::planner::{EngineConfig, MethodChoice, PipelineConfig};
+    use proptest::prelude::*;
     use std::io::{Cursor, Read};
+    use std::sync::mpsc;
+
+    /// How long a test client waits on the daemon before failing.
+    const CLIENT_TIMEOUT: Duration = Duration::from_secs(10);
 
     #[test]
     fn percent_decoding() {
@@ -723,6 +722,7 @@ mod tests {
     /// Raw round-trip helper: one request, full response text back.
     fn http(addr: std::net::SocketAddr, request: &str) -> String {
         let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
         stream.write_all(request.as_bytes()).unwrap();
         let mut response = String::new();
         stream.read_to_string(&mut response).unwrap();
@@ -735,9 +735,19 @@ mod tests {
         let handle = start(Engine::new(config), "127.0.0.1:0", 2).unwrap();
         let addr = handle.addr();
 
+        // Status line, headers and body, byte for byte.
+        let response = |status_line: &str, body: &str| {
+            format!(
+                "{status_line}\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+                 Connection: close\r\n\r\n{body}",
+                body.len()
+            )
+        };
         let health = http(addr, "GET /health HTTP/1.1\r\nHost: x\r\n\r\n");
-        assert!(health.starts_with("HTTP/1.1 200 OK"), "{health}");
-        assert!(health.contains("\"status\":\"ok\""), "{health}");
+        assert_eq!(
+            health,
+            response("HTTP/1.1 200 OK", r#"{"status":"ok","workloads":[]}"#)
+        );
 
         let missing = http(
             addr,
@@ -746,7 +756,13 @@ mod tests {
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
 
         let bad = http(addr, "GET /series HTTP/1.1\r\nHost: x\r\n\r\n");
-        assert!(bad.starts_with("HTTP/1.1 400"), "{bad}");
+        assert_eq!(
+            bad,
+            response(
+                "HTTP/1.1 400 Bad Request",
+                r#"{"error":"missing ?workload= parameter"}"#
+            )
+        );
 
         let push = http(
             addr,
@@ -758,5 +774,331 @@ mod tests {
         let bye = http(addr, "POST /shutdown HTTP/1.1\r\nHost: x\r\n\r\n");
         assert!(bye.contains("shutting-down"), "{bye}");
         handle.wait();
+    }
+
+    /// A writer that counts its `write` calls and keeps what they carried.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_response_goes_out_in_one_write() {
+        let ok = obj(vec![("status", Value::String("ok".to_string()))]);
+        for (status, body) in [
+            (200, ok),
+            (400, error_value("empty request line")),
+            (404, error_value("no such endpoint")),
+        ] {
+            let mut out = CountingWriter::default();
+            write_response(&mut out, status, &body).unwrap();
+            assert_eq!(out.writes, 1, "status {status}");
+            let text = String::from_utf8(out.bytes).unwrap();
+            assert!(text.starts_with(&format!("HTTP/1.1 {status} ")), "{text}");
+            assert!(
+                text.ends_with(&format!("\r\n\r\n{}", body.to_json())),
+                "{text}"
+            );
+        }
+    }
+
+    /// How a test asks the daemon to stop.
+    #[derive(Clone, Copy)]
+    enum Stop {
+        Post,
+        Handle,
+    }
+
+    /// Stop a 4-worker daemon while every worker waits in `accept`, or while
+    /// one is mid-request: the request in flight is answered, and every
+    /// worker exits within the client timeout.
+    fn daemon_drains(stop: Stop, mid_request: bool) {
+        let config = EngineConfig::new(PipelineConfig::hourly(MethodChoice::Hes));
+        let handle = start(Engine::new(config), "127.0.0.1:0", 4).unwrap();
+        let addr = handle.addr();
+        let health = "GET /health HTTP/1.1\r\nHost: x\r\n\r\n";
+        assert!(http(addr, health).starts_with("HTTP/1.1 200 OK"));
+        // Connected before the stop, so it queues ahead of the wake
+        // connections; its worker blocks reading the unfinished headers.
+        let in_flight = mid_request.then(|| {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            stream.set_read_timeout(Some(CLIENT_TIMEOUT)).unwrap();
+            stream.write_all(b"GET /health HTTP/1.1\r\n").unwrap();
+            stream
+        });
+        match stop {
+            Stop::Post => {
+                let bye = http(addr, "POST /shutdown HTTP/1.1\r\nHost: x\r\n\r\n");
+                assert!(bye.contains("shutting-down"), "{bye}");
+            }
+            Stop::Handle => handle.shutdown(),
+        }
+        if let Some(mut stream) = in_flight {
+            stream.write_all(b"Host: x\r\n\r\n").unwrap();
+            let mut response = String::new();
+            stream.read_to_string(&mut response).unwrap();
+            assert!(response.starts_with("HTTP/1.1 200 OK"), "{response}");
+        }
+        let (exited, waited) = mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            handle.wait();
+            let _ = exited.send(());
+        });
+        waited
+            .recv_timeout(CLIENT_TIMEOUT)
+            .expect("a worker outlived the shutdown");
+        waiter.join().unwrap();
+    }
+
+    #[test]
+    fn post_shutdown_stops_idle_workers() {
+        daemon_drains(Stop::Post, false);
+    }
+
+    #[test]
+    fn post_shutdown_answers_the_request_in_flight_then_stops() {
+        daemon_drains(Stop::Post, true);
+    }
+
+    #[test]
+    fn handle_shutdown_stops_idle_workers() {
+        daemon_drains(Stop::Handle, false);
+    }
+
+    #[test]
+    fn handle_shutdown_answers_the_request_in_flight_then_stops() {
+        daemon_drains(Stop::Handle, true);
+    }
+
+    // --- Properties of the request reader ---
+
+    /// A reader that hands its bytes out in chunks of the given sizes, in
+    /// turn, as a socket may.
+    struct SplitReader {
+        data: Vec<u8>,
+        pos: usize,
+        sizes: Vec<usize>,
+        turn: usize,
+    }
+
+    impl Read for SplitReader {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let size = self.sizes[self.turn % self.sizes.len()];
+            self.turn += 1;
+            let rest = &self.data[self.pos..];
+            let n = size.min(buf.len()).min(rest.len());
+            buf[..n].copy_from_slice(&rest[..n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    /// The parsed fields, for comparing two parses.
+    fn fields(request: &Request) -> (&str, &str, &[(String, String)], &str) {
+        (
+            &request.method,
+            &request.path,
+            &request.query,
+            &request.body,
+        )
+    }
+
+    /// The status a parsed request gets from a fresh engine.
+    fn routed_status(request: &Request) -> u16 {
+        let config = EngineConfig::new(PipelineConfig::hourly(MethodChoice::Hes));
+        match route(&Mutex::new(Engine::new(config)), request) {
+            Action::Respond(status, _) => status,
+            Action::Shutdown(_) => 200,
+        }
+    }
+
+    fn bytes(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<u8>> {
+        prop::collection::vec(0u8..=255, len)
+    }
+
+    /// A well-formed request: every query byte percent-encoded, and a body
+    /// of arbitrary bytes under its Content-Length (header name in any case).
+    fn encode_request(
+        method: &str,
+        path: &str,
+        query: &[(Vec<u8>, Vec<u8>)],
+        length_name: &str,
+        body: &[u8],
+    ) -> Vec<u8> {
+        let encode = |raw: &[u8]| raw.iter().map(|b| format!("%{b:02X}")).collect::<String>();
+        let query: Vec<String> = query
+            .iter()
+            .map(|(k, v)| format!("{}={}", encode(k), encode(v)))
+            .collect();
+        let mut raw = format!(
+            "{method} {path}?{} HTTP/1.1\r\nHost: x\r\n{length_name}: {}\r\n\r\n",
+            query.join("&"),
+            body.len()
+        )
+        .into_bytes();
+        raw.extend_from_slice(body);
+        raw
+    }
+
+    /// A request's wire bytes with the fields it must parse into.
+    type WireRequest = (Vec<u8>, String, String, Vec<(String, String)>, String);
+
+    fn valid_request() -> impl Strategy<Value = WireRequest> {
+        (
+            prop::sample::select(vec!["GET", "POST", "PUT"]),
+            prop::sample::select(vec![
+                "/health",
+                "/push",
+                "/series",
+                "/forecast",
+                "/alerts",
+                "/status",
+                "/shutdown",
+                "/nope",
+            ]),
+            prop::collection::vec((bytes(0..6), bytes(0..6)), 0..4),
+            prop::sample::select(vec!["Content-Length", "content-length", "CONTENT-LENGTH"]),
+            bytes(0..200),
+        )
+            .prop_map(|(method, path, query, length_name, body)| {
+                let raw = encode_request(method, path, &query, length_name, &body);
+                let lossy = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+                let query = query.iter().map(|(k, v)| (lossy(k), lossy(v))).collect();
+                let body = lossy(&body);
+                (raw, method.to_string(), path.to_string(), query, body)
+            })
+    }
+
+    fn assert_routable(request: &Request) {
+        let status = routed_status(request);
+        assert!(status == 200 || (400..500).contains(&status), "{status}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        #[test]
+        fn random_and_corrupted_bytes_never_panic_and_parse_only_into_routable_requests(
+            raw in bytes(0..400),
+            request in valid_request(),
+            noise in prop::collection::vec((0.0f64..1.0, 0u8..=255), 0..4),
+            corrupt in prop::bool::ANY,
+        ) {
+            let input = if corrupt {
+                // A valid request with a few bytes overwritten.
+                let mut input = request.0;
+                for (at, byte) in noise {
+                    let at = (at * input.len() as f64) as usize;
+                    if let Some(slot) = input.get_mut(at) {
+                        *slot = byte;
+                    }
+                }
+                input
+            } else {
+                raw
+            };
+            if let Ok(request) = parse_request(&mut Cursor::new(input)) {
+                assert_routable(&request);
+            }
+        }
+
+        #[test]
+        fn a_valid_request_parses_the_same_whatever_the_split(
+            request in valid_request(),
+            sizes in prop::collection::vec(1usize..24, 1..6),
+            capacity in 1usize..64,
+        ) {
+            let (raw, method, path, query, body) = request;
+            let whole = parse_request(&mut Cursor::new(raw.clone())).unwrap();
+            let want = (method.as_str(), path.as_str(), &query[..], body.as_str());
+            prop_assert_eq!(fields(&whole), want);
+            let reader = SplitReader { data: raw, pos: 0, sizes, turn: 0 };
+            let split = parse_request(&mut BufReader::with_capacity(capacity, reader)).unwrap();
+            prop_assert_eq!(fields(&split), want);
+            assert_routable(&whole);
+        }
+
+        #[test]
+        fn every_strict_prefix_of_a_request_with_a_body_is_an_error(
+            request in valid_request(),
+            cut in 0.0f64..1.0,
+        ) {
+            let (raw, _, _, _, body) = request;
+            prop_assume!(!body.is_empty());
+            let cut = (cut * raw.len() as f64) as usize;
+            let prefix = raw.get(..cut).unwrap_or_default();
+            prop_assert!(parse_request(&mut Cursor::new(prefix)).is_err(), "cut at {}", cut);
+        }
+
+        #[test]
+        fn non_utf8_request_and_header_lines_are_errors(
+            at in 0usize..24,
+            byte in 0x80u8..0xC0,
+            in_header in prop::bool::ANY,
+        ) {
+            // A lone continuation byte is never valid UTF-8.
+            let (mut line, head, tail): (Vec<u8>, &[u8], &[u8]) = if in_header {
+                (b"X-Agent: collector/1.2.3".to_vec(), b"GET /health HTTP/1.1\r\n", b"\r\n\r\n")
+            } else {
+                (b"GET /health?workload=db HTTP/1.1".to_vec(), b"", b"\r\n\r\n")
+            };
+            line.insert(at.min(line.len()), byte);
+            let raw = [head, &line, tail].concat();
+            prop_assert!(parse_request(&mut Cursor::new(raw)).is_err());
+        }
+
+        #[test]
+        fn oversized_header_lines_are_rejected_after_a_bounded_read(
+            excess in 1usize..64 * 1024,
+            in_request_line in prop::bool::ANY,
+            terminated in prop::bool::ANY,
+        ) {
+            let long = "a".repeat(MAX_HEADER_BYTES + excess);
+            let mut raw = if in_request_line {
+                format!("GET /{long}")
+            } else {
+                format!("GET / HTTP/1.1\r\nX-Long: {long}")
+            };
+            if terminated {
+                raw.push_str("\r\n\r\n");
+            }
+            let mut input = Cursor::new(raw.into_bytes());
+            let error = parse_request(&mut input).unwrap_err();
+            prop_assert_eq!(error.as_str(), "headers too large");
+            // The rest of the line was never buffered.
+            prop_assert!(input.position() as usize <= MAX_HEADER_BYTES + 1);
+        }
+
+        #[test]
+        fn too_many_headers_and_oversized_bodies_are_errors(
+            headers in 1usize..400,
+            length in (MAX_BODY_BYTES as u64 + 1)..u64::MAX,
+        ) {
+            let pad = "X-Pad: 0123456789abcdef0123456789abcdef0123456789abcdef\r\n";
+            let raw = format!(
+                "POST /push?workload=db HTTP/1.1\r\n{}Content-Length: {length}\r\n\r\n",
+                pad.repeat(headers)
+            );
+            let error = parse_request(&mut Cursor::new(raw.as_bytes())).unwrap_err();
+            let want = if raw.len() > MAX_HEADER_BYTES {
+                "headers too large"
+            } else {
+                "body too large"
+            };
+            prop_assert_eq!(error.as_str(), want);
+        }
     }
 }
