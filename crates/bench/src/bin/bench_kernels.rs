@@ -3,14 +3,18 @@
 //! multi-candidate kernel, plus the unconstrained-parameter transform and
 //! the full objective path (transform + polynomial expansion + CSS) so the
 //! per-evaluation cost can be attributed layer by layer. A second section
-//! times the exponential-smoothing families the same three ways — scalar
-//! reference, solo kernel, batched kernel — per ETS/TBATS menu shape, with
-//! bitwise SSE parity across all three paths and bitwise final state
-//! between the solo and batched kernels asserted in-binary. Beside the
-//! same-shape rows, the ETS rows include an estate round, a serve relearn
-//! and mixed 2- and 4-lane passes, each lane on its own series, and the
-//! TBATS rows forecast-auto-like passes of 2–4 lanes that share no shape;
-//! every row records its batched-vs-solo ratio.
+//! times the exponential-smoothing families' one chunk kernel per family
+//! (`ets_batch`, `tbats_filter::run_batch`) against the scalar reference
+//! per ETS/TBATS menu shape, two ways: each lane through a one-lane pass of
+//! its own — the path of a single fit and a frozen re-score — and all of a
+//! row's lanes in one pass, as a grid round runs them. Every lane's final
+//! state, one-lane and batched, is asserted bitwise equal to the
+//! reference's in-binary. Beside the same-shape rows, the ETS rows include
+//! a period-52 row (lanes past the chunk's 32-row stack block, which step
+//! their own windows), an estate round, a serve relearn and mixed 2- and
+//! 4-lane passes, each lane on its own series, and the TBATS rows
+//! forecast-auto-like passes of 2–4 lanes that share no shape; every row
+//! records its batched-vs-one-lane ratio.
 //!
 //! Writes `results/BENCH_kernels.json`.
 //!
@@ -58,8 +62,8 @@ struct KernelRow {
 }
 
 /// One exponential-smoothing-family pass timed three ways: the scalar
-/// reference recursion/filter, the solo monomorphic kernel, and the
-/// batched kernel over the row's lanes.
+/// reference recursion/filter, each lane through a one-lane kernel pass,
+/// and the row's lanes in one kernel pass.
 #[derive(Debug, Clone, Serialize)]
 struct FamilyRow {
     /// Model family ("ETS" or "TBATS").
@@ -73,22 +77,23 @@ struct FamilyRow {
     series_len: usize,
     /// Scalar reference, ns per evaluation.
     reference_ns: f64,
-    /// Solo kernel, ns per evaluation.
+    /// The kernel on one lane per pass, ns per evaluation.
     kernel_ns: f64,
-    /// Batched kernel, ns per candidate.
+    /// The kernel on all the row's lanes in one pass, ns per candidate.
     batch_ns: f64,
-    /// reference / solo-kernel speedup.
+    /// reference / one-lane speedup.
     kernel_speedup: f64,
     /// reference / batched per-candidate speedup.
     batch_speedup: f64,
-    /// solo-kernel / batched per-candidate speedup: above 1 when batching
+    /// one-lane / batched per-candidate speedup: above 1 when batching
     /// pays.
     batch_vs_solo: f64,
 }
 
 /// The batched ETS/TBATS section of the snapshot: same batch width and
 /// iteration budget discipline as the CSS rows, with in-binary bitwise
-/// parity (reference == solo == batched lane) asserted before timing.
+/// parity (reference == one-lane pass == batched lane) asserted before
+/// timing.
 #[derive(Debug, Clone, Serialize)]
 struct BatchedFamilies {
     batch: usize,
@@ -164,13 +169,11 @@ fn time_ns(iters: usize, mut f: impl FnMut()) -> f64 {
     best
 }
 
-/// Bit-compare two optional SSEs; `None` (diverged) must match too.
-fn assert_sse_bits(a: Option<f64>, b: Option<f64>, context: &str) {
-    assert_eq!(
-        a.map(f64::to_bits),
-        b.map(f64::to_bits),
-        "bitwise SSE parity violated: {context} ({a:?} vs {b:?})"
-    );
+/// A final state's bits: the SSE (`None` when diverged) and every state
+/// value, so `-0.0` and NaN payloads count.
+fn state_bits(sse: Option<f64>, states: &[&[f64]]) -> (Option<u64>, Vec<u64>) {
+    let bits = states.iter().flat_map(|v| v.iter().map(|x| x.to_bits()));
+    (sse.map(f64::to_bits), bits.collect())
 }
 
 /// One ETS lane of a bench row: its shape, smoothing parameters, series
@@ -212,21 +215,6 @@ impl EtsCase {
             has_trend: trend.is_some(),
             y,
             seasonal,
-        }
-    }
-
-    /// The solo kernel over `seasonal` (reset first).
-    fn solo(&self, seasonal: &mut [f64]) -> kernels::holt_winters::HwState {
-        use kernels::holt_winters::{run_additive, run_multiplicative, run_none};
-        seasonal.copy_from_slice(&self.seasonal);
-        let (y, level) = (&self.y, self.y[0]);
-        let (a, b, g, p, h) = (self.alpha, self.beta, self.gamma, self.phi, self.has_trend);
-        match self.class {
-            SeasonalClass::None => run_none(y, a, b, p, level, ETS_TREND0, h),
-            SeasonalClass::Additive => run_additive(y, a, b, g, p, level, ETS_TREND0, h, seasonal),
-            SeasonalClass::Multiplicative => {
-                run_multiplicative(y, a, b, g, p, level, ETS_TREND0, h, seasonal)
-            }
         }
     }
 
@@ -282,13 +270,13 @@ fn lane_series(n: usize, period: usize, lane: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Time one ETS pass — `cases` scored by the scalar reference, one solo
-/// kernel run each, and one `ets_batch` pass — in ns per lane, asserting
-/// first that every batched lane's SSE and final state are bitwise those
-/// of its solo run, and its SSE that of the reference.
+/// Time one ETS pass — `cases` scored by the scalar reference, each
+/// through a one-lane `ets_batch` pass, and all in one `ets_batch` pass —
+/// in ns per lane, asserting first that every lane's SSE and final state,
+/// one-lane and batched, are bitwise the reference's.
 fn bench_ets_row(name: &'static str, iters: usize, cases: &[EtsCase]) -> FamilyRow {
-    let mut solo_bufs: Vec<Vec<f64>> = cases.iter().map(|c| c.seasonal.clone()).collect();
-    let mut batch_bufs: Vec<Vec<f64>> = solo_bufs.clone();
+    let mut alone_bufs: Vec<Vec<f64>> = cases.iter().map(|c| c.seasonal.clone()).collect();
+    let mut batch_bufs: Vec<Vec<f64>> = alone_bufs.clone();
     let mut ref_buf: Vec<f64> = Vec::new();
     let run_batch = |bufs: &mut [Vec<f64>]| -> Vec<kernels::holt_winters::HwState> {
         let mut lanes: Vec<EtsLane<'_>> = cases
@@ -299,28 +287,29 @@ fn bench_ets_row(name: &'static str, iters: usize, cases: &[EtsCase]) -> FamilyR
         kernels::ets_batch(&mut lanes);
         lanes.iter().map(|l| l.result()).collect()
     };
+    let run_alone = |case: &EtsCase, buf: &mut [f64]| {
+        let mut lane = case.lane(buf);
+        kernels::ets_batch(std::slice::from_mut(&mut lane));
+        lane.result()
+    };
 
     // Parity before timing.
     let batched = run_batch(&mut batch_bufs);
     for (i, case) in cases.iter().enumerate() {
         ref_buf.clone_from(&case.seasonal);
         let reference = case.reference(&mut ref_buf);
-        let solo = case.solo(&mut solo_bufs[i]);
-        assert_sse_bits(
-            reference.sse,
-            solo.sse,
-            &format!("ETS {name} lane {i} reference vs solo"),
-        );
-        assert_sse_bits(
-            reference.sse,
-            batched[i].sse,
-            &format!("ETS {name} lane {i} reference vs batched"),
-        );
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let alone = run_alone(case, &mut alone_bufs[i]);
+        let bits = |s: &kernels::holt_winters::HwState, window: &[f64]| {
+            state_bits(s.sse, &[&[s.level, s.trend], window])
+        };
+        let expected = bits(&reference, &ref_buf);
         assert!(
-            bits(&[solo.level, solo.trend]) == bits(&[batched[i].level, batched[i].trend])
-                && bits(&solo_bufs[i]) == bits(&batch_bufs[i]),
-            "bitwise state parity violated: ETS {name} lane {i} solo vs batched"
+            bits(&alone, &alone_bufs[i]) == expected,
+            "bitwise state parity violated: ETS {name} lane {i} reference vs one-lane pass"
+        );
+        assert!(
+            bits(&batched[i], &batch_bufs[i]) == expected,
+            "bitwise state parity violated: ETS {name} lane {i} reference vs batched"
         );
     }
 
@@ -334,8 +323,8 @@ fn bench_ets_row(name: &'static str, iters: usize, cases: &[EtsCase]) -> FamilyR
         }
     }) / lanes as f64;
     let kernel_ns = time_ns(passes, || {
-        for (case, buf) in cases.iter().zip(solo_bufs.iter_mut()) {
-            sink += case.solo(buf).sse.unwrap_or(0.0);
+        for (case, buf) in cases.iter().zip(alone_bufs.iter_mut()) {
+            sink += run_alone(case, buf).sse.unwrap_or(0.0);
         }
     }) / lanes as f64;
     let batch_ns = time_ns(passes, || {
@@ -344,8 +333,8 @@ fn bench_ets_row(name: &'static str, iters: usize, cases: &[EtsCase]) -> FamilyR
     std::hint::black_box(sink);
 
     println!(
-        "  ETS   {name:<16} {lanes:>2} lanes  reference {reference_ns:>7.0} ns  kernel {kernel_ns:>7.0} ns  \
-         batch {batch_ns:>7.0} ns/cand  ({:.2}x solo, {:.2}x batched, batched/solo {:.2}x)",
+        "  ETS   {name:<16} {lanes:>2} lanes  reference {reference_ns:>7.0} ns  one-lane {kernel_ns:>7.0} ns  \
+         batch {batch_ns:>7.0} ns/cand  ({:.2}x one-lane, {:.2}x batched, batched/one-lane {:.2}x)",
         reference_ns / kernel_ns,
         reference_ns / batch_ns,
         kernel_ns / batch_ns
@@ -365,7 +354,9 @@ fn bench_ets_row(name: &'static str, iters: usize, cases: &[EtsCase]) -> FamilyR
 }
 
 /// Time the ETS rows: each menu shape as a pass of [`BATCH`] same-shape
-/// lanes over the shared [`SERIES_LEN`]-point series, then passes shaped
+/// lanes over the shared [`SERIES_LEN`]-point series (Holt-Winters
+/// additive at periods 24 and 52, the latter past the stack block), then
+/// passes shaped
 /// like the real ones, each lane on its own series: an estate round (the
 /// HES menu's three chains from four daily series, 83 points, period 7),
 /// a serve relearn's SES, additive and multiplicative lanes on an hourly
@@ -375,16 +366,17 @@ fn bench_ets(iters: usize, y: &[f64]) -> Vec<FamilyRow> {
     use SeasonalClass::{Additive, Multiplicative, None as NonSeasonal};
     let alpha = |c: usize| 0.3 * (1.0 - 0.01 * c as f64);
     let mut rows = Vec::new();
-    let same_shape: [(&'static str, SeasonalClass, Option<f64>); 5] = [
-        ("ses", NonSeasonal, None),
-        ("holt", NonSeasonal, Some(1.0)),
-        ("holt-damped", NonSeasonal, Some(0.98)),
-        ("hw-add-24", Additive, Some(1.0)),
-        ("hw-mult-24", Multiplicative, Some(1.0)),
+    let same_shape: [(&'static str, SeasonalClass, usize, Option<f64>); 6] = [
+        ("ses", NonSeasonal, 24, None),
+        ("holt", NonSeasonal, 24, Some(1.0)),
+        ("holt-damped", NonSeasonal, 24, Some(0.98)),
+        ("hw-add-24", Additive, 24, Some(1.0)),
+        ("hw-add-52", Additive, 52, Some(1.0)),
+        ("hw-mult-24", Multiplicative, 24, Some(1.0)),
     ];
-    for (name, class, trend) in same_shape {
+    for (name, class, m, trend) in same_shape {
         let cases: Vec<EtsCase> = (0..BATCH)
-            .map(|c| EtsCase::new(class, 24, trend, alpha(c), y.to_vec()))
+            .map(|c| EtsCase::new(class, m, trend, alpha(c), y.to_vec()))
             .collect();
         rows.push(bench_ets_row(name, iters, &cases));
     }
@@ -505,6 +497,33 @@ fn tbats_lane<'a>(case: &'a TbatsCase, z: &'a [f64], bufs: &'a mut TbatsBuffers)
     }
 }
 
+/// The reference's final state for `case` over `z`, from the start state
+/// every kernel lane gets.
+fn tbats_reference_state(case: &TbatsCase, z: &[f64]) -> kernels::reference::TbatsState {
+    let start = kernels::reference::TbatsState {
+        level: z[0],
+        trend: TBATS_TREND0,
+        seasonal: case.seasonal.clone(),
+        d_hist: vec![0.0; case.shape.ar.len()],
+        e_hist: vec![0.0; case.shape.ma.len()],
+        sse: 0.0,
+        alive: true,
+    };
+    kernels::reference::tbats_filter_state(
+        z,
+        case.shape.seasons,
+        case.alpha,
+        TBATS_BETA,
+        case.shape.phi,
+        case.shape.use_trend,
+        &case.gammas,
+        case.shape.ar,
+        case.shape.ma,
+        start,
+    )
+}
+
+/// The reference filter's SSE, as the timed baseline runs it.
 fn tbats_reference(case: &TbatsCase, z: &[f64]) -> Option<f64> {
     kernels::reference::tbats_filter(
         z,
@@ -522,30 +541,24 @@ fn tbats_reference(case: &TbatsCase, z: &[f64]) -> Option<f64> {
     )
 }
 
-/// Time one TBATS pass — `cases` scored by the scalar reference, one solo
-/// kernel run each, and one `run_batch` pass — in ns per lane, asserting
-/// first that every batched lane's SSE and final state are bitwise those
-/// of its solo run, and its SSE that of the reference.
+/// Time one TBATS pass — `cases` scored by the scalar reference, each
+/// through a one-lane `run_batch` pass, and all in one `run_batch` pass —
+/// in ns per lane, asserting first that every lane's SSE and final state,
+/// one-lane and batched, are bitwise the reference's.
 fn bench_tbats_row(name: &'static str, iters: usize, z: &[f64], cases: &[TbatsCase]) -> FamilyRow {
     let buffers = |case: &TbatsCase| TbatsBuffers {
         seasonal: case.seasonal.clone(),
         d_hist: vec![0.0; case.shape.ar.len()],
         e_hist: vec![0.0; case.shape.ma.len()],
     };
-    let mut solo_bufs: Vec<TbatsBuffers> = cases.iter().map(buffers).collect();
+    let mut alone_bufs: Vec<TbatsBuffers> = cases.iter().map(buffers).collect();
     let mut batch_bufs: Vec<TbatsBuffers> = cases.iter().map(buffers).collect();
     // Each run reports (SSE, level, trend) per lane.
     let outcome = |lane: &TbatsLane<'_>| (lane.result(), lane.level, lane.trend);
-    let run_solo = |bufs: &mut [TbatsBuffers]| -> Vec<(Option<f64>, f64, f64)> {
-        cases
-            .iter()
-            .zip(bufs.iter_mut())
-            .map(|(case, b)| {
-                let mut lane = tbats_lane(case, z, b);
-                tbats_filter::run(&mut lane);
-                outcome(&lane)
-            })
-            .collect()
+    let run_alone = |case: &TbatsCase, bufs: &mut TbatsBuffers| {
+        let mut lane = tbats_lane(case, z, bufs);
+        tbats_filter::run_batch(std::slice::from_mut(&mut lane));
+        outcome(&lane)
     };
     let run_batch = |bufs: &mut [TbatsBuffers]| -> Vec<(Option<f64>, f64, f64)> {
         let mut lanes: Vec<TbatsLane<'_>> = cases
@@ -558,29 +571,29 @@ fn bench_tbats_row(name: &'static str, iters: usize, z: &[f64], cases: &[TbatsCa
     };
 
     // Parity before timing.
-    let solo = run_solo(&mut solo_bufs);
     let batched = run_batch(&mut batch_bufs);
     for (i, case) in cases.iter().enumerate() {
-        let reference = tbats_reference(case, z);
-        let ((solo_sse, solo_level, solo_trend), (sse, level, trend)) = (solo[i], batched[i]);
-        assert_sse_bits(
-            reference,
-            solo_sse,
-            &format!("TBATS {name} lane {i} reference vs solo"),
+        let reference = tbats_reference_state(case, z);
+        let expected = state_bits(
+            reference.alive.then_some(reference.sse),
+            &[
+                &[reference.level, reference.trend],
+                &reference.seasonal,
+                &reference.d_hist,
+                &reference.e_hist,
+            ],
         );
-        assert_sse_bits(
-            reference,
-            sse,
-            &format!("TBATS {name} lane {i} reference vs batched"),
-        );
-        let (a, b) = (&solo_bufs[i], &batch_bufs[i]);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        let bits = |(sse, level, trend): (Option<f64>, f64, f64), b: &TbatsBuffers| {
+            state_bits(sse, &[&[level, trend], &b.seasonal, &b.d_hist, &b.e_hist])
+        };
+        let alone = run_alone(case, &mut alone_bufs[i]);
         assert!(
-            bits(&[solo_level, solo_trend]) == bits(&[level, trend])
-                && bits(&a.seasonal) == bits(&b.seasonal)
-                && bits(&a.d_hist) == bits(&b.d_hist)
-                && bits(&a.e_hist) == bits(&b.e_hist),
-            "bitwise state parity violated: TBATS {name} lane {i} solo vs batched"
+            bits(alone, &alone_bufs[i]) == expected,
+            "bitwise state parity violated: TBATS {name} lane {i} reference vs one-lane pass"
+        );
+        assert!(
+            bits(batched[i], &batch_bufs[i]) == expected,
+            "bitwise state parity violated: TBATS {name} lane {i} reference vs batched"
         );
     }
 
@@ -593,7 +606,9 @@ fn bench_tbats_row(name: &'static str, iters: usize, z: &[f64], cases: &[TbatsCa
         }
     }) / lanes as f64;
     let kernel_ns = time_ns(passes, || {
-        sink += run_solo(&mut solo_bufs)[0].0.unwrap_or(0.0);
+        for (case, bufs) in cases.iter().zip(alone_bufs.iter_mut()) {
+            sink += run_alone(case, bufs).0.unwrap_or(0.0);
+        }
     }) / lanes as f64;
     let batch_ns = time_ns(passes, || {
         sink += run_batch(&mut batch_bufs)[0].0.unwrap_or(0.0);
@@ -601,8 +616,8 @@ fn bench_tbats_row(name: &'static str, iters: usize, z: &[f64], cases: &[TbatsCa
     std::hint::black_box(sink);
 
     println!(
-        "  TBATS {name:<16} {lanes:>2} lanes  reference {reference_ns:>7.0} ns  kernel {kernel_ns:>7.0} ns  \
-         batch {batch_ns:>7.0} ns/cand  ({:.2}x solo, {:.2}x batched, batched/solo {:.2}x)",
+        "  TBATS {name:<16} {lanes:>2} lanes  reference {reference_ns:>7.0} ns  one-lane {kernel_ns:>7.0} ns  \
+         batch {batch_ns:>7.0} ns/cand  ({:.2}x one-lane, {:.2}x batched, batched/one-lane {:.2}x)",
         reference_ns / kernel_ns,
         reference_ns / batch_ns,
         kernel_ns / batch_ns

@@ -610,6 +610,9 @@ pub struct WorkloadStatus {
     pub points: u64,
     /// Points that arrived out of order.
     pub late: u64,
+    /// Non-finite points: each marks its hour observed and adds nothing to
+    /// its aggregate.
+    pub missing: u64,
     /// Complete hourly aggregates.
     pub complete_hours: usize,
     /// Aggregates covered by the last score.
@@ -765,6 +768,7 @@ impl Engine {
             workload: workload.to_string(),
             points: state.ingest.buffer().accepted(),
             late: state.ingest.buffer().late(),
+            missing: state.ingest.buffer().missing(),
             complete_hours: state.ingest.buffer().complete_buckets(),
             scored_hours: state.scored_hours,
             champion: state.champion.clone(),
@@ -1132,7 +1136,7 @@ mod tests {
     fn frozen_rescore_matches_batch_fit_for_tbats() {
         // Same contract as the HES test above, for the other batched
         // exponential-smoothing family: the serve engine's frozen TBATS
-        // re-score (solo kernel path) must reproduce the batch pipeline's
+        // re-score (a one-lane kernel pass) must reproduce the batch pipeline's
         // champion RMSE bit for bit.
         let config = PipelineConfig {
             method: MethodChoice::Tbats,

@@ -190,8 +190,8 @@ pub struct LockstepStats {
     pub tbats_passes: usize,
     /// TBATS lanes those passes scored.
     pub tbats_lanes: usize,
-    /// Lane-inner chunks [`kernels::ets_batch`] ran, a lane scored by its
-    /// solo kernel counting as a chunk of one.
+    /// Lane-inner chunks [`kernels::ets_batch`] ran, width-1 chunks (a
+    /// lane alone in its group, or past the stack block) included.
     pub ets_chunks: usize,
     /// ETS lanes handed to those passes.
     pub ets_lanes: usize,
@@ -484,8 +484,8 @@ fn build_chains(candidates: &[CandidateModel]) -> Vec<Chain> {
 /// tasks runs one group per worker, 12 lanes wide.
 ///
 /// Batching and grouping are wall-time optimisations only: every batched
-/// kernel is a statement-for-statement transcription of its solo
-/// counterpart, bitwise per lane whatever else shares the batch, and every
+/// kernel scores each lane bitwise alike whatever else shares the batch
+/// (the ETS and TBATS kernels are the ones a lone fit runs too), and every
 /// chain keeps its own warm-start thread, so whichever group runs a chain,
 /// its scores are bit-identical to running it through [`run_chain`] alone.
 enum WorkUnit {
@@ -548,8 +548,9 @@ fn chain_batches(task: &EvalTask, cache: &BTreeMap<DiffKey, Differenced>, chain:
 /// batchable `(task, chain)` pairs in task order — the items its lockstep
 /// groups claim. The sequential chains come first, in task order, then
 /// the groups. Batching needs at least two chains in the whole batch to
-/// be worth a lockstep pass; a lone batchable chain runs sequentially,
-/// which keeps a single frozen re-score on the solo path.
+/// be worth a lockstep pass; a lone batchable chain runs sequentially, so
+/// a single frozen re-score is one fit, whose ETS or TBATS pass is a
+/// one-lane pass of the same chunk kernel.
 fn build_units(
     tasks: &[EvalTask],
     states: &[TaskState],
@@ -2424,7 +2425,7 @@ mod tests {
     fn tbats_seed_freezes_champion_re_score() {
         // The TBATS twin of `hes_seed_freezes_champion_re_score`: with the
         // stored champion as seed, the batched path must re-score the
-        // stored parameters verbatim through the frozen solo-kernel pass.
+        // stored parameters verbatim through the frozen one-lane kernel pass.
         let y = seasonal_series(240);
         let (train, test) = y.split_at(216);
         let mut candidates = ModelGrid::tbats(&[12.0], None, 0.95).candidates;

@@ -404,9 +404,8 @@ impl ModelGrid {
     /// supplies the fixed λ when on; `None` drops the Box-Cox half),
     /// trend/damping `{(off,off),(on,off),(on,on)}`, ARMA error orders
     /// `{(0,0),(1,0),(1,1)}` and harmonic counts `{1,2,3}` per seasonal
-    /// block — the same lattice `FittedTbats::select` walks, expressed as
-    /// grid candidates so the engine's RMSE champion selection, stats and
-    /// persistence apply. Periods below the Nyquist floor of 4 are dropped;
+    /// block — the paper's lattice, expressed as grid candidates so the
+    /// engine's RMSE champion selection, stats and persistence apply. Periods below the Nyquist floor of 4 are dropped;
     /// harmonics are capped per block and duplicate configurations (from
     /// the cap) appear once.
     pub fn tbats(periods: &[f64], lambda: Option<f64>, interval_level: f64) -> ModelGrid {
@@ -749,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn tbats_lattice_matches_select() {
+    fn tbats_lattice_has_the_papers_cardinality() {
         // One period, λ available: 2 (boxcox) × 3 (trend) × 3 (arma) ×
         // 3 (harmonics) = 54 distinct configurations.
         let grid = ModelGrid::tbats(&[24.0], Some(0.5), 0.95);

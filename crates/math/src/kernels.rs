@@ -254,30 +254,6 @@ pub fn css(phi: &[f64], theta: &[f64], w: &[f64], a: &mut Vec<f64>) -> f64 {
     sum_sq(&a[start..]) / scored as f64
 }
 
-/// Serial lag dot-product continued from `acc`: `acc + Σᵢ coef[i]·hist[i]`
-/// over the newest-first history window, terms folded in ascending order.
-///
-/// This is the ARMA-error recurrence step of the TBATS filter (`d̂_t`
-/// accumulation over the `d`/`e` histories) extracted into the shared
-/// kernel layer. Unlike the CSS path, the TBATS disturbance `d_t` feeds
-/// back into the level/trend/seasonal states each step, so the recurrence
-/// cannot be restructured into the block-parallel `ar_fill`/[`css`]
-/// passes — but routing it through one shared helper keeps the solo model
-/// filter, the solo kernel and the batched kernel on literally the same
-/// statements. Taking (and returning) the running accumulator preserves
-/// the original single-accumulator fold order, so chaining two calls (AR
-/// terms then MA terms) is bit-identical to the historical fused loop.
-#[inline]
-pub fn lag_dot(acc: f64, coef: &[f64], hist: &[f64]) -> f64 {
-    let mut acc = acc;
-    for (i, &c) in coef.iter().enumerate() {
-        if i < hist.len() {
-            acc += c * hist[i];
-        }
-    }
-    acc
-}
-
 /// History slots kept per streaming lane in [`css_batch`] — the widest MA
 /// order the streamed path supports. Wider candidates (long seasonal θ*
 /// expansions) fall back to the solo kernel inside the same call, with
@@ -656,9 +632,9 @@ pub mod reference {
 
     /// Scalar reference Holt-Winters recursion: one loop with a
     /// per-observation `match` on the seasonal class — the shape the model
-    /// layer ran before the monomorphic kernels. Kept for bit-for-bit
-    /// parity tests against the solo kernels and [`super::ets_batch`], and
-    /// as the bench baseline for the per-candidate speedup claim.
+    /// layer ran before the chunk kernels. Kept as the oracle of the
+    /// bit-for-bit parity tests against [`super::ets_batch`], and as the
+    /// bench baseline for the per-candidate speedup claim.
     #[allow(clippy::too_many_arguments)]
     pub fn ets_recursion(
         y: &[f64],
@@ -754,8 +730,8 @@ pub mod reference {
     /// flattened (the values are identical to the nested form, and the
     /// angle expressions match [`super::trig_seasonal::rotation_table`]
     /// term for term, so results stay bit-identical to the kernels). Kept
-    /// for parity tests against [`super::tbats_filter`] and as the bench
-    /// baseline.
+    /// as the oracle of the parity tests against
+    /// [`super::tbats_filter::run_batch`] and as the bench baseline.
     #[allow(clippy::too_many_arguments)]
     pub fn tbats_filter(
         z: &[f64],
@@ -898,17 +874,13 @@ pub mod reference {
     }
 }
 
-/// Monomorphic Holt-Winters recursion kernels. The per-step `match` on the
-/// seasonal kind that the model layer used to run once per observation per
-/// objective call is hoisted out here: one fused, branch-light loop per
-/// seasonal variant (trend stays a runtime flag — one well-predicted
-/// branch — while seasonal dispatch cost a pattern match plus
-/// seasonal-index arithmetic even for non-seasonal configs). The
-/// arithmetic is transcribed statement-for-statement from the model
-/// layer's recursion, so fits are bit-identical. The lane-inner chunks
-/// that [`ets_batch`] packs a round into live here too, beside the
-/// solo kernels whose statements they run lane by lane; its docs give the
-/// packing rule and why the result is exact.
+/// Holt-Winters recursions on lane-inner chunks: the state, lane and chunk
+/// types that [`ets_batch`] runs every ETS objective evaluation through.
+/// The per-step statements are transcribed statement-for-statement from
+/// the model layer's recursion (kept as [`reference::ets_recursion`]),
+/// with the per-step seasonal `match` hoisted into the chunk's type, so
+/// fits are bit-identical; [`ets_batch`]'s docs give the packing rule and
+/// why the result is exact.
 pub mod holt_winters {
     /// Final state of a recursion pass.
     #[derive(Debug, Clone)]
@@ -922,96 +894,8 @@ pub mod holt_winters {
         pub sse: Option<f64>,
     }
 
-    impl HwState {
-        fn diverged(level: f64, trend: f64) -> HwState {
-            HwState {
-                level,
-                trend,
-                sse: None,
-            }
-        }
-    }
-
-    /// Non-seasonal recursion: SES / Holt / damped-Holt depending on
-    /// `(has_trend, beta, phi)`.
-    pub fn run_none(
-        y: &[f64],
-        alpha: f64,
-        beta: f64,
-        phi: f64,
-        mut level: f64,
-        mut trend: f64,
-        has_trend: bool,
-    ) -> HwState {
-        let mut sse = 0.0;
-        for &obs in y {
-            let damped = phi * trend;
-            let fitted = level + damped;
-            let err = obs - fitted;
-            if !err.is_finite() {
-                return HwState::diverged(level, trend);
-            }
-            sse += err * err;
-            let prev_level = level;
-            level = alpha * obs + (1.0 - alpha) * (prev_level + damped);
-            if has_trend {
-                trend = beta * (level - prev_level) + (1.0 - beta) * damped;
-            }
-        }
-        HwState {
-            level,
-            trend,
-            sse: Some(sse),
-        }
-    }
-
-    /// Additive-seasonal recursion; `seasonal` holds the `m` per-phase
-    /// offsets and is updated in place (the seasonal update reads the
-    /// freshly updated level, as in the classical formulation).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_additive(
-        y: &[f64],
-        alpha: f64,
-        beta: f64,
-        gamma: f64,
-        phi: f64,
-        mut level: f64,
-        mut trend: f64,
-        has_trend: bool,
-        seasonal: &mut [f64],
-    ) -> HwState {
-        let m = seasonal.len();
-        if m == 0 {
-            return HwState::diverged(level, trend);
-        }
-        let mut sse = 0.0;
-        for (t, &obs) in y.iter().enumerate() {
-            let s_idx = t % m;
-            let damped = phi * trend;
-            let s = seasonal[s_idx];
-            let fitted = level + damped + s;
-            let err = obs - fitted;
-            if !err.is_finite() {
-                return HwState::diverged(level, trend);
-            }
-            sse += err * err;
-            let prev_level = level;
-            level = alpha * (obs - s) + (1.0 - alpha) * (prev_level + damped);
-            seasonal[s_idx] = gamma * (obs - level) + (1.0 - gamma) * s;
-            if has_trend {
-                trend = beta * (level - prev_level) + (1.0 - beta) * damped;
-            }
-        }
-        HwState {
-            level,
-            trend,
-            sse: Some(sse),
-        }
-    }
-
-    /// Seasonality class of a batched lane — the key [`super::ets_batch`]
-    /// callers group lanes by, mirroring the solo kernels' monomorphic
-    /// split ([`run_none`] / [`run_additive`] / [`run_multiplicative`]).
+    /// Seasonality class of a lane — the key [`super::ets_batch`] groups
+    /// lanes by, and the chunk's step variant.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
     pub enum SeasonalClass {
         /// No seasonality (SES / Holt / damped Holt).
@@ -1058,7 +942,8 @@ pub mod holt_winters {
     }
 
     impl EtsLane<'_> {
-        /// The lane's final state in the solo kernels' [`HwState`] form.
+        /// The lane's final state: its level, trend, and SSE unless it
+        /// diverged.
         pub fn result(&self) -> HwState {
             HwState {
                 level: self.level,
@@ -1068,157 +953,123 @@ pub mod holt_winters {
         }
     }
 
-    /// Multiplicative-seasonal recursion; diverges on a near-zero seasonal
-    /// factor or level, matching the model layer's guards.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_multiplicative(
-        y: &[f64],
-        alpha: f64,
-        beta: f64,
-        gamma: f64,
-        phi: f64,
-        mut level: f64,
-        mut trend: f64,
-        has_trend: bool,
-        seasonal: &mut [f64],
-    ) -> HwState {
-        let m = seasonal.len();
-        if m == 0 {
-            return HwState::diverged(level, trend);
-        }
-        let mut sse = 0.0;
-        for (t, &obs) in y.iter().enumerate() {
-            let s_idx = t % m;
-            let damped = phi * trend;
-            let s = seasonal[s_idx];
-            let fitted = (level + damped) * s;
-            let err = obs - fitted;
-            if !err.is_finite() {
-                return HwState::diverged(level, trend);
-            }
-            sse += err * err;
-            let prev_level = level;
-            if s.abs() < 1e-12 {
-                return HwState::diverged(level, trend);
-            }
-            level = alpha * (obs / s) + (1.0 - alpha) * (prev_level + damped);
-            if level.abs() < 1e-12 {
-                return HwState::diverged(level, trend);
-            }
-            seasonal[s_idx] = gamma * (obs / level) + (1.0 - gamma) * s;
-            if has_trend {
-                trend = beta * (level - prev_level) + (1.0 - beta) * damped;
-            }
-        }
-        HwState {
-            level,
-            trend,
-            sse: Some(sse),
-        }
-    }
-
     /// Lanes in the widest chunk: eight `f64`s, one AVX-512 register (two
     /// AVX2 registers) per statement.
     pub(super) const MAX_LANES: usize = 8;
     /// Lanes in the narrow chunk, for groups of at most this many.
     const NARROW_LANES: usize = 4;
-    /// Largest seasonal period a chunked lane may carry: the chunk's
-    /// seasonal rows live on the stack (daily 7 and hourly 24 fit).
+    /// Largest seasonal period whose rows a chunk keeps in its stack block
+    /// (daily 7 and hourly 24 fit); a longer one steps its own window.
     pub(super) const MAX_PERIOD: usize = 32;
-
-    /// Run one lane through its solo kernel and store the outcome in it.
-    /// A lane that diverges keeps the sum it arrived with; its
-    /// [`result`](EtsLane::result) reports `sse: None`.
-    pub(super) fn run_lane(lane: &mut EtsLane<'_>) {
-        let (alpha, beta, gamma, phi) = (lane.alpha, lane.beta, lane.gamma, lane.phi);
-        let (level, trend, has_trend) = (lane.level, lane.trend, lane.has_trend);
-        let state = match lane.class {
-            SeasonalClass::None => run_none(lane.y, alpha, beta, phi, level, trend, has_trend),
-            SeasonalClass::Additive => run_additive(
-                lane.y,
-                alpha,
-                beta,
-                gamma,
-                phi,
-                level,
-                trend,
-                has_trend,
-                lane.seasonal,
-            ),
-            SeasonalClass::Multiplicative => run_multiplicative(
-                lane.y,
-                alpha,
-                beta,
-                gamma,
-                phi,
-                level,
-                trend,
-                has_trend,
-                lane.seasonal,
-            ),
-        };
-        lane.level = state.level;
-        lane.trend = state.trend;
-        match state.sse {
-            Some(sse) => lane.sse = sse,
-            None => lane.alive = false,
-        }
-    }
+    /// The period a pass's non-seasonal lanes group at when it holds no
+    /// additive lane of a stack-block period. Any period is exact for them
+    /// (their rows stay `+0.0`); above 1, the row a step writes is not the
+    /// one the next step reads, so the rows stay off the level's chain.
+    pub(super) const NON_SEASONAL_PERIOD: usize = 8;
 
     /// Run an additive chunk and a multiplicative chunk together in one
     /// time loop, each given as its member lanes and period; either may be
     /// empty. Members are live, non-empty lanes of one packing group, at
-    /// most [`MAX_LANES`] of them. The lane count picks a chunk's width:
-    /// one lane runs one wide (the solo step's scalar code), up to four run
-    /// four wide, more run eight wide.
+    /// most [`MAX_LANES`] of them, whose period fits the stack block. The
+    /// lane count picks a chunk's width: one lane runs one wide, up to
+    /// four run four wide, more run eight wide.
     pub(super) fn run_chunks(
+        lanes: &mut [EtsLane<'_>],
+        additive: (&[usize], usize),
+        multiplicative: (&[usize], usize),
+    ) {
+        match additive.0.len() {
+            0 => with_additive::<0>(lanes, additive, multiplicative),
+            1 => with_additive::<1>(lanes, additive, multiplicative),
+            2..=NARROW_LANES => with_additive::<NARROW_LANES>(lanes, additive, multiplicative),
+            _ => with_additive::<MAX_LANES>(lanes, additive, multiplicative),
+        }
+    }
+
+    /// [`run_chunks`] at additive width `W`: pack the additive chunk over a
+    /// stack block, then the multiplicative one.
+    fn with_additive<const W: usize>(
         lanes: &mut [EtsLane<'_>],
         (members, m): (&[usize], usize),
         multiplicative: (&[usize], usize),
     ) {
-        match members.len() {
-            0 => with_multiplicative(
-                Chunk::<0, false>::load(lanes, members, m),
-                lanes,
-                multiplicative,
-            ),
-            1 => with_multiplicative(
-                Chunk::<1, false>::load(lanes, members, m),
-                lanes,
-                multiplicative,
-            ),
+        let mut block = Chunk::<W, false>::block();
+        let additive = Chunk::<W, false>::load(lanes, members, &mut block[..m]);
+        match multiplicative.0.len() {
+            0 => with_multiplicative::<W, 0>(additive, lanes, multiplicative),
+            1 => with_multiplicative::<W, 1>(additive, lanes, multiplicative),
             2..=NARROW_LANES => {
-                let additive = Chunk::<NARROW_LANES, false>::load(lanes, members, m);
-                with_multiplicative(additive, lanes, multiplicative)
+                with_multiplicative::<W, NARROW_LANES>(additive, lanes, multiplicative)
             }
-            _ => {
-                let additive = Chunk::<MAX_LANES, false>::load(lanes, members, m);
-                with_multiplicative(additive, lanes, multiplicative)
-            }
+            _ => with_multiplicative::<W, MAX_LANES>(additive, lanes, multiplicative),
         }
     }
 
     /// [`run_chunks`] once the additive chunk is packed: pack the
-    /// multiplicative one and run both.
-    fn with_multiplicative<'a, const W: usize>(
-        mut additive: Chunk<'a, W, false>,
+    /// multiplicative one over its own stack block and run both.
+    fn with_multiplicative<'a, const WA: usize, const WB: usize>(
+        mut additive: Chunk<'a, '_, WA, false>,
         lanes: &mut [EtsLane<'a>],
         (members, m): (&[usize], usize),
     ) {
-        let a = &mut additive;
-        match members.len() {
-            0 => run_pair(a, &mut Chunk::<0, true>::load(lanes, members, m), lanes),
-            1 => run_pair(a, &mut Chunk::<1, true>::load(lanes, members, m), lanes),
-            2..=NARROW_LANES => run_pair(
-                a,
-                &mut Chunk::<NARROW_LANES, true>::load(lanes, members, m),
+        let mut block = Chunk::<WB, true>::block();
+        let mut multiplicative = Chunk::<WB, true>::load(lanes, members, &mut block[..m]);
+        run_pair(&mut additive, &mut multiplicative, lanes);
+    }
+
+    /// Run `lanes[i]`, and `lanes[j]` when given — live seasonal lanes
+    /// whose period exceeds [`MAX_PERIOD`] — as width-1 chunks in one time
+    /// loop, each stepping its own seasonal window in place.
+    pub(super) fn run_own_windows(lanes: &mut [EtsLane<'_>], i: usize, j: Option<usize>) {
+        let mult = |lane: &EtsLane<'_>| lane.class == SeasonalClass::Multiplicative;
+        // An additive lane leads a mixed pair, as in every other pair.
+        let (i, j) = match j {
+            Some(j) if mult(&lanes[i]) && !mult(&lanes[j]) => (j, Some(i)),
+            _ => (i, j),
+        };
+        let kinds = (mult(&lanes[i]), j.map(|j| (j, mult(&lanes[j]))));
+        // Detach the windows, so the chunks can step them while `lanes`
+        // takes the rest of each lane's state when it retires.
+        let first = std::mem::take(&mut lanes[i].seasonal);
+        let second: &mut [f64] = match j {
+            Some(j) => std::mem::take(&mut lanes[j].seasonal),
+            None => &mut [],
+        };
+        let (mut spare_a, mut spare_b) = ([[0.0; 1]], [[0.0; 1]]);
+        let (a, b) = (first.as_chunks_mut::<1>().0, second.as_chunks_mut::<1>().0);
+        let (spare_a, spare_b) = (&mut spare_a[..], &mut spare_b[..]);
+        match kinds {
+            (false, None) => run_pair(
+                &mut Chunk::<1, false>::own(lanes, i, a, spare_a),
+                &mut Chunk::<0, true>::load(lanes, &[], &mut [[]]),
                 lanes,
             ),
-            _ => run_pair(
-                a,
-                &mut Chunk::<MAX_LANES, true>::load(lanes, members, m),
+            (true, None) => run_pair(
+                &mut Chunk::<0, false>::load(lanes, &[], &mut [[]]),
+                &mut Chunk::<1, true>::own(lanes, i, a, spare_a),
                 lanes,
             ),
+            (false, Some((j, false))) => run_pair(
+                &mut Chunk::<1, false>::own(lanes, i, a, spare_a),
+                &mut Chunk::<1, false>::own(lanes, j, b, spare_b),
+                lanes,
+            ),
+            (false, Some((j, true))) => run_pair(
+                &mut Chunk::<1, false>::own(lanes, i, a, spare_a),
+                &mut Chunk::<1, true>::own(lanes, j, b, spare_b),
+                lanes,
+            ),
+            // A multiplicative lead has a multiplicative partner (see the
+            // reordering above).
+            (true, Some((j, _))) => run_pair(
+                &mut Chunk::<1, true>::own(lanes, i, a, spare_a),
+                &mut Chunk::<1, true>::own(lanes, j, b, spare_b),
+                lanes,
+            ),
+        }
+        lanes[i].seasonal = first;
+        if let Some(j) = j {
+            lanes[j].seasonal = second;
         }
     }
 
@@ -1226,8 +1077,8 @@ pub mod holt_winters {
     /// so their independent chains overlap, retiring each lane into its
     /// [`EtsLane`] as it finishes or dies.
     fn run_pair<'a, const WA: usize, const MA: bool, const WB: usize, const MB: bool>(
-        a: &mut Chunk<'a, WA, MA>,
-        b: &mut Chunk<'a, WB, MB>,
+        a: &mut Chunk<'a, '_, WA, MA>,
+        b: &mut Chunk<'a, '_, WB, MB>,
         lanes: &mut [EtsLane<'_>],
     ) {
         let mut t = 0usize;
@@ -1261,8 +1112,8 @@ pub mod holt_winters {
     /// guard failed, or `end`, and whether each chunk passed (and so
     /// committed) that step.
     fn step_until_guard<const WA: usize, const MA: bool, const WB: usize, const MB: bool>(
-        a: &mut Chunk<'_, WA, MA>,
-        b: &mut Chunk<'_, WB, MB>,
+        a: &mut Chunk<'_, '_, WA, MA>,
+        b: &mut Chunk<'_, '_, WB, MB>,
         mut t: usize,
         end: usize,
     ) -> (usize, bool, bool) {
@@ -1274,7 +1125,7 @@ pub mod holt_winters {
         let ya: [&[f64]; WA] = std::array::from_fn(|l| &a.y[l][..end]);
         let yb: [&[f64]; WB] = std::array::from_fn(|l| &b.y[l][..end]);
         let (pa, pb) = (a.params, b.params);
-        let (rows_a, rows_b) = (&mut a.seasonal, &mut b.seasonal);
+        let (rows_a, rows_b) = (&mut *a.seasonal, &mut *b.seasonal);
         let (mut a_ok, mut b_ok) = (true, true);
         while t < end {
             a_ok = step::<WA, MA>(&pa, &mut rows_a[ka], &mut sa, &ya, t);
@@ -1301,10 +1152,11 @@ pub mod holt_winters {
         }
     }
 
-    /// Step `t` for every slot of a chunk, each statement of the solo step
-    /// a loop over the slots; `row` is the chunk's seasonal row for this
-    /// step's phase. The step is computed before it is committed: if any
-    /// slot fails a guard, nothing changes and this returns `false`.
+    /// Step `t` for every slot of a chunk, each statement of the
+    /// recursion's step a loop over the slots; `row` is the chunk's
+    /// seasonal row for this step's phase. The step is computed before it
+    /// is committed: if any slot fails a guard, nothing changes and this
+    /// returns `false`.
     #[inline(always)]
     fn step<const W: usize, const MULT: bool>(
         p: &Params<W>,
@@ -1340,8 +1192,8 @@ pub mod holt_winters {
         let mut ok = true;
         for l in 0..W {
             ok &= err[l].is_finite();
-            // The solo guards' own comparisons, negated: a NaN factor or
-            // level passes them there too.
+            // The recursion's guards, negated: a NaN factor or level
+            // passes them there too.
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             if MULT {
                 ok &= !(s[l].abs() < 1e-12) & !(level[l].abs() < 1e-12);
@@ -1381,7 +1233,7 @@ pub mod holt_winters {
         beta: [f64; W],
         gamma: [f64; W],
         phi: [f64; W],
-        /// `1 − α`, `1 − β` and `1 − γ`: the values the solo step computes
+        /// `1 − α`, `1 − β` and `1 − γ`: the values the recursion computes
         /// every observation.
         one_minus_alpha: [f64; W],
         one_minus_beta: [f64; W],
@@ -1396,7 +1248,7 @@ pub mod holt_winters {
     /// `seasonal[i]`; a non-seasonal lane's rows are `+0.0` with γ = 0.
     /// Empty and retired slots hold the step's fixed point (see
     /// [`super::ets_batch`]) and read a live lane's observations.
-    struct Chunk<'a, const W: usize, const MULT: bool> {
+    struct Chunk<'a, 's, const W: usize, const MULT: bool> {
         /// The pass index of each slot's lane.
         lane: [usize; W],
         /// Slots still running, and how many.
@@ -1408,26 +1260,44 @@ pub mod holt_winters {
         m: usize,
         k: usize,
         params: Params<W>,
-        seasonal: [[f64; W]; MAX_PERIOD],
+        /// The `m` seasonal rows: part of a stack block the chunk copies
+        /// its lanes' windows into, or a lone lane's own window, detached
+        /// from the lane for the pass.
+        seasonal: &'s mut [[f64; W]],
+        /// For a chunk over its lane's own window, the parked row it steps
+        /// once that lane retires, so the window keeps the lane's final
+        /// states; empty otherwise.
+        spare: &'s mut [[f64; W]],
         state: State<W>,
     }
 
-    impl<'a, const W: usize, const MULT: bool> Chunk<'a, W, MULT> {
+    impl<'a, 's, const W: usize, const MULT: bool> Chunk<'a, 's, W, MULT> {
         /// The fixed point of an empty or retired slot: every parameter
         /// zero, and level and seasonal state zero (additive) or one
         /// (multiplicative), so each step returns the slot to itself and
         /// passes every guard on any finite observation.
         const IDLE: f64 = if MULT { 1.0 } else { 0.0 };
 
-        /// Pack `members` (live, non-empty lanes of one group of period
-        /// `m ≤ MAX_PERIOD`) into a chunk.
-        fn load(lanes: &[EtsLane<'a>], members: &[usize], m: usize) -> Chunk<'a, W, MULT> {
+        /// A stack block of idle seasonal rows, one per phase up to
+        /// [`MAX_PERIOD`].
+        fn block() -> [[f64; W]; MAX_PERIOD] {
+            [[Self::IDLE; W]; MAX_PERIOD]
+        }
+
+        /// Pack `members` (live, non-empty lanes of one group) into a chunk
+        /// over `seasonal`, one idle row per phase of the group's period:
+        /// each seasonal lane's window is copied into its slot.
+        fn load(
+            lanes: &[EtsLane<'a>],
+            members: &[usize],
+            seasonal: &'s mut [[f64; W]],
+        ) -> Chunk<'a, 's, W, MULT> {
             let mut c = Chunk {
                 lane: [0; W],
                 live: [false; W],
                 n_live: 0,
                 y: [&[]; W],
-                m,
+                m: seasonal.len(),
                 k: 0,
                 params: Params {
                     alpha: [0.0; W],
@@ -1439,7 +1309,8 @@ pub mod holt_winters {
                     one_minus_gamma: [1.0; W],
                     has_trend: [false; W],
                 },
-                seasonal: [[Self::IDLE; W]; MAX_PERIOD],
+                seasonal,
+                spare: &mut [],
                 state: State {
                     level: [Self::IDLE; W],
                     trend: [0.0; W],
@@ -1468,7 +1339,7 @@ pub mod holt_winters {
                 if lane.class != SeasonalClass::None {
                     c.params.gamma[l] = lane.gamma;
                     c.params.one_minus_gamma[l] = 1.0 - lane.gamma;
-                    for (row, &s) in c.seasonal[..m].iter_mut().zip(lane.seasonal.iter()) {
+                    for (row, &s) in c.seasonal.iter_mut().zip(lane.seasonal.iter()) {
                         row[l] = s;
                     }
                 }
@@ -1500,7 +1371,7 @@ pub mod holt_winters {
                 .unwrap_or(usize::MAX)
         }
 
-        /// Step `t` one live slot at a time with the solo step's early
+        /// Step `t` one live slot at a time with the recursion's early
         /// returns, retiring each slot whose guard fails in the state that
         /// return leaves. Idle slots stay at their fixed point.
         #[cold]
@@ -1563,8 +1434,10 @@ pub mod holt_winters {
             lane.trend = self.state.trend[l];
             lane.sse = self.state.sse[l];
             lane.alive = alive;
+            // A detached own window is empty here: its rows already hold
+            // the lane's states.
             if lane.class != SeasonalClass::None {
-                for (s, row) in lane.seasonal.iter_mut().zip(&self.seasonal[..self.m]) {
+                for (s, row) in lane.seasonal.iter_mut().zip(self.seasonal.iter()) {
                     *s = row[l];
                 }
             }
@@ -1585,18 +1458,42 @@ pub mod holt_winters {
             self.state.level[l] = Self::IDLE;
             self.state.trend[l] = 0.0;
             self.state.sse[l] = 0.0;
-            for row in &mut self.seasonal[..self.m] {
+            // A slot that stepped its lane's own window leaves it with the
+            // lane's final states and idles on the spare row instead.
+            if !self.spare.is_empty() {
+                self.seasonal = std::mem::take(&mut self.spare);
+                (self.m, self.k) = (self.seasonal.len(), 0);
+            }
+            for row in self.seasonal.iter_mut() {
                 row[l] = Self::IDLE;
+            }
+        }
+    }
+
+    impl<'a, 's, const MULT: bool> Chunk<'a, 's, 1, MULT> {
+        /// A width-1 chunk over lane `i`'s own window, detached from the
+        /// lane as `seasonal`, with `spare` to park on once the lane
+        /// retires.
+        fn own(
+            lanes: &[EtsLane<'a>],
+            i: usize,
+            seasonal: &'s mut [[f64; 1]],
+            spare: &'s mut [[f64; 1]],
+        ) -> Chunk<'a, 's, 1, MULT> {
+            Chunk {
+                spare,
+                ..Chunk::load(lanes, &[i], seasonal)
             }
         }
     }
 }
 
-/// Score a round's Holt-Winters lanes together, each bit-identical to its
-/// solo kernel ([`holt_winters::run_none`] / [`holt_winters::run_additive`]
-/// / [`holt_winters::run_multiplicative`]) and independent of batch
-/// membership and order. Returns the number of chunks run, a lane run
-/// through its solo kernel counting as a chunk of one.
+/// Score a pass's Holt-Winters lanes together, each bit-identical to
+/// [`reference::ets_recursion`] and independent of pass membership and
+/// order. This is the one ETS recursion kernel: a grid round's lanes, a
+/// single fit's objective evaluations and its final pass, and a frozen
+/// re-score all run through it, a lone lane as a pass of one. Returns the
+/// number of chunks run.
 ///
 /// # The lane-inner pass
 ///
@@ -1604,43 +1501,44 @@ pub mod holt_winters {
 /// trend — of seven floating-point latencies. Run one lane at a time, or
 /// interleaved step by step across lanes with a per-lane class dispatch
 /// and `t % m`, few chains overlap. So the pass packs its lanes into
-/// stack-resident structure-of-arrays chunks and runs every statement of
-/// the step as a loop over a chunk's lanes, so up to eight chains advance
-/// side by side in vector registers, and it steps an additive chunk and a
-/// multiplicative one in one loop, so their chains overlap as well.
+/// structure-of-arrays chunks and runs every statement of the step as a
+/// loop over a chunk's lanes, so up to eight chains advance side by side
+/// in vector registers, and it steps two chunks in one loop, so their
+/// chains overlap as well.
 ///
 /// # Packing
 ///
 /// Lanes are grouped by whether they are multiplicative and by seasonal
-/// period; a non-seasonal lane joins the first additive group (or a
-/// group of its own, at period 1, when there is none). Multiplicative
-/// lanes never share a chunk with additive ones, so no lane pays for a
-/// division it does not use. Each group splits evenly into chunks of at
-/// most eight lanes, and the lane count picks a chunk's width: one lane
-/// runs one wide, the solo step's scalar code; up to four run four wide;
-/// more run eight wide. Groups come additive first, and the last
-/// additive chunk steps beside the first multiplicative one; any other
-/// chunk runs alone, through the solo kernel if it holds one lane. So a
-/// pass of an additive and a multiplicative lane steps both in one loop,
-/// and an estate round's additive chunk steps beside its multiplicative
-/// one. A lane whose period exceeds the stack block of 32 runs its solo
-/// kernel. Lanes that arrive dead or with an empty series
-/// are skipped; a seasonal lane with an empty window dies at once, as in
-/// the solo kernels.
+/// period; a non-seasonal lane joins the first additive group, or a group
+/// of its own at period 8 when there is none (any period is exact for it,
+/// and period 1 would put its seasonal row on the level's chain).
+/// Multiplicative lanes never share a chunk with additive ones, so no lane
+/// pays for a division it does not use. Each group splits evenly into
+/// chunks of at most eight lanes, and the lane count picks a chunk's width:
+/// one lane runs one wide; up to four run four wide; more run eight wide.
+/// Groups come additive first, and the last additive chunk steps beside the
+/// first multiplicative one; any other chunk runs alone. So a lone lane is
+/// a width-1 chunk, a pass of an additive and a multiplicative lane steps
+/// both in one loop, and an estate round's additive chunk steps beside its
+/// multiplicative one. A chunk copies its lanes' seasonal windows into a
+/// stack block of 32 rows; a seasonal lane whose period exceeds that runs as
+/// a width-1 chunk over its own window, in place, two such lanes stepping
+/// in one loop. Lanes that arrive dead or with an empty series are skipped;
+/// a seasonal lane with an empty window dies at once, as in the reference.
 ///
 /// # Why the result is exact
 ///
 /// - A non-seasonal lane rides as an additive lane over `+0.0` seasonal
 ///   states with γ = 0. Its fitted value `(level + damped) + 0.0` differs
-///   from the solo `level + damped` only by turning `−0.0` into `+0.0`, so
-///   its error can differ only in the sign of a zero, and `err·err` is
-///   `+0.0` either way. Its level update reads `obs − 0.0`, which is `obs`
-///   for every finite `obs`. Its seasonal states stay `+0.0`
+///   from the reference's `level + damped` only by turning `−0.0` into
+///   `+0.0`, so its error can differ only in the sign of a zero, and
+///   `err·err` is `+0.0` either way. Its level update reads `obs − 0.0`,
+///   which is `obs` for every finite `obs`. Its seasonal states stay `+0.0`
 ///   (`0·x + 1·(+0.0)`) and are never written back, so the window it was
-///   handed is ignored, as the solo kernel ignores it.
+///   handed is ignored, as the reference ignores it.
 /// - A no-trend lane keeps its trend through a per-lane select.
 /// - `1 − α`, `1 − β` and `1 − γ` are computed once per chunk: the same
-///   IEEE values the solo step computes every observation.
+///   IEEE values the reference computes every observation.
 /// - The seasonal phase is a counter wrapping at `m`, the sequence of
 ///   `t % m`.
 /// - An empty or retired slot holds a fixed point of the step — all zeros
@@ -1648,22 +1546,22 @@ pub mod holt_winters {
 ///   0 in a multiplicative one — that passes every guard on any finite
 ///   observation. It reads a live lane's observations (of either chunk in
 ///   the pair), so the stepping loop needs no per-lane length check, and
-///   it is never written back.
+///   it is never written back. A retired lane that stepped its own window
+///   leaves it: its slot parks on a spare row.
 ///
 /// # Guards and series ends
 ///
 /// A pair of chunks steps in a tight loop that computes each chunk's step
 /// before committing it. If any slot of a chunk fails a guard, that
-/// chunk's step is redone one live lane at a time with the solo step's
-/// early returns, and each failing
-/// lane retires in the state its solo kernel leaves: after a non-finite
-/// error nothing is updated; after a multiplicative `|s| < 1e-12` the SSE
-/// is updated and the level is not; after `|level| < 1e-12` the SSE and
-/// level are updated and the seasonal states and trend are not. A lane
-/// that reaches the end of a shorter series retires alive. A pass
-/// allocates nothing.
+/// chunk's step is redone one live lane at a time with the recursion's
+/// early returns, and each failing lane retires in the state the reference
+/// leaves: after a non-finite error nothing is updated; after a
+/// multiplicative `|s| < 1e-12` the SSE is updated and the level is not;
+/// after `|level| < 1e-12` the SSE and level are updated and the seasonal
+/// states and trend are not. A lane that reaches the end of a shorter
+/// series retires alive. A pass allocates nothing.
 pub fn ets_batch(lanes: &mut [holt_winters::EtsLane<'_>]) -> usize {
-    use holt_winters::{EtsLane, SeasonalClass, MAX_LANES, MAX_PERIOD};
+    use holt_winters::{EtsLane, SeasonalClass, MAX_LANES, MAX_PERIOD, NON_SEASONAL_PERIOD};
     for lane in lanes.iter_mut() {
         if lane.class != SeasonalClass::None && lane.seasonal.is_empty() {
             lane.alive = false;
@@ -1674,7 +1572,7 @@ pub fn ets_batch(lanes: &mut [holt_winters::EtsLane<'_>]) -> usize {
     let home = lanes
         .iter()
         .find(|l| l.class == SeasonalClass::Additive && running(l) && fits(l))
-        .map_or(1, |l| l.seasonal.len());
+        .map_or(NON_SEASONAL_PERIOD, |l| l.seasonal.len());
     // A running lane's packing group, (multiplicative, period); none for a
     // seasonal lane whose period does not fit the stack block.
     let group = |lane: &EtsLane<'_>| match lane.class {
@@ -1683,12 +1581,20 @@ pub fn ets_batch(lanes: &mut [holt_winters::EtsLane<'_>]) -> usize {
         _ if !fits(lane) => None,
         class => Some((class == SeasonalClass::Multiplicative, lane.seasonal.len())),
     };
+    // Lanes past the stack block, two at a time over their own windows.
     let mut chunks = 0;
-    for lane in lanes.iter_mut() {
-        if running(lane) && group(lane).is_none() {
-            holt_winters::run_lane(lane);
+    let mut waiting = None;
+    for i in 0..lanes.len() {
+        if running(&lanes[i]) && group(&lanes[i]).is_none() {
+            match waiting.take() {
+                Some(first) => holt_winters::run_own_windows(lanes, first, Some(i)),
+                None => waiting = Some(i),
+            }
             chunks += 1;
         }
+    }
+    if let Some(first) = waiting {
+        holt_winters::run_own_windows(lanes, first, None);
     }
     // Groups in key order, additive before multiplicative: running one
     // changes only its own lanes' keys. The last additive chunk waits in
@@ -1740,13 +1646,11 @@ pub fn ets_batch(lanes: &mut [holt_winters::EtsLane<'_>]) -> usize {
     chunks
 }
 
-/// Run one packed chunk of `group` with no partner: a single lane through
-/// its solo kernel, more as a lane-inner chunk.
+/// Run one packed chunk of `group` with no partner.
 fn run_alone(lanes: &mut [holt_winters::EtsLane<'_>], members: &[usize], (mult, m): (bool, usize)) {
-    match (members, mult) {
-        ([only], _) => holt_winters::run_lane(&mut lanes[*only]),
-        (_, false) => holt_winters::run_chunks(lanes, (members, m), (&[], 1)),
-        (_, true) => holt_winters::run_chunks(lanes, (&[], 1), (members, m)),
+    match mult {
+        false => holt_winters::run_chunks(lanes, (members, m), (&[], 1)),
+        true => holt_winters::run_chunks(lanes, (&[], 1), (members, m)),
     }
 }
 
@@ -1800,9 +1704,10 @@ pub mod trig_seasonal {
 /// rotation tables come from a per-task cache shared across candidates
 /// with the same `{seasonal_periods, harmonics}` signature), and the
 /// per-observation loop is a pure state recurrence.
-/// [`run`](tbats_filter::run) drives one lane — the serve engine's frozen
-/// re-score path — and [`run_batch`](tbats_filter::run_batch) scores a
-/// lockstep round's lanes together.
+/// [`run_batch`](tbats_filter::run_batch) is the one TBATS filter kernel: a
+/// grid round's lanes, a single fit's objective evaluations and its final
+/// pass, and a frozen re-score all run through it, a lone lane as a pass of
+/// one.
 ///
 /// # The lane-inner pass
 ///
@@ -1834,18 +1739,18 @@ pub mod trig_seasonal {
 /// only inside `ŷ`: `ŷ` reaches the state solely through `ŷ + d̂`, where
 /// `d̂` is a sum that starts at `+0.0` and so is never `−0.0` — the sign of
 /// a zero `ŷ` cannot change that sum. The level update of a no-trend lane
-/// is already `prev + 0.0 + α·d` in the solo step, and the padded damped
-/// trend is exactly that `+0.0`. So each lane executes its own solo
+/// is already `prev + 0.0 + α·d` in the reference step, and the padded
+/// damped trend is exactly that `+0.0`. So each lane executes its own
 /// arithmetic, statement for statement: SSEs, levels, trends, seasonal
 /// states and ARMA histories are bit-identical to
-/// [`run`](tbats_filter::run) and to [`reference::tbats_filter`], whatever
-/// the chunk holds.
+/// [`reference::tbats_filter_state`], whatever the chunk holds — a lone
+/// lane among three idle slots included.
 ///
 /// # Stepping
 ///
 /// Between series ends a chunk steps in a tight loop with its per-lane
 /// scalars in registers. The next step's `ŷ` — level, damped trend, then
-/// the in-phase states in slot order, the solo step's order — is summed as
+/// the in-phase states in slot order, the reference step's order — is summed as
 /// the states come out of their rotations, so it never makes a round trip
 /// through memory; being an in-order sum, it also keeps the compiler from
 /// vectorising across harmonic slots instead of across lanes. A step whose
@@ -1855,33 +1760,41 @@ pub mod trig_seasonal {
 /// # Dead and finished lanes
 ///
 /// A lane whose error fails the guard is retired with its state as the
-/// fatal observation found it (`alive` cleared), exactly as the solo
+/// fatal observation found it (`alive` cleared), exactly as the reference
 /// step's early return leaves it; a lane whose series ends is retired
 /// alive. A retired slot is zeroed — state, coefficients and observations
 /// — so it computes exact zeros for the rest of the chunk and can never
 /// trip the guard again. Lanes of unequal length share a chunk this way.
-/// Lanes that arrive dead are skipped. A lane outside the padded envelope
-/// (more than `MAX_BLOCKS` blocks or `MAX_HARMONICS` harmonics per block,
-/// ARMA orders above one, or state windows not sized to the shape) and a
-/// lane left alone at the end of a round run through the solo
-/// [`run`](tbats_filter::run). The chunk lives on the stack: a pass
-/// allocates nothing.
+/// Lanes that arrive dead are skipped.
+///
+/// # The envelope
+///
+/// A chunk carries at most [`MAX_BLOCKS`](tbats_filter::MAX_BLOCKS)
+/// seasonal blocks of at most
+/// [`MAX_HARMONICS`](tbats_filter::MAX_HARMONICS) harmonics each, and AR and
+/// MA orders of at most [`MAX_ARMA_ORDER`](tbats_filter::MAX_ARMA_ORDER);
+/// no grid builds a wider shape, and the model layer rejects one when a fit
+/// opens ([`in_envelope`](tbats_filter::in_envelope)). A lane outside the
+/// envelope, or whose state windows are not sized to its shape, comes back
+/// dead with its state untouched (under `strict-invariants` it fails an
+/// invariant instead). The chunk lives on the stack: a pass allocates
+/// nothing.
 pub mod tbats_filter {
-    use super::{lag_dot, trig_seasonal};
-
     /// Lanes per chunk: one AVX2 register of `f64`s per statement.
     const W: usize = 4;
-    /// Seasonal blocks a chunked lane may carry (the grids use at most two
+    /// Seasonal blocks a lane may carry (the grids use at most two
     /// periods).
-    const MAX_BLOCKS: usize = 2;
-    /// Harmonics per block a chunked lane may carry (the grids use at most
-    /// three).
-    const MAX_HARMONICS: usize = 8;
+    pub const MAX_BLOCKS: usize = 2;
+    /// Harmonics per block a lane may carry (the grids use at most three).
+    pub const MAX_HARMONICS: usize = 8;
+    /// AR and MA order a lane's error model may have (the grids use at most
+    /// ARMA(1,1)).
+    pub const MAX_ARMA_ORDER: usize = 1;
     /// Harmonic slots of the widest padded chunk.
     const MAX_SLOTS: usize = MAX_BLOCKS * MAX_HARMONICS;
 
-    /// One candidate's in-flight filter state inside [`run`] /
-    /// [`run_batch`]. Seasonal blocks are flattened into one caller-pooled
+    /// One candidate's in-flight filter state inside [`run_batch`].
+    /// Seasonal blocks are flattened into one caller-pooled
     /// window, segmented by `2 × tables[i].len()`; the in-phase sums and
     /// rotations visit the segments in block order, so flattening changes
     /// no arithmetic. `d_hist` / `e_hist` are newest-first windows sized
@@ -1905,7 +1818,7 @@ pub mod tbats_filter {
         /// ARMA error MA coefficients.
         pub ma: &'a [f64],
         /// Per-block rotation tables from
-        /// [`trig_seasonal::rotation_table`].
+        /// [`super::trig_seasonal::rotation_table`].
         pub tables: &'a [Vec<(f64, f64)>],
         /// Current level state.
         pub level: f64,
@@ -1925,91 +1838,58 @@ pub mod tbats_filter {
     }
 
     impl TbatsLane<'_> {
-        /// The filter SSE, or `None` if the lane diverged — the solo model
-        /// filter's return contract.
+        /// The filter SSE, or `None` if the lane diverged.
         pub fn result(&self) -> Option<f64> {
             self.alive.then_some(self.sse)
         }
     }
 
-    /// One observation of the filter — predict, error-guard, accumulate,
-    /// advance — transcribed statement for statement from the model
-    /// layer's `predict_one` + `advance` pair.
-    #[inline(always)]
-    fn step(lane: &mut TbatsLane<'_>, obs: f64) {
-        // Predict: level, damped trend, in-phase seasonal sums, ARMA d̂.
-        let mut yhat = lane.level;
-        if lane.use_trend {
-            yhat += lane.phi * lane.trend;
-        }
-        let mut off = 0usize;
-        for table in lane.tables {
-            let len = 2 * table.len();
-            let block = &lane.seasonal[off..off + len];
-            for j in 0..table.len() {
-                yhat += block[2 * j];
-            }
-            off += len;
-        }
-        let d_hat = lag_dot(lag_dot(0.0, lane.ar, lane.d_hist), lane.ma, lane.e_hist);
-        let e = obs - (yhat + d_hat);
-        if !e.is_finite() || e.abs() > 1e12 {
-            lane.alive = false;
-            return;
-        }
-        lane.sse += e * e;
-        // Advance: level/trend, seasonal rotations, history shift-ins.
-        let d = d_hat + e;
-        let damped = lane.phi * lane.trend;
-        let prev_level = lane.level;
-        lane.level = prev_level + if lane.use_trend { damped } else { 0.0 } + lane.alpha * d;
-        if lane.use_trend {
-            lane.trend = damped + lane.beta * d;
-        }
-        let mut off = 0usize;
-        for (table, &(g1, g2)) in lane.tables.iter().zip(lane.gammas) {
-            let len = 2 * table.len();
-            trig_seasonal::advance_block(&mut lane.seasonal[off..off + len], table, g1, g2, d);
-            off += len;
-        }
-        if !lane.ar.is_empty() {
-            lane.d_hist.rotate_right(1);
-            lane.d_hist[0] = d;
-        }
-        if !lane.ma.is_empty() {
-            lane.e_hist.rotate_right(1);
-            lane.e_hist[0] = e;
-        }
+    /// Whether a lane of this shape — its blocks' harmonic counts and its
+    /// AR and MA orders — fits the kernel's envelope (see the module docs).
+    pub fn in_envelope(
+        harmonics: impl ExactSizeIterator<Item = usize>,
+        ar: usize,
+        ma: usize,
+    ) -> bool {
+        let blocks = harmonics.len();
+        blocks <= MAX_BLOCKS
+            && { harmonics }.all(|h| h <= MAX_HARMONICS)
+            && ar <= MAX_ARMA_ORDER
+            && ma <= MAX_ARMA_ORDER
     }
 
-    /// Run one lane's filter to completion — the solo kernel used by
-    /// single-candidate fits and the serve engine's frozen re-score.
-    pub fn run(lane: &mut TbatsLane<'_>) {
-        for t in 0..lane.z.len() {
-            if !lane.alive {
-                return;
-            }
-            let obs = lane.z[t];
-            step(lane, obs);
-        }
-    }
-
-    /// Score a round's lanes together: chunks of up to `W` lanes run
-    /// lane-inner over their padded superset shape (see the module docs);
-    /// a lane outside the padded envelope, or left alone at the end, runs
-    /// through [`run`]. Lanes may differ in shape and series length; every
-    /// lane's results and final state are bit-identical to a solo [`run`]
-    /// and independent of batch membership and order.
+    /// Score a pass's lanes together: chunks of up to `W` lanes, in pass
+    /// order, run lane-inner over their padded superset shape (see the
+    /// module docs); the last chunk may hold a single lane. Lanes may
+    /// differ in shape and series length; every lane's results and final
+    /// state are bit-identical to [`super::reference::tbats_filter_state`]
+    /// and independent of pass membership and order. A lane outside the
+    /// envelope comes back dead, its state untouched.
     pub fn run_batch(lanes: &mut [TbatsLane<'_>]) {
         let mut members = [0usize; W];
         let mut n = 0;
         for i in 0..lanes.len() {
             let lane = &mut lanes[i];
-            if !lane.alive || lane.z.is_empty() {
+            if !lane.alive {
                 continue;
             }
             if !chunkable(lane) {
-                run(lane);
+                crate::invariant!(
+                    false,
+                    "TBATS lane outside the kernel's envelope: {} blocks, harmonics {:?}, \
+                     ARMA({}, {}), windows {}/{}/{}",
+                    lane.tables.len(),
+                    lane.tables.iter().map(Vec::len).collect::<Vec<_>>(),
+                    lane.ar.len(),
+                    lane.ma.len(),
+                    lane.seasonal.len(),
+                    lane.d_hist.len(),
+                    lane.e_hist.len()
+                );
+                lane.alive = false;
+                continue;
+            }
+            if lane.z.is_empty() {
                 continue;
             }
             members[n] = i;
@@ -2019,10 +1899,8 @@ pub mod tbats_filter {
                 n = 0;
             }
         }
-        match n {
-            0 => {}
-            1 => run(&mut lanes[members[0]]),
-            _ => run_chunk(lanes, &members[..n]),
+        if n > 0 {
+            run_chunk(lanes, &members[..n]);
         }
     }
 
@@ -2032,17 +1910,14 @@ pub mod tbats_filter {
         chunk.run(st, lanes);
     }
 
-    /// Whether a lane fits the padded envelope: at most `MAX_BLOCKS`
-    /// blocks of at most `MAX_HARMONICS` harmonics, each with its γ pair,
-    /// ARMA orders of at most one, and state windows sized to the shape.
+    /// Whether a lane fits the envelope, each block with its γ pair, and
+    /// its state windows are sized to its shape.
     fn chunkable(lane: &TbatsLane<'_>) -> bool {
-        lane.tables.len() <= MAX_BLOCKS
+        let harmonics = lane.tables.iter().map(Vec::len);
+        in_envelope(harmonics, lane.ar.len(), lane.ma.len())
             && lane.gammas.len() >= lane.tables.len()
-            && lane.tables.iter().all(|t| t.len() <= MAX_HARMONICS)
             && lane.seasonal.len() == 2 * lane.tables.iter().map(Vec::len).sum::<usize>()
-            && lane.ar.len() <= 1
             && lane.d_hist.len() == lane.ar.len()
-            && lane.ma.len() <= 1
             && lane.e_hist.len() == lane.ma.len()
     }
 
@@ -2193,8 +2068,8 @@ pub mod tbats_filter {
             (c, st)
         }
 
-        /// `ŷ` from the current state, in the solo step's order: level,
-        /// damped trend, then every in-phase state.
+        /// `ŷ` from the current state, in the reference step's order:
+        /// level, damped trend, then every in-phase state.
         fn prediction(&self, st: &Scalars) -> [f64; W] {
             let mut yhat = st.level;
             if self.trend_on {
@@ -2262,7 +2137,7 @@ pub mod tbats_filter {
             t
         }
 
-        /// The solo step's predict statements, each a loop over the lane
+        /// The reference step's predict statements, each a loop over the lane
         /// slots: the one-step errors `e` and ARMA terms `d̂` at `t`.
         #[inline(always)]
         fn predict(&self, st: &Scalars, t: usize) -> ([f64; W], [f64; W]) {
@@ -2288,7 +2163,7 @@ pub mod tbats_filter {
             (e, d_hat)
         }
 
-        /// The solo step's advance statements, each a loop over the lane
+        /// The reference step's advance statements, each a loop over the lane
         /// slots, for errors that passed the guard; the next `ŷ` is summed
         /// as the in-phase states come out of their rotations. (That sum is
         /// also what keeps the compiler from vectorising across harmonic
@@ -2411,7 +2286,7 @@ pub mod tbats_filter {
         }
     }
 
-    /// The solo step's error guard, `!e.is_finite() || |e| > 1e12`
+    /// The reference step's error guard, `!e.is_finite() || |e| > 1e12`
     /// negated, as one comparison (false for NaN).
     #[inline(always)]
     fn passes_guard(e: f64) -> bool {
@@ -2589,23 +2464,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn lag_dot_matches_serial_fold() {
-        let coef = coeffs(5, 73, 0.4);
-        let hist = series(5, 79);
-        let mut want = 0.125;
-        for (i, &c) in coef.iter().enumerate() {
-            want += c * hist[i];
-        }
-        assert_eq!(lag_dot(0.125, &coef, &hist).to_bits(), want.to_bits());
-        // Short history: only the covered lags contribute.
-        assert_eq!(
-            lag_dot(0.0, &coef, &hist[..2]).to_bits(),
-            (coef[0] * hist[0] + coef[1] * hist[1]).to_bits()
-        );
-        assert_eq!(lag_dot(0.5, &[], &hist).to_bits(), 0.5f64.to_bits());
-    }
-
     /// One ETS parity case: class, series, `[α, β, γ, Φ]`, trend flag and
     /// initial seasonal state.
     type EtsCase = (
@@ -2632,6 +2490,9 @@ mod tests {
             (SeasonalClass::None, 0, 480),
             (SeasonalClass::Additive, 24, 479),
             (SeasonalClass::Multiplicative, 24, 479),
+            // Past the stack block: two lanes stepping their own windows.
+            (SeasonalClass::Additive, 52, 480),
+            (SeasonalClass::Multiplicative, 40, 357),
         ]
         .iter()
         .enumerate()
@@ -2658,89 +2519,67 @@ mod tests {
         menu
     }
 
+    /// A lane over `case` and the seasonal window `seasonal`.
+    fn ets_lane<'a>(case: &'a EtsCase, seasonal: &'a mut [f64]) -> holt_winters::EtsLane<'a> {
+        let (class, y, [alpha, beta, gamma, phi], has_trend, _) = case;
+        holt_winters::EtsLane {
+            y,
+            class: *class,
+            alpha: *alpha,
+            beta: *beta,
+            gamma: *gamma,
+            phi: *phi,
+            has_trend: *has_trend,
+            level: y[0],
+            trend: 0.125,
+            seasonal,
+            sse: 0.0,
+            alive: true,
+        }
+    }
+
+    /// A final lane state as bits: SSE (or none), level, trend, window.
+    fn ets_bits(state: &holt_winters::HwState, seasonal: &[f64]) -> (Option<u64>, Vec<u64>) {
+        let scalars = [state.level, state.trend];
+        let bits = scalars.iter().chain(seasonal).map(|v| v.to_bits());
+        (state.sse.map(f64::to_bits), bits.collect())
+    }
+
     #[test]
-    fn ets_batch_matches_solo_and_reference_bitwise() {
-        use holt_winters::SeasonalClass;
+    fn ets_batch_matches_reference_bitwise() {
         let menu = ets_menu();
-        // Solo kernels on private state copies.
-        let mut solo = Vec::new();
-        for (class, y, [alpha, beta, gamma, phi], has_trend, seasonal) in &menu {
-            let (level, trend) = (y[0], 0.125);
-            let mut s = seasonal.clone();
-            let state = match class {
-                SeasonalClass::None => {
-                    holt_winters::run_none(y, *alpha, *beta, *phi, level, trend, *has_trend)
-                }
-                SeasonalClass::Additive => holt_winters::run_additive(
-                    y, *alpha, *beta, *gamma, *phi, level, trend, *has_trend, &mut s,
-                ),
-                SeasonalClass::Multiplicative => holt_winters::run_multiplicative(
-                    y, *alpha, *beta, *gamma, *phi, level, trend, *has_trend, &mut s,
-                ),
-            };
-            solo.push((state, s));
-        }
-        // Reference scalar loop agrees with the solo kernels.
-        for (i, (class, y, [alpha, beta, gamma, phi], has_trend, seasonal)) in
-            menu.iter().enumerate()
-        {
-            let mut s = seasonal.clone();
-            let state = reference::ets_recursion(
-                y, *class, *alpha, *beta, *gamma, *phi, *has_trend, y[0], 0.125, &mut s,
-            );
-            assert_eq!(
-                state.sse.map(f64::to_bits),
-                solo[i].0.sse.map(f64::to_bits),
-                "reference sse, lane {i}"
-            );
-            assert_eq!(state.level.to_bits(), solo[i].0.level.to_bits());
-            assert_eq!(state.trend.to_bits(), solo[i].0.trend.to_bits());
-            assert!(s
-                .iter()
-                .zip(&solo[i].1)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
-        }
-        // Batched lanes (deliberately NOT grouped by class) agree too.
-        let mut buffers: Vec<Vec<f64>> = menu.iter().map(|(_, _, _, _, s)| s.clone()).collect();
-        let mut lanes: Vec<holt_winters::EtsLane> = menu
+        let expected: Vec<_> = menu
             .iter()
-            .zip(buffers.iter_mut())
             .map(
-                |((class, y, [alpha, beta, gamma, phi], has_trend, _), buf)| {
-                    holt_winters::EtsLane {
-                        y,
-                        class: *class,
-                        alpha: *alpha,
-                        beta: *beta,
-                        gamma: *gamma,
-                        phi: *phi,
-                        has_trend: *has_trend,
-                        level: y[0],
-                        trend: 0.125,
-                        seasonal: buf,
-                        sse: 0.0,
-                        alive: true,
-                    }
+                |(class, y, [alpha, beta, gamma, phi], has_trend, seasonal)| {
+                    let mut s = seasonal.clone();
+                    let state = reference::ets_recursion(
+                        y, *class, *alpha, *beta, *gamma, *phi, *has_trend, y[0], 0.125, &mut s,
+                    );
+                    ets_bits(&state, &s)
                 },
             )
             .collect();
+        // Each lane through its own one-lane pass: a single fit's path.
+        for (i, case) in menu.iter().enumerate() {
+            let mut s = case.4.clone();
+            let mut lane = ets_lane(case, &mut s);
+            assert_eq!(ets_batch(std::slice::from_mut(&mut lane)), 1);
+            let state = lane.result();
+            assert_eq!(ets_bits(&state, &s), expected[i], "one-lane pass, lane {i}");
+        }
+        // All of them in one pass (deliberately NOT grouped by class).
+        let mut buffers: Vec<Vec<f64>> = menu.iter().map(|case| case.4.clone()).collect();
+        let mut lanes: Vec<holt_winters::EtsLane> = menu
+            .iter()
+            .zip(buffers.iter_mut())
+            .map(|(case, buf)| ets_lane(case, buf))
+            .collect();
         ets_batch(&mut lanes);
-        for (i, lane) in lanes.iter().enumerate() {
-            let got = lane.result();
-            assert_eq!(
-                got.sse.map(f64::to_bits),
-                solo[i].0.sse.map(f64::to_bits),
-                "batched sse, lane {i}"
-            );
-            assert_eq!(got.level.to_bits(), solo[i].0.level.to_bits(), "lane {i}");
-            assert_eq!(got.trend.to_bits(), solo[i].0.trend.to_bits(), "lane {i}");
-            assert!(
-                lane.seasonal
-                    .iter()
-                    .zip(&solo[i].1)
-                    .all(|(a, b)| a.to_bits() == b.to_bits()),
-                "seasonal state, lane {i}"
-            );
+        let states: Vec<holt_winters::HwState> = lanes.iter().map(|l| l.result()).collect();
+        drop(lanes);
+        for (i, (state, s)) in states.iter().zip(&buffers).enumerate() {
+            assert_eq!(ets_bits(state, s), expected[i], "batched lane {i}");
         }
     }
 
@@ -2750,7 +2589,19 @@ mod tests {
         // A multiplicative lane whose seasonal factor collapses diverges;
         // its batch-mates must be unaffected bitwise.
         let healthy: Vec<f64> = series(300, 301).iter().map(|v| 40.0 + 4.0 * v).collect();
-        let solo = holt_winters::run_none(&healthy, 0.3, 0.1, 1.0, healthy[0], 0.0, true);
+        let mut none: Vec<f64> = vec![];
+        let expected = reference::ets_recursion(
+            &healthy,
+            SeasonalClass::None,
+            0.3,
+            0.1,
+            0.0,
+            1.0,
+            true,
+            healthy[0],
+            0.0,
+            &mut none,
+        );
         let mut bad_seasonal = vec![1.0, 0.0, 1.0, 1.0]; // hits the |s| < 1e-12 guard
         let mut empty: Vec<f64> = vec![];
         let mut lanes = vec![
@@ -2789,8 +2640,8 @@ mod tests {
             "degenerate lane must diverge"
         );
         assert_eq!(
-            lanes[1].result().sse.map(f64::to_bits),
-            solo.sse.map(f64::to_bits),
+            ets_bits(&lanes[1].result(), &[]),
+            ets_bits(&expected, &[]),
             "healthy lane unaffected by a diverged batch-mate"
         );
     }
@@ -2810,7 +2661,7 @@ mod tests {
     }
 
     /// Random TBATS menu: mixed trend/damping, ARMA orders and seasonal
-    /// signatures, for the solo/batch/reference parity tests.
+    /// signatures, for the one-lane/batch/reference parity tests.
     fn tbats_menu() -> Vec<TbatsCase> {
         // (blocks, trend, damped, p, q, length)
         let shapes = vec![
@@ -2947,12 +2798,13 @@ mod tests {
                 )
             })
             .collect();
-        // Solo kernel, one lane per candidate, then all of them batched
-        // (two full chunks over these eight mixed shapes).
-        let mut solo: Vec<reference::TbatsState> = menu.iter().map(start).collect();
-        for (i, (case, state)) in menu.iter().zip(solo.iter_mut()).enumerate() {
+        // Each lane through its own one-lane pass (a lone lane in a
+        // 4-wide chunk), then all of them in one pass (two full chunks
+        // over these eight mixed shapes).
+        let mut alone: Vec<reference::TbatsState> = menu.iter().map(start).collect();
+        for (i, (case, state)) in menu.iter().zip(alone.iter_mut()).enumerate() {
             let mut lane = tbats_lane(case, &tables[i], state);
-            tbats_filter::run(&mut lane);
+            tbats_filter::run_batch(std::slice::from_mut(&mut lane));
             let (level, trend, sse, alive) = (lane.level, lane.trend, lane.sse, lane.alive);
             (state.level, state.trend, state.sse, state.alive) = (level, trend, sse, alive);
         }
@@ -2975,9 +2827,9 @@ mod tests {
         for i in 0..menu.len() {
             assert!(expected[i].alive, "lane {i} should survive");
             assert_eq!(
-                state_bits(&solo[i]),
+                state_bits(&alone[i]),
                 state_bits(&expected[i]),
-                "solo lane {i} vs reference"
+                "one-lane pass, lane {i} vs reference"
             );
             assert_eq!(
                 state_bits(&batched[i]),

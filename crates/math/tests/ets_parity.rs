@@ -1,20 +1,22 @@
-//! Property test: the batched Holt-Winters kernel is bitwise the solo
-//! kernels and the scalar reference, lane by lane, on random mixed rounds.
+//! Property test: the Holt-Winters chunk kernel is bitwise the scalar
+//! reference, lane by lane, on random mixed rounds and on every lane alone.
 //!
 //! `ets_batch` packs a round's lanes into lane-inner chunks by class and
 //! period, runs non-seasonal lanes as additive ones over `+0.0` seasonal
 //! states, parks idle slots at a fixed point and redoes a step one lane at
-//! a time when any guard fails. Each generated round draws 1–12 lanes of
-//! all three classes in random order: trend off, on and damped; periods 7
-//! and 24, a second period in some rounds, and a period of 40, past the
-//! stack block; a seasonal lane with an empty window and a non-seasonal
-//! lane handed a non-empty one; series of unequal length, empty included.
-//! Lanes die through each guard — a non-finite error, a multiplicative
-//! seasonal factor below 1e-12, a level below 1e-12 — or arrive dead, and
-//! observations, levels, trends and seasonal states include signed zeros.
-//! Every lane's `result()`, `alive` flag, level, trend and seasonal window
-//! must match the solo `run_*` kernel and `reference::ets_recursion` bit
-//! for bit.
+//! a time when any guard fails; a lane alone runs a width-1 chunk. Each
+//! generated round draws 1–12 lanes of all three classes in random order:
+//! trend off, on and damped; periods 7 and 24, a second period in some
+//! rounds, and a period of 40, past the stack block, which steps its own
+//! window as a width-1 chunk beside another such lane; a seasonal lane
+//! with an empty window and a non-seasonal lane handed a non-empty one;
+//! series of unequal length, empty included. Lanes die through each guard
+//! — a non-finite error, a multiplicative seasonal factor below 1e-12, a
+//! level below 1e-12 — or arrive dead, and observations, levels, trends
+//! and seasonal states include signed zeros. Every lane's `result()`,
+//! `alive` flag, level, trend and seasonal window must match
+//! `reference::ets_recursion` bit for bit, both in the round's pass and in
+//! a pass of its own (the path of a single fit and a frozen re-score).
 
 use dwcp_math::kernels::ets_batch;
 use dwcp_math::kernels::holt_winters::{self, EtsLane, SeasonalClass};
@@ -190,8 +192,9 @@ fn case(rng: &mut Rng, periods: &[usize]) -> Case {
     }
 }
 
-/// The solo kernel's outcome for `c`.
-fn solo(c: &Case) -> Outcome {
+/// The scalar reference's outcome for `c`; a lane that arrives dead is
+/// left as it is.
+fn reference(c: &Case) -> Outcome {
     let mut seasonal = c.seasonal.clone();
     if !c.alive {
         let state = holt_winters::HwState {
@@ -200,42 +203,6 @@ fn solo(c: &Case) -> Outcome {
             sse: None,
         };
         return Outcome::new(&state, false, &seasonal);
-    }
-    let state = match c.class {
-        SeasonalClass::None => {
-            holt_winters::run_none(&c.y, c.alpha, c.beta, c.phi, c.level, c.trend, c.has_trend)
-        }
-        SeasonalClass::Additive => holt_winters::run_additive(
-            &c.y,
-            c.alpha,
-            c.beta,
-            c.gamma,
-            c.phi,
-            c.level,
-            c.trend,
-            c.has_trend,
-            &mut seasonal,
-        ),
-        SeasonalClass::Multiplicative => holt_winters::run_multiplicative(
-            &c.y,
-            c.alpha,
-            c.beta,
-            c.gamma,
-            c.phi,
-            c.level,
-            c.trend,
-            c.has_trend,
-            &mut seasonal,
-        ),
-    };
-    Outcome::new(&state, state.sse.is_some(), &seasonal)
-}
-
-/// The scalar reference's outcome for `c`.
-fn reference(c: &Case) -> Outcome {
-    let mut seasonal = c.seasonal.clone();
-    if !c.alive {
-        return solo(c);
     }
     let state = reference::ets_recursion(
         &c.y,
@@ -252,11 +219,38 @@ fn reference(c: &Case) -> Outcome {
     Outcome::new(&state, state.sse.is_some(), &seasonal)
 }
 
+/// A lane over `c` whose window is `seasonal`.
+fn lane<'a>(c: &'a Case, seasonal: &'a mut [f64]) -> EtsLane<'a> {
+    EtsLane {
+        y: &c.y,
+        class: c.class,
+        alpha: c.alpha,
+        beta: c.beta,
+        gamma: c.gamma,
+        phi: c.phi,
+        has_trend: c.has_trend,
+        level: c.level,
+        trend: c.trend,
+        seasonal,
+        sse: 0.0,
+        alive: c.alive,
+    }
+}
+
+/// `c` through a pass of its own.
+fn alone(c: &Case) -> Outcome {
+    let mut seasonal = c.seasonal.clone();
+    let mut l = lane(c, &mut seasonal);
+    ets_batch(std::slice::from_mut(&mut l));
+    let (state, alive) = (l.result(), l.alive);
+    Outcome::new(&state, alive, &seasonal)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(2000))]
 
     #[test]
-    fn batched_lanes_match_solo_and_reference_bitwise(seed in 0u64..u64::MAX) {
+    fn batched_and_lone_lanes_match_reference_bitwise(seed in 0u64..u64::MAX) {
         let mut rng = Rng(seed);
         let periods: &[usize] = match rng.below(4) {
             0 => &[7],
@@ -269,20 +263,7 @@ proptest! {
         let mut lanes: Vec<EtsLane<'_>> = cases
             .iter()
             .zip(windows.iter_mut())
-            .map(|(c, seasonal)| EtsLane {
-                y: &c.y,
-                class: c.class,
-                alpha: c.alpha,
-                beta: c.beta,
-                gamma: c.gamma,
-                phi: c.phi,
-                has_trend: c.has_trend,
-                level: c.level,
-                trend: c.trend,
-                seasonal,
-                sse: 0.0,
-                alive: c.alive,
-            })
+            .map(|(c, seasonal)| lane(c, seasonal))
             .collect();
         let chunks = ets_batch(&mut lanes);
         let running = cases.iter().filter(|c| c.alive && !c.y.is_empty()).count();
@@ -294,15 +275,16 @@ proptest! {
         for (i, c) in cases.iter().enumerate() {
             let (state, alive) = &finals[i];
             let batched = Outcome::new(state, *alive, &windows[i]);
-            prop_assert_eq!(&batched, &solo(c), "lane {} of {} vs solo: {:?}", i, cases.len(), c);
+            let expected = reference(c);
             prop_assert_eq!(
                 &batched,
-                &reference(c),
+                &expected,
                 "lane {} of {} vs reference: {:?}",
                 i,
                 cases.len(),
                 c
             );
+            prop_assert_eq!(&alone(c), &expected, "lane {} alone vs reference: {:?}", i, c);
         }
     }
 }

@@ -1,20 +1,26 @@
-//! Property test: the batched TBATS kernel is bitwise the solo kernel and
-//! the scalar reference, lane by lane, on random mixed-shape rounds.
+//! Property test: the TBATS chunk kernel is bitwise the scalar reference,
+//! lane by lane, on random mixed-shape rounds and on every lane alone.
 //!
 //! `tbats_filter::run_batch` packs a round's lanes into lane-inner chunks
 //! padded to their superset shape, which is exact only if every padded
-//! term is an exact zero that never changes a lane's own arithmetic. Each
+//! term is an exact zero that never changes a lane's own arithmetic; a
+//! lane alone runs the same 4-wide chunk beside three idle slots. Each
 //! generated round draws 1–12 lanes that differ in every shape dimension
 //! the padding covers — trend off, on and damped; ARMA (0,0), (1,0),
-//! (0,1) and (1,1); 0, 1 or 2 seasonal blocks of 1–5 harmonics — plus a
-//! few lanes outside the padded envelope, over series of unequal length.
-//! Lanes die mid-pass (a NaN observation or an error past 1e12), arrive
-//! dead, or start from signed zeros: a −0.0 level, zero observations and
-//! states, −0.0 and negative α, and a negative (or NaN, or infinite)
-//! trend on a no-trend lane. Every lane's SSE,
-//! `alive` flag, level, trend, seasonal states and both ARMA histories
-//! must match a solo `run` and `reference::tbats_filter_state` bit for
-//! bit.
+//! (0,1) and (1,1); 0, 1 or 2 seasonal blocks of 1–5 harmonics — over
+//! series of unequal length. Lanes die mid-pass (a NaN observation or an
+//! error past 1e12), arrive dead, or start from signed zeros: a −0.0
+//! level, zero observations and states, −0.0 and negative α, and a
+//! negative (or NaN, or infinite) trend on a no-trend lane. Every lane's
+//! SSE, `alive` flag, level, trend, seasonal states and both ARMA
+//! histories must match `reference::tbats_filter_state` bit for bit, both
+//! in the round's pass and in a pass of its own (the path of a single fit
+//! and a frozen re-score). About one lane in twelve falls outside the
+//! kernel's envelope — ARMA order 2, three blocks or nine harmonics — and
+//! must come back dead with its state untouched; under
+//! `strict-invariants` such a lane fails an invariant instead, so those
+//! rounds draw none and `out_of_envelope_lanes_come_back_dead` checks the
+//! failure.
 
 use dwcp_math::kernels::reference::{self, TbatsState};
 use dwcp_math::kernels::tbats_filter::{self, TbatsLane};
@@ -60,6 +66,8 @@ impl Rng {
 /// One lane's inputs: shape, parameters, series and start state.
 #[derive(Debug)]
 struct Case {
+    /// Whether the shape is outside the kernel's envelope.
+    outside: bool,
     z: Vec<f64>,
     seasons: Vec<(f64, usize)>,
     tables: Vec<Vec<(f64, f64)>>,
@@ -76,10 +84,9 @@ struct Case {
 /// One random lane; `no_trend` forces the trend off (whole rounds without
 /// a trend reach the chunk path that never pads one).
 fn case(rng: &mut Rng, no_trend: bool) -> Case {
-    // Shape. About one lane in twelve falls outside the padded envelope
-    // (ARMA order 2, three blocks, or nine harmonics) and must take the
-    // solo fallback inside `run_batch`.
-    let outside = rng.chance(1.0 / 12.0);
+    // Shape. About one lane in twelve falls outside the envelope (ARMA
+    // order 2, three blocks, or nine harmonics) and must come back dead.
+    let outside = rng.chance(1.0 / 12.0) && !cfg!(feature = "strict-invariants");
     let (use_trend, phi) = match if no_trend { 0 } else { rng.below(3) } {
         0 => (false, [0.0, 0.9, -0.5][rng.below(3)]),
         1 => (true, 1.0),
@@ -176,6 +183,7 @@ fn case(rng: &mut Rng, no_trend: bool) -> Case {
         _ => rng.uniform(0.0, 0.5),
     };
     Case {
+        outside: outside && (p > 1 || blocks > 2 || seasons.iter().any(|&(_, h)| h > 8)),
         z,
         seasons,
         tables,
@@ -235,62 +243,133 @@ fn bits(state: &TbatsState) -> Vec<u64> {
     out
 }
 
+/// What the kernel must leave for `c`: the reference's final state, or for
+/// a lane outside the envelope its start state, dead.
+fn expected(c: &Case) -> TbatsState {
+    if c.outside {
+        return TbatsState {
+            alive: false,
+            ..c.start.clone()
+        };
+    }
+    reference::tbats_filter_state(
+        &c.z,
+        &c.seasons,
+        c.alpha,
+        c.beta,
+        c.phi,
+        c.use_trend,
+        &c.gammas,
+        &c.ar,
+        &c.ma,
+        c.start.clone(),
+    )
+}
+
+/// Run `cases` through one `run_batch` pass from their start states.
+fn run_pass(cases: &[&Case]) -> Vec<TbatsState> {
+    let mut states: Vec<TbatsState> = cases.iter().map(|c| c.start.clone()).collect();
+    let mut lanes: Vec<TbatsLane<'_>> = cases
+        .iter()
+        .zip(states.iter_mut())
+        .map(|(c, state)| lane(c, state))
+        .collect();
+    tbats_filter::run_batch(&mut lanes);
+    let finals: Vec<(f64, f64, f64, bool)> = lanes
+        .iter()
+        .map(|l| (l.level, l.trend, l.sse, l.alive))
+        .collect();
+    drop(lanes);
+    for (state, (level, trend, sse, alive)) in states.iter_mut().zip(finals) {
+        settle(state, level, trend, sse, alive);
+    }
+    states
+}
+
+/// An out-of-envelope or mis-sized lane comes back dead with its state
+/// untouched, and its pass-mates are unaffected; under
+/// `strict-invariants` the kernel flags it instead.
+#[test]
+#[cfg_attr(feature = "strict-invariants", should_panic(expected = "envelope"))]
+fn out_of_envelope_lanes_come_back_dead() {
+    let mut rng = Rng(7);
+    let healthy = loop {
+        let c = case(&mut rng, false);
+        if !c.outside && c.start.alive && !c.z.is_empty() {
+            break c;
+        }
+    };
+    let mut wide = Vec::new();
+    for (p, q, blocks) in [(2, 0, 1), (0, 2, 0), (1, 1, 3)] {
+        let mut c = case(&mut rng, false);
+        c.ar = vec![0.3; p];
+        c.ma = vec![0.2; q];
+        c.seasons = vec![(24.0, 2); blocks];
+        c.tables = c
+            .seasons
+            .iter()
+            .map(|&(m, h)| trig_seasonal::rotation_table(m, h))
+            .collect();
+        c.gammas = vec![(0.01, 0.02); blocks];
+        c.start.seasonal = vec![0.5; 4 * blocks];
+        c.start.d_hist = vec![0.1; p];
+        c.start.e_hist = vec![0.1; q];
+        c.start.alive = true;
+        c.outside = true;
+        wide.push(c);
+    }
+    // Nine harmonics in one block.
+    let mut nine = case(&mut rng, false);
+    nine.seasons = vec![(24.0, 9)];
+    nine.tables = vec![trig_seasonal::rotation_table(24.0, 9)];
+    nine.gammas = vec![(0.01, 0.02)];
+    nine.start.seasonal = vec![0.25; 18];
+    nine.start.alive = true;
+    nine.outside = true;
+    wide.push(nine);
+    // In the envelope, but with a history window the wrong size.
+    let mut missized = case(&mut rng, false);
+    missized.ar = vec![0.4];
+    missized.start.d_hist = vec![0.0; 3];
+    missized.start.alive = true;
+    missized.outside = true;
+    wide.push(missized);
+    let mut cases: Vec<&Case> = vec![&healthy];
+    cases.extend(&wide);
+    let states = run_pass(&cases);
+    for (c, state) in cases.iter().zip(&states) {
+        assert_eq!(bits(state), bits(&expected(c)), "{c:?}");
+    }
+    for c in &wide {
+        assert!(!run_pass(&[c])[0].alive);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(1000))]
 
     #[test]
-    fn batched_lanes_match_solo_and_reference_bitwise(seed in 0u64..u64::MAX) {
+    fn batched_and_lone_lanes_match_reference_bitwise(seed in 0u64..u64::MAX) {
         let mut rng = Rng(seed);
         let no_trend = rng.chance(0.25);
         let cases: Vec<Case> = (0..1 + rng.below(12)).map(|_| case(&mut rng, no_trend)).collect();
-
-        let reference: Vec<TbatsState> = cases
-            .iter()
-            .map(|c| {
-                reference::tbats_filter_state(
-                    &c.z, &c.seasons, c.alpha, c.beta, c.phi, c.use_trend, &c.gammas, &c.ar,
-                    &c.ma, c.start.clone(),
-                )
-            })
-            .collect();
-
-        let mut solo: Vec<TbatsState> = cases.iter().map(|c| c.start.clone()).collect();
-        for (c, state) in cases.iter().zip(solo.iter_mut()) {
-            let mut l = lane(c, state);
-            tbats_filter::run(&mut l);
-            let (level, trend, sse, alive) = (l.level, l.trend, l.sse, l.alive);
-            settle(state, level, trend, sse, alive);
-        }
-
-        let mut batched: Vec<TbatsState> = cases.iter().map(|c| c.start.clone()).collect();
-        let mut lanes: Vec<TbatsLane<'_>> = cases
-            .iter()
-            .zip(batched.iter_mut())
-            .map(|(c, state)| lane(c, state))
-            .collect();
-        tbats_filter::run_batch(&mut lanes);
-        let finals: Vec<(f64, f64, f64, bool)> =
-            lanes.iter().map(|l| (l.level, l.trend, l.sse, l.alive)).collect();
-        drop(lanes);
-        for (state, (level, trend, sse, alive)) in batched.iter_mut().zip(finals) {
-            settle(state, level, trend, sse, alive);
-        }
-
+        let all: Vec<&Case> = cases.iter().collect();
+        let batched = run_pass(&all);
         for (i, c) in cases.iter().enumerate() {
+            let expected = bits(&expected(c));
             prop_assert_eq!(
                 bits(&batched[i]),
-                bits(&solo[i]),
-                "lane {} of {} vs solo: {:?}",
+                expected.clone(),
+                "lane {} of {} vs reference: {:?}",
                 i,
                 cases.len(),
                 c
             );
             prop_assert_eq!(
-                bits(&batched[i]),
-                bits(&reference[i]),
-                "lane {} of {} vs reference: {:?}",
+                bits(&run_pass(&[c])[0]),
+                expected,
+                "lane {} alone vs reference: {:?}",
                 i,
-                cases.len(),
                 c
             );
         }

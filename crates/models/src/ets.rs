@@ -18,7 +18,7 @@
 // boundary (`needed` check) guarantees the initial-state windows exist.
 
 use crate::{Forecast, ModelError, Result};
-use dwcp_math::kernels::holt_winters;
+use dwcp_math::kernels::{ets_batch, holt_winters};
 use dwcp_math::optimize::{NelderMeadDriver, NelderMeadOptions};
 use serde::{Deserialize, Serialize};
 
@@ -251,8 +251,7 @@ pub struct FittedEts {
     pub nm_evals: usize,
 }
 
-/// Internal: run the smoothing recursion, returning (sse, final states,
-/// one-step errors).
+/// Internal: a finished recursion's SSE and final states.
 struct Recursion {
     sse: f64,
     level: f64,
@@ -260,64 +259,50 @@ struct Recursion {
     seasonal: Vec<f64>,
 }
 
-fn run_recursion(
-    y: &[f64],
-    config: &EtsConfig,
-    alpha: f64,
-    beta: f64,
-    gamma: f64,
-    phi: f64,
-) -> Option<Recursion> {
-    // State initialisation (classical heuristics).
+/// Run the recursion at `(α, β, γ, φ)` from the classical initial states,
+/// as one kernel pass; `None` when it cannot start or diverges.
+fn run_recursion(y: &[f64], config: &EtsConfig, params: (f64, f64, f64, f64)) -> Option<Recursion> {
     let (level, trend, mut seasonal) = initial_states(y, config)?;
-    let state = run_states(
-        y,
-        config,
-        alpha,
-        beta,
-        gamma,
-        phi,
-        level,
-        trend,
-        &mut seasonal,
-    );
-    let sse = state.sse?;
+    let mut lane = ets_lane(y, config, params, (level, trend), &mut seasonal);
+    ets_batch(std::slice::from_mut(&mut lane));
+    let state = lane.result();
     Some(Recursion {
-        sse,
+        sse: state.sse?,
         level: state.level,
         trend: state.trend,
         seasonal,
     })
 }
 
-/// Run the smoothing recursion from explicit initial states. The
-/// per-observation update loops are monomorphic kernels in
-/// `dwcp_math::kernels::holt_winters` — one fused loop per seasonal
-/// variant instead of a per-step `match`, transcribed
-/// statement-for-statement so fits stay bit-identical. Factoring the
-/// states out lets [`EtsFitSession`] hoist the (parameter-independent)
-/// initialisation out of the optimiser loop.
-#[allow(clippy::too_many_arguments)]
-fn run_states(
-    y: &[f64],
+/// The kernel lane running `config`'s recursion at `(α, β, γ, φ)` from
+/// `(level, trend)` and the seasonal states in `seasonal`, which it updates
+/// in place. Every recursion — an objective evaluation, batched or alone,
+/// and the final pass at the optimum — runs such a lane through
+/// [`ets_batch`].
+fn ets_lane<'a>(
+    y: &'a [f64],
     config: &EtsConfig,
-    alpha: f64,
-    beta: f64,
-    gamma: f64,
-    phi: f64,
-    level: f64,
-    trend: f64,
-    seasonal: &mut [f64],
-) -> holt_winters::HwState {
-    let has_trend = config.trend != TrendKind::None;
-    match config.seasonal {
-        SeasonalKind::None => holt_winters::run_none(y, alpha, beta, phi, level, trend, has_trend),
-        SeasonalKind::Additive(_) => holt_winters::run_additive(
-            y, alpha, beta, gamma, phi, level, trend, has_trend, seasonal,
-        ),
-        SeasonalKind::Multiplicative(_) => holt_winters::run_multiplicative(
-            y, alpha, beta, gamma, phi, level, trend, has_trend, seasonal,
-        ),
+    (alpha, beta, gamma, phi): (f64, f64, f64, f64),
+    (level, trend): (f64, f64),
+    seasonal: &'a mut [f64],
+) -> holt_winters::EtsLane<'a> {
+    holt_winters::EtsLane {
+        y,
+        class: match config.seasonal {
+            SeasonalKind::None => holt_winters::SeasonalClass::None,
+            SeasonalKind::Additive(_) => holt_winters::SeasonalClass::Additive,
+            SeasonalKind::Multiplicative(_) => holt_winters::SeasonalClass::Multiplicative,
+        },
+        alpha,
+        beta,
+        gamma,
+        phi,
+        has_trend: config.trend != TrendKind::None,
+        level,
+        trend,
+        seasonal,
+        sse: 0.0,
+        alive: true,
     }
 }
 
@@ -464,13 +449,13 @@ fn reorder_seasonal(seasonal: Vec<f64>, n: usize, m: usize) -> Vec<f64> {
 /// [`dwcp_math::kernels::ets_batch`] kernel pass per optimiser round.
 ///
 /// Driving a session to completion with [`finish`](EtsFitSession::finish)
-/// alone reproduces the sequential [`FittedEts::fit_with`] bit-for-bit:
-/// the Nelder-Mead driver emits the same point sequence as the closure
-/// API, and the per-lane batch kernels are statement-for-statement
-/// transcriptions of the solo recursions. The session also hoists the
-/// parameter-independent `initial_states` heuristic out of the
-/// optimiser loop — the sequential path recomputed it for each of the
-/// several hundred objective evaluations.
+/// alone reproduces the batched fit bit-for-bit: the Nelder-Mead driver
+/// emits the same point sequence as the closure API, and
+/// [`ets_batch`] scores a lane alike whether it runs alone or beside
+/// others. The session also hoists the parameter-independent
+/// `initial_states` heuristic out of the optimiser loop — the sequential
+/// path recomputed it for each of the several hundred objective
+/// evaluations.
 pub struct EtsFitSession {
     config: EtsConfig,
     y: Vec<f64>,
@@ -563,38 +548,19 @@ impl EtsFitSession {
         self.driver.as_ref().is_some_and(|d| !d.is_done())
     }
 
-    /// Evaluate the pending point against the solo recursion kernels and
-    /// feed it back; returns `false` when nothing was pending. Driving a
-    /// session with `while session.step_solo() {}` reproduces the
-    /// sequential fit exactly.
+    /// Evaluate the pending point through a one-lane [`ets_batch`] pass
+    /// and feed it back; returns `false` when nothing was pending. Driving
+    /// a session with `while session.step_solo() {}` reproduces the batched
+    /// fit exactly.
     pub fn step_solo(&mut self) -> bool {
-        let Some(driver) = self.driver.as_mut() else {
+        if !self.stage_pending() {
             return false;
-        };
-        let Some(u) = driver.pending_point() else {
-            return false;
-        };
-        let fx = match &self.init {
-            Some((level, trend, seasonal)) => {
-                let (alpha, beta, gamma, phi) = unpack_params(u, &self.config);
-                self.seasonal_scratch.clear();
-                self.seasonal_scratch.extend_from_slice(seasonal);
-                let state = run_states(
-                    &self.y,
-                    &self.config,
-                    alpha,
-                    beta,
-                    gamma,
-                    phi,
-                    *level,
-                    *trend,
-                    &mut self.seasonal_scratch,
-                );
-                state.sse.unwrap_or(f64::INFINITY)
-            }
-            None => f64::INFINITY,
-        };
-        driver.tell(fx);
+        }
+        let sse = self.staged_lane().and_then(|mut lane| {
+            ets_batch(std::slice::from_mut(&mut lane));
+            lane.result().sse
+        });
+        self.tell_sse(sse.unwrap_or(f64::INFINITY));
         true
     }
 
@@ -622,25 +588,13 @@ impl EtsFitSession {
         let (level, trend, seasonal) = self.init.as_ref()?;
         self.seasonal_scratch.clear();
         self.seasonal_scratch.extend_from_slice(seasonal);
-        let (alpha, beta, gamma, phi) = self.staged;
-        Some(holt_winters::EtsLane {
-            y: &self.y,
-            class: match self.config.seasonal {
-                SeasonalKind::None => holt_winters::SeasonalClass::None,
-                SeasonalKind::Additive(_) => holt_winters::SeasonalClass::Additive,
-                SeasonalKind::Multiplicative(_) => holt_winters::SeasonalClass::Multiplicative,
-            },
-            alpha,
-            beta,
-            gamma,
-            phi,
-            has_trend: self.config.trend != TrendKind::None,
-            level: *level,
-            trend: *trend,
-            seasonal: &mut self.seasonal_scratch,
-            sse: 0.0,
-            alive: true,
-        })
+        Some(ets_lane(
+            &self.y,
+            &self.config,
+            self.staged,
+            (*level, *trend),
+            &mut self.seasonal_scratch,
+        ))
     }
 
     /// Feed back the SSE of the staged point and advance the optimiser.
@@ -650,8 +604,8 @@ impl EtsFitSession {
         }
     }
 
-    /// Finalise the fit. Any evaluations still pending are driven against
-    /// the solo kernels first, so `finish` is always well-defined.
+    /// Finalise the fit. Any evaluations still pending are driven through
+    /// one-lane kernel passes first, so `finish` is always well-defined.
     pub fn finish(mut self) -> Result<FittedEts> {
         while self.step_solo() {}
         let EtsFitSession {
@@ -681,7 +635,7 @@ impl EtsFitSession {
         let m = config.seasonal.period();
         let k = config.n_params();
         let (alpha, beta, gamma, phi) = unpack_params(&params_unconstrained, &config);
-        let rec = run_recursion(&y, &config, alpha, beta, gamma, phi).ok_or_else(|| {
+        let rec = run_recursion(&y, &config, (alpha, beta, gamma, phi)).ok_or_else(|| {
             ModelError::FitFailed {
                 context: "ETS recursion diverged at the optimum".to_string(),
             }

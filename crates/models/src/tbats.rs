@@ -14,9 +14,9 @@
 //! s*_{j,t} = −s_{j,t−1}·sin λⱼ + s*_{j,t−1}·cos λⱼ + γ₂·d_t
 //! ```
 //!
-//! and the final configuration is chosen by AIC over the lattice the paper
-//! lists: with/without Box-Cox, with/without trend, with/without damping,
-//! with/without ARMA(p,q) errors, and varying harmonic counts.
+//! The configuration lattice the paper lists — with/without Box-Cox,
+//! trend, damping and ARMA(p,q) errors, and varying harmonic counts — is
+//! `ModelGrid::tbats` in `dwcp-core`, searched like every other grid.
 
 // lint: allow-file(indexing) — state-space filter numerics; every index is
 // bounded by construction: optimiser-vector reads follow the layout
@@ -29,7 +29,7 @@ use crate::arima::transform::{unconstrained_to_ar, unconstrained_to_ma};
 use crate::{Forecast, ModelError, Result};
 use dwcp_math::kernels::{tbats_filter, trig_seasonal};
 use dwcp_math::optimize::{NelderMeadDriver, NelderMeadOptions};
-use dwcp_series::boxcox::{boxcox, inv_boxcox, select_lambda, shift_to_positive};
+use dwcp_series::boxcox::{boxcox, inv_boxcox, shift_to_positive};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -256,68 +256,6 @@ impl FittedTbats {
         options: &TbatsFitOptions,
     ) -> Result<FittedTbats> {
         TbatsFitSession::new(y, config, options, None)?.finish()
-    }
-
-    /// Select the AIC-best configuration over the paper's lattice:
-    /// Box-Cox on/off, trend on/off, damping on/off, ARMA error orders, and
-    /// harmonic counts per seasonal period.
-    pub fn select(y: &[f64], periods: &[f64]) -> Result<FittedTbats> {
-        let lambda = {
-            let (shifted, _) = shift_to_positive(y, 1.0);
-            select_lambda(&shifted, 0.0, 1.0).ok()
-        };
-        // Trigonometric seasonality needs at least one harmonic below the
-        // Nyquist limit (2k < p), so periods shorter than 4 cannot be
-        // modelled as seasonal blocks at all — drop them up front.
-        let periods: Vec<f64> = periods.iter().copied().filter(|&p| p >= 4.0).collect();
-        let mut best: Option<FittedTbats> = None;
-        let harmonic_options: &[usize] = &[1, 2, 3];
-        let arma_options: &[(usize, usize)] = &[(0, 0), (1, 0), (1, 1)];
-        for &use_boxcox in &[false, true] {
-            if use_boxcox && lambda.is_none() {
-                continue;
-            }
-            for &(use_trend, use_damping) in &[(false, false), (true, false), (true, true)] {
-                for &arma in arma_options {
-                    for &k in harmonic_options {
-                        // Cap each block's harmonic count at its own
-                        // feasibility limit rather than discarding the
-                        // whole configuration.
-                        let seasons: Vec<TbatsSeason> = periods
-                            .iter()
-                            .map(|&period| TbatsSeason {
-                                period,
-                                harmonics: k.min((period.ceil() as usize - 1) / 2),
-                            })
-                            .filter(|s| s.harmonics >= 1)
-                            .collect();
-                        if seasons.len() != periods.len() {
-                            continue; // defensive: should not happen after the p >= 4 filter
-                        }
-                        let config = TbatsConfig {
-                            lambda: if use_boxcox { lambda } else { None },
-                            use_trend,
-                            use_damping,
-                            arma,
-                            seasons,
-                            interval_level: 0.95,
-                        };
-                        if let Ok(fit) = FittedTbats::fit(y, config) {
-                            let better = best.as_ref().map(|b| fit.aic < b.aic).unwrap_or(true);
-                            if better {
-                                best = Some(fit);
-                            }
-                        }
-                        if periods.is_empty() {
-                            break; // harmonics irrelevant without seasons
-                        }
-                    }
-                }
-            }
-        }
-        best.ok_or_else(|| ModelError::FitFailed {
-            context: "no TBATS configuration could be fitted".to_string(),
-        })
     }
 
     /// Forecast `horizon` steps with normal intervals computed from the
@@ -573,13 +511,13 @@ fn advance(
 
 /// Run the filter over the training data with the rotation tables
 /// supplied by the caller, returning (SSE, final state) or `None` on
-/// numerical blow-up. Supplying the tables lets one
-/// table set (a pure function of the config's seasonal signature) serve
-/// every pass of a fit — or, behind the evaluation engine's cache, every
-/// candidate sharing the signature. The observation loop runs on the
-/// solo [`tbats_filter`] kernel, a statement-for-statement transcription
-/// of the [`predict_one`] + [`advance`] pair, so results are
-/// bit-identical to the historical scalar loop.
+/// numerical blow-up. Supplying the tables lets one table set (a pure
+/// function of the config's seasonal signature) serve every pass of a fit —
+/// or, behind the evaluation engine's cache, every candidate sharing the
+/// signature. The filter is one lane through
+/// [`tbats_filter::run_batch`], whose chunk runs the [`predict_one`] +
+/// [`advance`] statements lane by lane, so results are bit-identical to
+/// the historical scalar loop.
 fn filter_with_tables(
     z: &[f64],
     config: &TbatsConfig,
@@ -590,7 +528,38 @@ fn filter_with_tables(
     state.d_hist = vec![0.0; params.ar.len()];
     state.e_hist = vec![0.0; params.ma.len()];
     let mut seasonal_flat: Vec<f64> = state.seasonal.iter().flatten().copied().collect();
-    let mut lane = tbats_filter::TbatsLane {
+    let mut lane = tbats_lane(
+        z,
+        config,
+        params,
+        tables,
+        (state.level, state.trend),
+        (&mut seasonal_flat, &mut state.d_hist, &mut state.e_hist),
+    );
+    tbats_filter::run_batch(std::slice::from_mut(&mut lane));
+    let sse = lane.result()?;
+    (state.level, state.trend) = (lane.level, lane.trend);
+    let mut off = 0;
+    for block in &mut state.seasonal {
+        let len = block.len();
+        block.copy_from_slice(&seasonal_flat[off..off + len]);
+        off += len;
+    }
+    Some((sse, state))
+}
+
+/// The kernel lane filtering `z` under `config` and `params` from
+/// `(level, trend)` and the state windows `(seasonal, d_hist, e_hist)`,
+/// which it updates in place.
+fn tbats_lane<'a>(
+    z: &'a [f64],
+    config: &TbatsConfig,
+    params: &'a TbatsParams,
+    tables: &'a RotationTables,
+    (level, trend): (f64, f64),
+    (seasonal, d_hist, e_hist): (&'a mut [f64], &'a mut [f64], &'a mut [f64]),
+) -> tbats_filter::TbatsLane<'a> {
+    tbats_filter::TbatsLane {
         z,
         alpha: params.alpha,
         beta: params.beta,
@@ -600,25 +569,14 @@ fn filter_with_tables(
         ar: &params.ar,
         ma: &params.ma,
         tables,
-        level: state.level,
-        trend: state.trend,
-        seasonal: &mut seasonal_flat,
-        d_hist: &mut state.d_hist,
-        e_hist: &mut state.e_hist,
+        level,
+        trend,
+        seasonal,
+        d_hist,
+        e_hist,
         sse: 0.0,
         alive: true,
-    };
-    tbats_filter::run(&mut lane);
-    let sse = lane.result()?;
-    state.level = lane.level;
-    state.trend = lane.trend;
-    let mut off = 0;
-    for block in &mut state.seasonal {
-        let len = block.len();
-        block.copy_from_slice(&seasonal_flat[off..off + len]);
-        off += len;
     }
-    Some((sse, state))
 }
 
 /// Unpack an unconstrained optimiser point into smoothing/ARMA
@@ -674,8 +632,9 @@ fn unpack_tbats(u: &[f64], config: &TbatsConfig) -> TbatsParams {
 /// round.
 ///
 /// Driving a session to completion with
-/// [`finish`](TbatsFitSession::finish) alone reproduces the sequential
-/// [`FittedTbats::fit_with`] bit-for-bit. The session also hoists out of
+/// [`finish`](TbatsFitSession::finish) alone reproduces the batched fit
+/// bit-for-bit: [`tbats_filter::run_batch`] scores a lane alike whether it
+/// runs alone or beside others. The session also hoists out of
 /// the optimiser loop everything the closure objective recomputed per
 /// evaluation: the `initial_state` heuristic, the per-harmonic
 /// rotation tables (optionally shared across candidates with the same
@@ -708,7 +667,8 @@ impl TbatsFitSession {
     /// optimisation when a freeze is requested without a usable seed.
     /// `rotation` supplies cached rotation tables for this config's
     /// seasonal signature; `None` computes them here (once per fit —
-    /// the closure objective recomputed them per evaluation).
+    /// the closure objective recomputed them per evaluation). A shape
+    /// outside the filter kernel's envelope is an invalid spec.
     pub fn new(
         y: &[f64],
         config: TbatsConfig,
@@ -744,6 +704,19 @@ impl TbatsFitSession {
                     context: format!("harmonics {} too high for period {}", s.harmonics, s.period),
                 });
             }
+        }
+        let harmonics = config.seasons.iter().map(|s| s.harmonics);
+        if !tbats_filter::in_envelope(harmonics, config.arma.0, config.arma.1) {
+            return Err(ModelError::InvalidSpec {
+                context: format!(
+                    "{} is outside the TBATS filter's envelope: at most {} seasonal blocks of \
+                     at most {} harmonics, ARMA orders at most {}",
+                    config.describe(),
+                    tbats_filter::MAX_BLOCKS,
+                    tbats_filter::MAX_HARMONICS,
+                    tbats_filter::MAX_ARMA_ORDER
+                ),
+            });
         }
 
         // Box-Cox (with positivity shift when required).
@@ -812,46 +785,19 @@ impl TbatsFitSession {
         self.driver.as_ref().is_some_and(|d| !d.is_done())
     }
 
-    /// Evaluate the pending point against the solo filter kernel and feed
-    /// it back; returns `false` when nothing was pending. Driving a
-    /// session with `while session.step_solo() {}` reproduces the
-    /// sequential fit exactly.
+    /// Evaluate the pending point through a one-lane
+    /// [`tbats_filter::run_batch`] pass and feed it back; returns `false`
+    /// when nothing was pending. Driving a session with
+    /// `while session.step_solo() {}` reproduces the batched fit exactly.
     pub fn step_solo(&mut self) -> bool {
-        let Some(driver) = self.driver.as_mut() else {
+        if !self.stage_pending() {
             return false;
-        };
-        let Some(u) = driver.pending_point() else {
-            return false;
-        };
-        let params = unpack_tbats(u, &self.config);
-        self.seasonal_scratch.clear();
-        self.seasonal_scratch
-            .extend_from_slice(&self.init_seasonal_flat);
-        self.d_scratch.clear();
-        self.d_scratch.resize(params.ar.len(), 0.0);
-        self.e_scratch.clear();
-        self.e_scratch.resize(params.ma.len(), 0.0);
-        let mut lane = tbats_filter::TbatsLane {
-            z: &self.z,
-            alpha: params.alpha,
-            beta: params.beta,
-            phi: params.phi,
-            use_trend: self.config.use_trend,
-            gammas: &params.gammas,
-            ar: &params.ar,
-            ma: &params.ma,
-            tables: &self.tables,
-            level: self.init.level,
-            trend: self.init.trend,
-            seasonal: &mut self.seasonal_scratch,
-            d_hist: &mut self.d_scratch,
-            e_hist: &mut self.e_scratch,
-            sse: 0.0,
-            alive: true,
-        };
-        tbats_filter::run(&mut lane);
-        let fx = lane.result().unwrap_or(f64::INFINITY);
-        driver.tell(fx);
+        }
+        let sse = self.staged_lane().and_then(|mut lane| {
+            tbats_filter::run_batch(std::slice::from_mut(&mut lane));
+            lane.result()
+        });
+        self.tell_sse(sse.unwrap_or(f64::INFINITY));
         true
     }
 
@@ -884,24 +830,18 @@ impl TbatsFitSession {
         self.d_scratch.resize(params.ar.len(), 0.0);
         self.e_scratch.clear();
         self.e_scratch.resize(params.ma.len(), 0.0);
-        Some(tbats_filter::TbatsLane {
-            z: &self.z,
-            alpha: params.alpha,
-            beta: params.beta,
-            phi: params.phi,
-            use_trend: self.config.use_trend,
-            gammas: &params.gammas,
-            ar: &params.ar,
-            ma: &params.ma,
-            tables: &self.tables,
-            level: self.init.level,
-            trend: self.init.trend,
-            seasonal: &mut self.seasonal_scratch,
-            d_hist: &mut self.d_scratch,
-            e_hist: &mut self.e_scratch,
-            sse: 0.0,
-            alive: true,
-        })
+        Some(tbats_lane(
+            &self.z,
+            &self.config,
+            params,
+            &self.tables,
+            (self.init.level, self.init.trend),
+            (
+                &mut self.seasonal_scratch,
+                &mut self.d_scratch,
+                &mut self.e_scratch,
+            ),
+        ))
     }
 
     /// Feed back the SSE of the staged point and advance the optimiser.
@@ -911,8 +851,8 @@ impl TbatsFitSession {
         }
     }
 
-    /// Finalise the fit. Any evaluations still pending are driven against
-    /// the solo kernel first, so `finish` is always well-defined.
+    /// Finalise the fit. Any evaluations still pending are driven through
+    /// one-lane kernel passes first, so `finish` is always well-defined.
     pub fn finish(mut self) -> Result<FittedTbats> {
         while self.step_solo() {}
         let TbatsFitSession {
@@ -1103,21 +1043,6 @@ mod tests {
     }
 
     #[test]
-    fn select_chooses_seasonal_model_for_seasonal_data() {
-        let y: Vec<f64> = (0..200)
-            .map(|t| {
-                60.0 + 15.0 * (2.0 * std::f64::consts::PI * t as f64 / 20.0).sin()
-                    + noise(200, 13)[t] * 0.5
-            })
-            .collect();
-        let fit = FittedTbats::select(&y, &[20.0]).unwrap();
-        assert!(!fit.config.seasons.is_empty());
-        let f = fit.forecast(10);
-        let expected0 = 60.0 + 15.0 * (2.0 * std::f64::consts::PI * 200.0 / 20.0).sin();
-        assert!((f.mean[0] - expected0).abs() < 5.0, "{}", f.mean[0]);
-    }
-
-    #[test]
     fn invalid_configs_rejected() {
         let y = vec![1.0; 100];
         // Harmonics too high for the period.
@@ -1126,6 +1051,54 @@ mod tests {
         // Period below 2.
         let bad2 = TbatsConfig::seasonal(1.0, 1);
         assert!(FittedTbats::fit(&y, bad2).is_err());
+    }
+
+    #[test]
+    fn shapes_outside_the_kernel_envelope_are_invalid_specs() {
+        let y: Vec<f64> = (0..400)
+            .map(|t| 50.0 + 5.0 * (t as f64 / 4.0).sin() + noise(400, 23)[t])
+            .collect();
+        let season = |period: f64, harmonics: usize| TbatsSeason { period, harmonics };
+        let arma20 = TbatsConfig {
+            arma: (2, 0),
+            ..TbatsConfig::seasonal(24.0, 2)
+        };
+        let three_blocks = TbatsConfig {
+            seasons: vec![season(7.0, 1), season(12.0, 2), season(24.0, 2)],
+            ..TbatsConfig::level_only()
+        };
+        let nine_harmonics = TbatsConfig::seasonal(24.0, 9);
+        for config in [arma20, three_blocks, nine_harmonics] {
+            for options in [
+                TbatsFitOptions::default(),
+                TbatsFitOptions {
+                    warm_start: Some(vec![0.0; config.n_params()]),
+                    freeze_warm_start: true,
+                },
+            ] {
+                let fit = FittedTbats::fit_with(&y, config.clone(), &options);
+                assert!(
+                    matches!(fit, Err(ModelError::InvalidSpec { .. })),
+                    "{}: {fit:?}",
+                    config.describe()
+                );
+            }
+        }
+        // The widest shape inside the envelope is a valid spec.
+        let widest = TbatsConfig {
+            arma: (1, 1),
+            seasons: vec![season(24.0, 8), season(48.0, 8)],
+            ..TbatsConfig::level_only()
+        };
+        let frozen = TbatsFitOptions {
+            warm_start: Some(vec![0.0; widest.n_params()]),
+            freeze_warm_start: true,
+        };
+        let fit = FittedTbats::fit_with(&y, widest, &frozen);
+        assert!(
+            !matches!(fit, Err(ModelError::InvalidSpec { .. })),
+            "{fit:?}"
+        );
     }
 
     #[test]

@@ -14,8 +14,8 @@
 #      estate-relearn and forecast-auto must reproduce the work counts
 #      checked in at results/benchmark_counts.json exactly
 #   5. bench_kernels smoke (bitwise CSS/ETS/TBATS kernel parity asserted
-#      in-binary, snapshot schema checked, batched ETS and TBATS faster
-#      than solo on every row), then bench_grid
+#      in-binary, snapshot schema checked, a batched ETS and TBATS pass
+#      faster per lane than one-lane passes on every row), then bench_grid
 #      perf-regression smoke: the accelerated 2- and 4-thread walls —
 #      pure-ARIMA sweep and the mixed-family auto-mode union grid — must
 #      stay within 25% of the checked-in results/BENCH_grid.json, with
@@ -141,9 +141,10 @@ done
 rm -rf "$counts_dir"
 
 echo "== bench smoke: bench_kernels (DWCP_QUICK=1) =="
-# Bitwise SSE parity of reference vs solo kernel vs batched lane for the
-# CSS, ETS and TBATS kernels is asserted inside the binary, which exits
-# non-zero (panics) on any violation.
+# Bitwise parity is asserted inside the binary, which exits non-zero
+# (panics) on any violation: CSS SSEs of reference vs solo kernel vs
+# batched lane, and every ETS and TBATS lane's full final state, through a
+# one-lane pass and in a batched pass, vs the scalar reference.
 DWCP_QUICK=1 cargo run -q --release -p dwcp-bench --bin bench_kernels
 
 echo "== snapshot schema: results/BENCH_kernels.json =="
@@ -162,16 +163,19 @@ families = {r["family"] for r in fam["rows"]}
 assert families == {"ETS", "TBATS"}, f"unexpected families: {families}"
 ets, tbats = fam["ets_geomean_batch_speedup"], fam["tbats_geomean_batch_speedup"]
 # A batched ETS or TBATS pass must beat scoring its lanes one by one on
-# every row, the mixed 2-lane passes included.
+# every row, the mixed 2-lane passes and the period-52 lanes past the stack
+# block included. `kernel_ns` is each lane through a one-lane pass of the
+# same kernel (the path of a single fit and a frozen re-score), so
+# `batch_vs_solo` is batched against one-lane passes.
 worst = {}
 for family in ("ETS", "TBATS"):
     row = min((r for r in fam["rows"] if r["family"] == family),
               key=lambda r: r["batch_vs_solo"])
-    assert row["batch_vs_solo"] > 1.0, f"batched {family} slower than solo: {row}"
+    assert row["batch_vs_solo"] > 1.0, f"batched {family} slower than one-lane passes: {row}"
     worst[family] = "%.2fx, %s" % (row["batch_vs_solo"], row["shape"])
 e, t = worst["ETS"], worst["TBATS"]
 print(f"kernels snapshot OK (geomean batched speedup: ETS {ets:.2f}x, TBATS {tbats:.2f}x; "
-      f"batched/solo at least ETS {e}, TBATS {t})")'
+      f"batched/one-lane at least ETS {e}, TBATS {t})")'
 git checkout -- results/BENCH_kernels.json 2>/dev/null || true
 
 echo "== perf smoke: bench_grid vs checked-in reference =="

@@ -1151,6 +1151,130 @@ mod tests {
         assert!(read_csv("1,2,3\n").is_err());
     }
 
+    use proptest::prelude::*;
+
+    /// One line of a generated metric CSV and what it must read as.
+    #[derive(Debug, Clone)]
+    enum CsvLine {
+        /// A one- or two-field line and the value it carries (a NaN value
+        /// stands for any NaN).
+        Value(String, f64),
+        /// A comment or blank line, skipped anywhere.
+        Skipped(String),
+        /// A line whose value is no number: a header as the first line, an
+        /// error anywhere else.
+        BadValue(String),
+        /// More than two fields: an error anywhere.
+        Bad(String),
+    }
+
+    fn csv_line() -> impl Strategy<Value = CsvLine> {
+        let words = vec![
+            "value",
+            "cpu",
+            "12abc",
+            "1.2.3",
+            "--1",
+            "0x10",
+            "1e",
+            "inf inity",
+        ];
+        let non_finite = vec![
+            ("", f64::NAN),
+            ("nan", f64::NAN),
+            ("NAN", f64::NAN),
+            ("inf", f64::INFINITY),
+            ("-inf", f64::NEG_INFINITY),
+            ("infinity", f64::INFINITY),
+            ("-infinity", f64::NEG_INFINITY),
+        ];
+        (
+            -1e9f64..1e9,
+            0usize..5,
+            prop::sample::select(non_finite),
+            0usize..12,
+            prop::sample::select(words),
+            0u64..1_000_000,
+        )
+            .prop_map(|(v, form, (text, special), kind, word, ts)| {
+                let (value, number) = match form {
+                    0 => (format!("{v}"), v),
+                    1 => (format!("{v:e}"), v),
+                    2 => (format!(" {v:?} "), v),
+                    3 => {
+                        let n = v.abs().trunc();
+                        (format!("{}{n}", "0".repeat(ts as usize % 3000)), n)
+                    }
+                    _ => (text.to_string(), special),
+                };
+                match kind {
+                    0 => CsvLine::Skipped(String::new()),
+                    1 => CsvLine::Skipped(format!("# {word},{value}")),
+                    2 => CsvLine::BadValue(word.to_string()),
+                    3 => CsvLine::BadValue(format!("{ts},{word}")),
+                    4 => CsvLine::Bad(format!("{ts},{value},{value}")),
+                    5 => CsvLine::Bad(",".repeat(2 + ts as usize % 5000)),
+                    // A timestamp that is no epoch second is only dropped.
+                    6 => CsvLine::Value(format!("{word},{value}"), number),
+                    7 | 8 => CsvLine::Value(value, number),
+                    _ => CsvLine::Value(format!("{ts},{value}"), number),
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn csv_reads_exactly_the_numbers_written_or_a_typed_error(
+            lines in prop::collection::vec(csv_line(), 0..40),
+            crlf in prop::bool::ANY,
+        ) {
+            let mut want = Some(Vec::new());
+            for (i, line) in lines.iter().enumerate() {
+                match (line, want.as_mut()) {
+                    (CsvLine::Value(_, v), Some(values)) => values.push(*v),
+                    (CsvLine::Skipped(_), _) | (CsvLine::BadValue(_), _) if i == 0 => {}
+                    (CsvLine::Skipped(_), _) => {}
+                    (CsvLine::BadValue(_) | CsvLine::Bad(_), _) => want = None,
+                    (_, None) => {}
+                }
+            }
+            let want = want.filter(|values| !values.is_empty());
+            let text: Vec<&str> = lines
+                .iter()
+                .map(|line| match line {
+                    CsvLine::Value(text, _)
+                    | CsvLine::Skipped(text)
+                    | CsvLine::BadValue(text)
+                    | CsvLine::Bad(text) => text.as_str(),
+                })
+                .collect();
+            let content = text.join(if crlf { "\r\n" } else { "\n" });
+            match (read_csv(&content), want) {
+                (Ok(series), Some(want)) => {
+                    prop_assert_eq!(series.len(), want.len());
+                    for (got, want) in series.values().iter().zip(&want) {
+                        let same = got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan());
+                        prop_assert!(same, "{} vs {}", got, want);
+                    }
+                }
+                (Err(CliError(message)), None) => prop_assert!(!message.is_empty()),
+                (got, want) => prop_assert!(false, "{:?} vs {:?} for {:?}", got, want, content),
+            }
+        }
+
+        #[test]
+        fn csv_random_bytes_never_panic(
+            raw in prop::collection::vec(0u8..=255, 0..600),
+        ) {
+            match read_csv(&String::from_utf8_lossy(&raw)) {
+                Ok(series) => prop_assert!(!series.is_empty()),
+                Err(CliError(message)) => prop_assert!(!message.is_empty()),
+            }
+        }
+    }
+
     #[test]
     fn execute_help_prints_usage() {
         let mut out = Vec::new();

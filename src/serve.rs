@@ -1101,4 +1101,190 @@ mod tests {
             prop_assert_eq!(error.as_str(), want);
         }
     }
+
+    /// One line of a generated push body and what it must parse into.
+    #[derive(Debug, Clone)]
+    enum BodyLine {
+        /// A `timestamp,value` line and the point it carries (a NaN value
+        /// stands for any NaN).
+        Point(String, (u64, f64)),
+        /// A comment or blank line, skipped anywhere.
+        Skipped(String),
+        /// A line whose timestamp is no epoch second: a header as the
+        /// body's first line, an error anywhere else.
+        BadTimestamp(String),
+        /// A line no position makes acceptable.
+        Bad(String),
+    }
+
+    /// A value spelling and the number it denotes: shortest, exponent and
+    /// debug forms of a finite draw, integers (some with thousands of
+    /// leading zeros), and blank, `nan`, `inf` and `infinity` spellings.
+    fn value_text() -> impl Strategy<Value = (String, f64)> {
+        let non_finite = vec![
+            ("", f64::NAN),
+            ("nan", f64::NAN),
+            ("NaN", f64::NAN),
+            ("inf", f64::INFINITY),
+            ("-inf", f64::NEG_INFINITY),
+            ("+inf", f64::INFINITY),
+            ("infinity", f64::INFINITY),
+            ("-Infinity", f64::NEG_INFINITY),
+            ("-INFINITY", f64::NEG_INFINITY),
+        ];
+        (
+            -1e9f64..1e9,
+            0usize..6,
+            prop::sample::select(non_finite),
+            0usize..5000,
+        )
+            .prop_map(|(v, form, (text, special), zeros)| match form {
+                0 => (format!("{v}"), v),
+                1 => (format!("{v:e}"), v),
+                2 => (format!("{v:?}"), v),
+                3 => {
+                    let n = v.abs().trunc();
+                    (format!("{}{n}", "0".repeat(zeros)), n)
+                }
+                _ => (text.to_string(), special),
+            })
+    }
+
+    fn body_line() -> impl Strategy<Value = BodyLine> {
+        let bad = vec![
+            "no comma here",
+            "12abc",
+            "1.2.3",
+            "--1",
+            "0x10",
+            "1e",
+            "inf inity",
+            "1,5",
+            "nan?",
+        ];
+        (
+            0u64..72 * 3_600,
+            value_text(),
+            0usize..20,
+            prop::sample::select(bad),
+            prop::bool::ANY,
+        )
+            .prop_map(|(offset, (value, number), kind, junk, padded)| {
+                let ts = 1_600_000_000 + offset;
+                let pad = if padded { "  " } else { "" };
+                match kind {
+                    0 => BodyLine::Skipped(String::new()),
+                    1 => BodyLine::Skipped(format!("# {junk}")),
+                    2 => BodyLine::BadTimestamp(format!("{junk},{value}")),
+                    3 => BodyLine::BadTimestamp(format!("{},{value}", "9".repeat(30))),
+                    4 => BodyLine::Bad(format!("{ts},{junk}")),
+                    5 => BodyLine::Bad("9".repeat(4096 + offset as usize % 4096)),
+                    _ => BodyLine::Point(format!("{pad}{ts}{pad},{pad}{value}{pad}"), (ts, number)),
+                }
+            })
+    }
+
+    /// What `parse_points` must return for `lines`: the points in order,
+    /// or an error if any line is bad where it stands or none carries a
+    /// point.
+    fn expected_points(lines: &[BodyLine]) -> Option<Vec<(u64, f64)>> {
+        let mut points = Vec::new();
+        for (i, line) in lines.iter().enumerate() {
+            match line {
+                BodyLine::Point(_, point) => points.push(*point),
+                BodyLine::Skipped(_) => {}
+                BodyLine::BadTimestamp(_) if i == 0 => {}
+                BodyLine::BadTimestamp(_) | BodyLine::Bad(_) => return None,
+            }
+        }
+        (!points.is_empty()).then_some(points)
+    }
+
+    fn same_point(got: (u64, f64), want: (u64, f64)) -> bool {
+        got.0 == want.0
+            && (got.1.to_bits() == want.1.to_bits() || (got.1.is_nan() && want.1.is_nan()))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn push_bodies_parse_into_exactly_the_points_written(
+            lines in prop::collection::vec(body_line(), 0..40),
+            header in prop::bool::ANY,
+            crlf in prop::bool::ANY,
+        ) {
+            let mut lines = lines;
+            if header {
+                lines.insert(0, BodyLine::BadTimestamp("timestamp,value".to_string()));
+            }
+            let text: Vec<&str> = lines
+                .iter()
+                .map(|line| match line {
+                    BodyLine::Point(text, _)
+                    | BodyLine::Skipped(text)
+                    | BodyLine::BadTimestamp(text)
+                    | BodyLine::Bad(text) => text.as_str(),
+                })
+                .collect();
+            let body = text.join(if crlf { "\r\n" } else { "\n" });
+            match (parse_points(&body), expected_points(&lines)) {
+                (Ok(got), Some(want)) => {
+                    prop_assert_eq!(got.len(), want.len());
+                    for (g, w) in got.iter().zip(&want) {
+                        prop_assert!(same_point(*g, *w), "{:?} vs {:?}", g, w);
+                    }
+                }
+                (Err(e), None) => prop_assert!(!e.is_empty()),
+                (got, want) => prop_assert!(false, "{:?} vs {:?} for {:?}", got, want, body),
+            }
+        }
+
+        #[test]
+        fn random_push_bodies_never_panic(raw in bytes(0..600)) {
+            // Every input is a list of points or an error message.
+            match parse_points(&String::from_utf8_lossy(&raw)) {
+                Ok(points) => prop_assert!(!points.is_empty()),
+                Err(e) => prop_assert!(!e.is_empty()),
+            }
+        }
+
+        #[test]
+        fn non_finite_points_are_counted_missing_and_never_summed(
+            lines in prop::collection::vec(body_line(), 1..60),
+        ) {
+            let points: Vec<(u64, f64)> = lines
+                .iter()
+                .filter_map(|line| match line {
+                    BodyLine::Point(_, point) => Some(*point),
+                    _ => None,
+                })
+                .collect();
+            prop_assume!(!points.is_empty());
+            let config = EngineConfig::new(PipelineConfig::hourly(MethodChoice::Hes));
+            let mut engine = Engine::new(config);
+            engine.push_batch("db", &points).unwrap();
+            let status = engine.status("db").unwrap();
+            let missing = points.iter().filter(|(_, v)| !v.is_finite()).count();
+            prop_assert_eq!(status.points, points.len() as u64);
+            prop_assert_eq!(status.missing, missing as u64);
+            // Each complete hour is the mean of its finite points, summed
+            // in arrival order; an hour of non-finite points only is a gap.
+            let first = points.iter().map(|p| p.0 / 3_600).min().unwrap_or(0);
+            let last = points.iter().map(|p| p.0 / 3_600).max().unwrap_or(0);
+            let page = engine.read_page("db", 0, 4096).unwrap();
+            prop_assert_eq!(page.values.len() as u64, last - first);
+            for (hour, got) in (first..last).zip(&page.values) {
+                let (mut sum, mut count) = (0.0, 0u32);
+                for &(_, v) in points.iter().filter(|p| p.0 / 3_600 == hour) {
+                    if v.is_finite() {
+                        sum += v;
+                        count += 1;
+                    }
+                }
+                let want = if count == 0 { f64::NAN } else { sum / f64::from(count) };
+                prop_assert!(same_point((hour, *got), (hour, want)), "hour {}", hour);
+            }
+        }
+    }
 }

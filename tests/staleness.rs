@@ -227,3 +227,50 @@ fn degraded_stored_champion_triggers_full_grid_fallback() {
     assert!(after.jobs[0].reused && !after.jobs[0].fell_back);
     assert_eq!(after.jobs[0].relearn, None);
 }
+
+#[test]
+fn a_stored_tbats_champion_outside_the_kernel_envelope_is_searched_not_failed() {
+    use dwcp::models::tbats::TbatsConfig;
+    use dwcp::planner::ModelConfig;
+    let key = "cdbm011/CPU/hourly";
+    let mut config = PipelineConfig::hourly(MethodChoice::Tbats);
+    config.fourier_stage = false;
+    let jobs = vec![SeriesJob::new(key, fleet_series(), config)];
+    let options = FleetOptions {
+        threads: 2,
+        ..Default::default()
+    };
+    // ARMA(2,0): no grid builds it, and the TBATS kernel cannot filter it,
+    // so its frozen re-score fails and the job searches the neighbourhood.
+    let champion = TbatsConfig {
+        arma: (2, 0),
+        ..TbatsConfig::seasonal(24.0, 2)
+    };
+    let mut repo = ShardedRepository::in_memory();
+    repo.store(ModelRecord {
+        workload: key.to_string(),
+        champion: champion.describe(),
+        granularity: Granularity::Hourly,
+        baseline_rmse: 1e12,
+        fitted_at: options.now,
+        warm_params: vec![0.0; champion.n_params()],
+        champion_config: Some(ModelConfig::Tbats(champion)),
+        warm_beta: Vec::new(),
+    })
+    .unwrap();
+    let report = run_batch_on(&options, &mut repo, &jobs);
+    let job = &report.jobs[0];
+    assert!(job.reused && !job.fell_back);
+    assert_eq!(job.relearn, Some(RelearnReason::Degraded));
+    let outcome = job
+        .outcome
+        .as_ref()
+        .expect("a searched champion, not a failed job");
+    assert!(outcome.accuracy.rmse.is_finite());
+    let stored = repo.get(key).unwrap().unwrap();
+    assert_eq!(stored.champion, outcome.champion);
+    match &stored.champion_config {
+        Some(ModelConfig::Tbats(c)) => assert!(c.arma.0 <= 1 && c.arma.1 <= 1, "{c:?}"),
+        other => panic!("stored champion is not TBATS: {other:?}"),
+    }
+}
